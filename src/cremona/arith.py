@@ -8,11 +8,17 @@ the claimed Salem factor is reducible.
 
 The float side is a thin wrapper over mpmath carrying an explicit bit
 precision; mixed-precision operations carry the max precision of the operands.
+
+The scalar protocol at the end of the module (``is_exact``, ``is_zero``,
+``one_like``, ``inverse``, ``embed``, ``gap``/``close`` and the vector
+rescalings ``normalize``/``align``) is the one place that tells exact scalars
+from floats; everything else calls it or the overloaded operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import mpmath
 
@@ -20,10 +26,8 @@ from .polynomials import (
     IntegerPolynomial,
     rat_add,
     rat_divmod,
-    rat_eval,
     rat_mul,
     rat_neg,
-    rat_scale,
     rat_trim,
     rat_xgcd,
 )
@@ -193,11 +197,6 @@ class NumberFieldElement:
         return f"NFE({list(self.residue)} mod {self.modulus})"
 
 
-def nf_reduce(coeffs, modulus: IntegerPolynomial) -> NumberFieldElement:
-    """Residue of a rational-coefficient polynomial modulo a monic modulus."""
-    return NumberField(modulus).element(coeffs)
-
-
 def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero in number field")
@@ -322,3 +321,123 @@ def nf_embed(a: NumberFieldElement, root: BigFloat) -> BigFloat:
         for c in reversed(a.residue):
             acc = acc * root.value + mpmath.mpf(c.numerator) / c.denominator
     return BigFloat(acc, prec)
+
+
+# ---------------------------------------------------------------------------
+# the scalar protocol
+#
+# Exact scalars (int, Fraction, NumberFieldElement) are compared by equality.
+# A BigFloat of precision p counts as zero below 2^-max(48, p-16), and two
+# scalars agree when they differ by at most 2^-(p//2) relative to
+# max(|a|, |b|, 1), p being the larger precision of the two.
+
+
+def is_exact(x) -> bool:
+    return isinstance(x, (int, Fraction, NumberFieldElement))
+
+
+def is_zero(x) -> bool:
+    if isinstance(x, BigFloat):
+        return abs(x.value) <= mpmath.ldexp(1, -max(48, x.precision_bits - 16))
+    return not x
+
+
+def one_like(x):
+    """The unit of x's kind: 1 in x's number field, a BigFloat 1 at x's
+    precision, or Fraction(1)."""
+    if isinstance(x, NumberFieldElement):
+        return x.field.one()
+    if isinstance(x, BigFloat):
+        return BigFloat(1, x.precision_bits)
+    return Fraction(1)
+
+
+def inverse(x):
+    """1 / x, exact for exact x (an int inverts to a Fraction)."""
+    if isinstance(x, NumberFieldElement):
+        return nf_invert(x)
+    return one_like(x) / x
+
+
+def embed(x, root: BigFloat | None):
+    """x as a scalar of the backend that ``root`` stands for: x itself when
+    root is None (the exact backend), else x evaluated at the numerical
+    root of its field's modulus."""
+    if root is None:
+        return x
+    if isinstance(x, NumberFieldElement):
+        return nf_embed(x, root)
+    return BigFloat(x, root.precision_bits)
+
+
+def _precision(xs) -> int:
+    return max([x.precision_bits for x in xs if isinstance(x, BigFloat)] + [53])
+
+
+def _mpf(x):
+    if isinstance(x, BigFloat):
+        return x.value
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+def gap(a, b):
+    """How far apart two scalars are: 0 or 1 when both are exact, else
+    |a - b| / max(|a|, |b|, 1) as a BigFloat."""
+    if is_exact(a) and is_exact(b):
+        return int(a != b)
+    prec = _precision((a, b))
+    with mpmath.workprec(prec):
+        av, bv = _mpf(a), _mpf(b)
+        return BigFloat(abs(av - bv) / max(abs(av), abs(bv), 1), prec)
+
+
+def close(a, b) -> bool:
+    """Whether two scalars agree: exactly, or for floats within the
+    tolerance their precision allows."""
+    if is_exact(a) and is_exact(b):
+        return a == b
+    g = gap(a, b)
+    return g.value <= mpmath.ldexp(1, -(g.precision_bits // 2))
+
+
+def _unit(coords, prec: int) -> list:
+    """Float entries divided by the entry of largest modulus, at ``prec``."""
+    with mpmath.workprec(prec):
+        vals = [_mpf(c) for c in coords]
+        top = max(vals, key=abs)
+        return [BigFloat(v / top, prec) for v in vals]
+
+
+def normalize(coords) -> tuple:
+    """A coordinate vector rescaled to keep its entries small: divided by its
+    rational content (gcd of the numerators over lcm of the denominators of
+    every rational coefficient) when all entries are exact, and returned
+    unchanged when that is 1; else divided by its entry of largest modulus."""
+    if not all(map(is_exact, coords)):
+        return tuple(_unit(coords, _precision(coords)))
+    nums, dens = [0], [1]
+    for c in coords:
+        for r in c.residue if isinstance(c, NumberFieldElement) else (Fraction(c),):
+            if r:
+                nums.append(abs(r.numerator))
+                dens.append(r.denominator)
+    content = Fraction(gcd(*nums) or 1, lcm(*dens))
+    if content == 1:
+        return coords
+    scale = 1 / content
+    return tuple(c * scale for c in coords)
+
+
+def align(a, b):
+    """Two coordinate vectors rescaled so that they agree entry by entry
+    exactly when they are the same projective point (float vectors: up to
+    sign).  Exact vectors are cross-multiplied by each other's entry at a's
+    first nonzero slot; otherwise each is divided by its entry of largest
+    modulus."""
+    if all(map(is_exact, a)) and all(map(is_exact, b)):
+        i = next(j for j, c in enumerate(a) if not is_zero(c))
+        return [c * b[i] for c in a], [c * a[i] for c in b]
+    prec = _precision((*a, *b))
+    return _unit(a, prec), _unit(b, prec)

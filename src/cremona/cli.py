@@ -18,7 +18,14 @@ from fractions import Fraction
 
 import mpmath
 
-from .arith import BigFloat, NumberFieldElement, nf_embed
+from .arith import (
+    DEFAULT_PRECISION_BITS,
+    BigFloat,
+    NumberFieldElement,
+    close,
+    embed,
+    is_exact,
+)
 from .construct import (
     ExceptionalPairError,
     RootOfUnityError,
@@ -68,18 +75,10 @@ def frac_str(f) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def decimal_str(value, precision_bits: int) -> str:
+def decimal_str(value: BigFloat) -> str:
     """Fixed-width decimal rendering; deterministic for a given precision."""
-    if isinstance(value, BigFloat):
-        precision_bits = value.precision_bits
-        value = value.value
-    with mpmath.workprec(precision_bits):
-        return mpmath.nstr(
-            mpmath.mpf(value) if not isinstance(value, (mpmath.mpf, mpmath.mpc))
-            else value,
-            DECIMAL_DIGITS,
-            strip_zeros=False,
-        )
+    with mpmath.workprec(value.precision_bits):
+        return mpmath.nstr(value.value, DECIMAL_DIGITS, strip_zeros=False)
 
 
 def ser_exact(x):
@@ -93,14 +92,7 @@ def ser_exact(x):
 
 
 def ser_scalar(x, root):
-    out = {"exact": ser_exact(x)}
-    if isinstance(x, NumberFieldElement):
-        out["decimal"] = decimal_str(nf_embed(x, root), root.precision_bits)
-    else:
-        out["decimal"] = decimal_str(
-            BigFloat(Fraction(x), root.precision_bits), root.precision_bits
-        )
-    return out
+    return {"exact": ser_exact(x), "decimal": decimal_str(embed(x, root))}
 
 
 def ser_matrix(m, root):
@@ -135,19 +127,16 @@ def _build_construction(args):
         return construct_pk(args.k, args.n)
     if args.family == "biproj":
         return construct_biproj(args.k, args.n)
-    if args.family == "lines":
-        return construct_lines(args.k, args.m, args.n)
-    raise ValueError(f"unknown family {args.family!r}")
+    return construct_lines(args.k, args.m, args.n)
 
 
-def _degree_payload(family: str, k: int, n: int, precision_bits: int):
-    rep = spectral_report(family, k, n, precision_bits)
+def _degree_payload(rep):
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "degree",
-        "family": family,
-        "k": k,
-        "n": n,
+        "family": rep.family,
+        "k": rep.k,
+        "n": rep.n,
         "characteristic_polynomial": ser_poly(rep.full_poly),
         "cyclotomic_factors": [[d, mult] for d, mult in rep.cyclotomic_factors],
         "salem_factor": ser_poly(rep.salem_factor) if rep.salem_factor else None,
@@ -158,7 +147,7 @@ def _degree_payload(family: str, k: int, n: int, precision_bits: int):
     }
     if rep.delta is not None:
         payload["delta"] = {
-            "decimal": decimal_str(rep.delta.value, precision_bits),
+            "decimal": decimal_str(rep.delta.value),
             "interval": [frac_str(rep.delta.low), frac_str(rep.delta.high)],
         }
     else:
@@ -186,14 +175,13 @@ def cmd_degree(args) -> int:
             args.out,
         )
         return EXIT_OK
-    payload = _degree_payload(args.family, args.k, args.n, args.precision)
-    emit(payload, args.out)
+    emit(_degree_cell((args.family, args.k, args.n, args.precision)), args.out)
     return EXIT_OK
 
 
 def _degree_cell(job):
     family, k, n, precision = job
-    return _degree_payload(family, k, n, precision)
+    return _degree_payload(spectral_report(family, k, n, precision))
 
 
 def _sweep_cells(spec_pair):
@@ -288,6 +276,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if (rep.closes and rep.on_union and rep.cyclic) else EXIT_VERIFY
     rep = verify_orbit(construction, args.backend, args.precision)
     params, endpoint = blown_point_params(construction)
+    mult = rep.multiplier_measured
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
@@ -302,13 +291,9 @@ def cmd_verify(args) -> int:
         "distinct": rep.distinct,
         "curve_invariant": rep.curve_invariant,
         "multiplier": (
-            ser_scalar(rep.multiplier_measured, root)
-            if isinstance(rep.multiplier_measured, NumberFieldElement)
-            else (
-                decimal_str(rep.multiplier_measured, args.precision)
-                if rep.multiplier_measured is not None
-                else None
-            )
+            None if mult is None
+            else ser_scalar(mult, root) if is_exact(mult)
+            else decimal_str(mult)
         ),
         "translation_detected": rep.translation_detected,
         "max_residual": max((c.residual for c in rep.conditions), default=0.0),
@@ -355,7 +340,7 @@ def cmd_picard(args) -> int:
         "action": action,
         "characteristic_polynomial": ser_poly(cp),
         "salem_factor": ser_poly(salem) if salem else None,
-        "spectral_radius": decimal_str(radius, args.precision),
+        "spectral_radius": decimal_str(radius),
         "K_self_intersection": kk,
         "K_dot_curve": kc,
         "preserves_form": preserves_form(action, gram),
@@ -382,10 +367,9 @@ def cmd_report(args) -> int:
         "family": args.family,
         "k": args.k,
         "n": args.n,
-        "seed": args.seed,
     }
     rep = spectral_report(args.family, args.k, args.n, args.precision)
-    bundle["degree"] = _degree_payload(args.family, args.k, args.n, args.precision)
+    bundle["degree"] = _degree_payload(rep)
     if rep.exceptional:
         bundle["exceptional_notice"] = (
             f"({args.k},{args.n}) is an exceptional pair: the multiplier would "
@@ -413,7 +397,7 @@ def cmd_report(args) -> int:
         radius, cp, salem = lattice_radius(action, args.precision)
         bundle["picard"] = {
             "characteristic_polynomial": ser_poly(cp),
-            "spectral_radius": decimal_str(radius, args.precision),
+            "spectral_radius": decimal_str(radius),
         }
         cross["lattice_radius_matches_delta"] = (
             abs(float(radius) - float(root)) < 1e-10
@@ -424,13 +408,8 @@ def cmd_report(args) -> int:
         ]
         cross["salem_divides_lattice_polynomial"] = trace_rep.salem_divides
     mult = verify_rep.multiplier_measured
-    cross["multiplier_equals_delta"] = (
-        isinstance(mult, NumberFieldElement) and mult == construction.delta
-    ) or (
-        mult is not None
-        and not isinstance(mult, NumberFieldElement)
-        and abs(float(mult) - float(root)) < 2.0 ** (-args.precision // 2)
-    )
+    delta = embed(construction.delta, root if args.backend == "float" else None)
+    cross["multiplier_equals_delta"] = mult is not None and close(mult, delta)
     bundle["cross_checks"] = cross
     emit(bundle, args.out)
     ok = (
@@ -446,16 +425,6 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
-def _default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw:
-        try:
-            return max(64, int(raw))
-        except ValueError:
-            pass
-    return 256
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cremona",
@@ -463,25 +432,30 @@ def build_parser() -> argparse.ArgumentParser:
         "Cremona maps and their dynamical degrees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a malformed or too small environment value is refused like the flag
+    precision = os.environ.get(PRECISION_ENV) or str(DEFAULT_PRECISION_BITS)
 
-    def common(p, family=True):
-        if family:
-            p.add_argument(
-                "--family", choices=("pk", "biproj", "lines"), default="pk"
-            )
+    def command(name, func, help, families=(), backend=False):
+        p = sub.add_parser(name, help=help)
+        if families:
+            p.add_argument("--family", choices=families, default="pk")
         p.add_argument("-k", type=int, default=2)
         p.add_argument("-n", type=int, default=8)
-        p.add_argument("-m", type=int, default=2, help="factor count (lines)")
-        p.add_argument(
-            "--backend", choices=("exact", "float"), default="exact"
-        )
-        p.add_argument("--precision", type=int, default=_default_precision())
-        p.add_argument("--samples", type=int, default=5)
-        p.add_argument("--seed", type=int, default=0)
+        if "lines" in families:
+            p.add_argument("-m", type=int, default=2, help="factor count (lines)")
+        if backend:
+            p.add_argument(
+                "--backend", choices=("exact", "float"), default="exact"
+            )
+        p.add_argument("--precision", type=int, default=precision)
         p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p_degree = sub.add_parser("degree", help="spectral report for one cell")
-    common(p_degree)
+    spectral, every = ("pk", "biproj"), ("pk", "biproj", "lines")
+    p_degree = command(
+        "degree", cmd_degree, "spectral report for one cell", spectral
+    )
     p_degree.add_argument(
         "--sweep",
         nargs=2,
@@ -489,30 +463,24 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="evaluate a kmin..kmax nmin..nmax grid in parallel",
     )
-    p_degree.set_defaults(func=cmd_degree)
-
-    p_construct = sub.add_parser("construct", help="build the map data")
-    common(p_construct)
-    p_construct.set_defaults(func=cmd_construct)
-
-    p_verify = sub.add_parser("verify", help="verify orbit-data conditions")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_picard = sub.add_parser("picard", help="lattice action report")
-    common(p_picard)
+    command("construct", cmd_construct, "build the map data", every)
+    p_verify = command(
+        "verify", cmd_verify, "verify orbit-data conditions", every, backend=True
+    )
+    p_verify.add_argument(
+        "--seed", type=int, default=0, help="echoed as the 'seed' key"
+    )
+    p_picard = command("picard", cmd_picard, "lattice action report")
     p_picard.add_argument(
         "--lengths", default=None, help="comma-separated orbit lengths"
     )
     p_picard.add_argument(
         "--sigma", default=None, help="comma-separated permutation images"
     )
-    p_picard.set_defaults(func=cmd_picard)
-
-    p_report = sub.add_parser("report", help="full bundle with cross-checks")
-    common(p_report)
-    p_report.set_defaults(func=cmd_report)
-
+    command(
+        "report", cmd_report, "full bundle with cross-checks", spectral,
+        backend=True,
+    )
     return parser
 
 

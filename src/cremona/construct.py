@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import NumberField, NumberFieldElement
+from .arith import (
+    DEFAULT_PRECISION_BITS,
+    NumberField,
+    NumberFieldElement,
+    inverse,
+    is_zero,
+)
 from .geometry import LinearMap, gamma_eval
 from .spectra import spectral_report
 
@@ -42,8 +48,9 @@ class RootOfUnityError(Exception):
 
 
 def delta_field(family: str, k: int, n: int):
-    """Number field Q(delta) over the Salem factor, plus the spectral report."""
-    rep = spectral_report(family, k, n)
+    """Number field Q(delta) over the Salem factor, plus the spectral report
+    (computed at the default precision)."""
+    rep = spectral_report(family, k, n, DEFAULT_PRECISION_BITS)
     if rep.exceptional or rep.salem_factor is None:
         raise ExceptionalPairError(family, k, n)
     fld = NumberField(rep.salem_factor)
@@ -65,10 +72,20 @@ class CoxeterConstruction:
     s_params: list = field(default_factory=list)  # parameters of S(e_j)
     m: Optional[int] = None
     notes: list = field(default_factory=list)
+    # derived once, by verify: delta's numerical root per precision, and the
+    # construction's data per (backend, precision)
+    roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    backends: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def modulus(self):
         return self.field.modulus
+
+    def keep_root(self, rep) -> "CoxeterConstruction":
+        """Reuse the Salem root a default-precision spectral report isolated."""
+        if rep.delta is not None:
+            self.roots[DEFAULT_PRECISION_BITS] = rep.delta.value
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +96,7 @@ def column_scalings(params):
     """Scalings a_i with M = [a_i * gamma(t_i)] satisfying M(1,..,1) = e_k:
     a_i = 1 / ((sum t_j) * prod_{j != i} (t_j - t_i))."""
     total = sum(params[1:], params[0])
-    if not_zero(total) is False:
+    if is_zero(total):
         raise ValueError("parameter sum vanishes; centers are dependent")
     out = []
     for i, ti in enumerate(params):
@@ -88,22 +105,8 @@ def column_scalings(params):
             if j != i:
                 d = tj - ti
                 prod = d if prod is None else prod * d
-        out.append(invert_scalar(total * prod))
+        out.append(inverse(total * prod))
     return out
-
-
-def not_zero(x) -> bool:
-    if isinstance(x, NumberFieldElement):
-        return not x.is_zero()
-    return x != 0
-
-
-def invert_scalar(x):
-    if isinstance(x, NumberFieldElement):
-        return x.inverse()
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return 1 / x
 
 
 def center_matrix(k: int, params) -> LinearMap:
@@ -190,7 +193,7 @@ def construct_pk(k: int, n: int) -> CoxeterConstruction:
         S_matrices=[S],
         s_params=s_params,
         notes=notes,
-    )
+    ).keep_root(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def construct_biproj(k: int, n: int) -> CoxeterConstruction:
         S_matrices=[S1, S2],
         s_params=t_minus,
         notes=notes,
-    )
+    ).keep_root(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +310,18 @@ def build_L_lines(k: int, m: int, n: int, alpha):
     n(k+1) and is validated here."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(alpha, NumberFieldElement):
-        zero = alpha.field.zero()
-    else:
-        alpha = Fraction(alpha)
-        zero = Fraction(0)
+    zero = alpha * 0
     am = alpha ** m
     denom = alpha - 1
-    if not not_zero(denom) or not not_zero(am - 1):
+    if is_zero(denom) or is_zero(am - 1):
         raise RootOfUnityError("alpha must not be a root of unity")
-    v = -alpha * (am - 1) * invert_scalar(denom)
+    v = -alpha * (am - 1) * inverse(denom)
     mats = []
     for j in range(m):
         s_j = (
             (am - 1)
             * (alpha ** (j + 1) - 1)
-            * invert_scalar(alpha ** j * denom * (alpha ** (m - j) - 1))
+            * inverse(alpha ** j * denom * (alpha ** (m - j) - 1))
         )
         rows = [[zero] * k + [s_j]]
         for i in range(1, k + 1):

@@ -1,9 +1,11 @@
 """Projective points, linear maps, the standard Cremona involutions and the
 invariant curves.
 
-Scalars are generic: exact (Fraction / NumberFieldElement) or BigFloat.
-Projective equality is scale-free: cross-multiplication for exact scalars,
-max-normalized comparison within a tolerance for floats.
+Scalars are generic: exact (Fraction / NumberFieldElement) or BigFloat; the
+scalar protocol in ``arith`` is what tells them apart.  Projective equality
+is scale-free: the two coordinate vectors are rescaled against each other
+(``arith.align``) and compared entry by entry, exactly or within the float
+tolerance.
 
 The involution is applied in polynomial form (coordinate i of J(x) is the
 product of the other coordinates), so it is defined on the coordinate
@@ -15,9 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .arith import BigFloat, NumberFieldElement
+from .arith import (
+    BigFloat,
+    NumberFieldElement,
+    align,
+    close,
+    gap,
+    inverse,
+    is_zero,
+    normalize,
+    one_like,
+)
 
 
 class GeometryError(Exception):
@@ -54,20 +66,6 @@ Scalar = Union[int, Fraction, NumberFieldElement, BigFloat]
 CurveParam = Union[Scalar, _Infinity]
 
 
-def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, NumberFieldElement))
-
-
-def scalar_is_zero(x, zero_tol=None) -> bool:
-    if isinstance(x, NumberFieldElement):
-        return x.is_zero()
-    if isinstance(x, BigFloat):
-        if zero_tol is None:
-            zero_tol = Fraction(1, 2 ** max(48, x.precision_bits - 16))
-        return abs(x).value <= BigFloat(zero_tol, x.precision_bits).value
-    return x == 0
-
-
 class ProjectivePoint:
     """Homogeneous coordinate vector, equal up to global scaling."""
 
@@ -77,7 +75,7 @@ class ProjectivePoint:
         coords = tuple(coords)
         if not coords:
             raise ValueError("empty coordinate vector")
-        if all(scalar_is_zero(c) for c in coords):
+        if all(map(is_zero, coords)):
             raise ValueError("all coordinates zero")
         self.coords = coords
 
@@ -91,39 +89,22 @@ class ProjectivePoint:
         coords[j] = one
         return cls(coords)
 
-    def eq(self, other: "ProjectivePoint", tol=None) -> bool:
-        """Projective equality; exact cross-multiplication when scalars allow,
-        otherwise max-normalized comparison within ``tol``."""
-        if len(self.coords) != len(other.coords):
-            return False
-        a, b = self.coords, other.coords
-        if all(is_exact(c) for c in a) and all(is_exact(c) for c in b):
-            i = next(j for j, c in enumerate(a) if not scalar_is_zero(c))
-            if scalar_is_zero(b[i]):
-                return False
-            return all(a[j] * b[i] == b[j] * a[i] for j in range(len(a)))
-        return self._float_eq(other, tol)
+    def distance(self, other: "ProjectivePoint"):
+        """Scale-free distance as a scalar: the largest entry gap
+        (``arith.gap``) between the aligned coordinate vectors, the better of
+        the two sign choices.  Exact points are 0 apart when equal and 1
+        otherwise."""
+        a, b = align(self.coords, other.coords)
+        return min(max(map(gap, a, b)), max(gap(x, -y) for x, y in zip(a, b)))
 
-    def _float_eq(self, other, tol):
-        import mpmath
-
-        prec = max(
-            [c.precision_bits for c in self.coords if isinstance(c, BigFloat)]
-            + [c.precision_bits for c in other.coords if isinstance(c, BigFloat)]
-            + [53]
+    def eq(self, other: "ProjectivePoint") -> bool:
+        """Projective equality: exact, or within the float tolerance."""
+        return len(self.coords) == len(other.coords) and close(
+            self.distance(other), 0
         )
-        with mpmath.workprec(prec):
-            av = _normalize_floats(self.coords)
-            bv = _normalize_floats(other.coords)
-            if tol is None:
-                tol = mpmath.mpf(2) ** (-(prec // 2))
-            # two sign choices: normalization is only defined up to a phase
-            diff = max(abs(x - y) for x, y in zip(av, bv))
-            diff2 = max(abs(x + y) for x, y in zip(av, bv))
-            return min(diff, diff2) <= tol
 
     def __eq__(self, other):
-        if not isinstance(other, ProjectivePoint):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.eq(other)
 
@@ -133,66 +114,14 @@ class ProjectivePoint:
     def __repr__(self):
         return "[" + " : ".join(repr(c) for c in self.coords) + "]"
 
-    def zero_pattern(self, zero_tol=None) -> tuple:
-        return tuple(i for i, c in enumerate(self.coords) if scalar_is_zero(c, zero_tol))
+    def zero_pattern(self) -> tuple:
+        return tuple(i for i, c in enumerate(self.coords) if is_zero(c))
 
     def normalized(self) -> "ProjectivePoint":
         """Divide out the rational content (exact) or the max modulus (float)
         to keep coordinate growth under control."""
-        if all(is_exact(c) for c in self.coords):
-            content = _rational_content(self.coords)
-            if content in (0, 1):
-                return self
-            return ProjectivePoint(tuple(c * Fraction(1, 1) / content for c in self.coords))
-        import mpmath
-
-        prec = max(
-            c.precision_bits for c in self.coords if isinstance(c, BigFloat)
-        )
-        with mpmath.workprec(prec):
-            vals = _normalize_floats(self.coords)
-        return ProjectivePoint(tuple(BigFloat(v, prec) for v in vals))
-
-
-def _scalar_div(a, b):
-    """a / b staying exact for exact scalars (ints promote to Fraction)."""
-    if isinstance(b, NumberFieldElement):
-        return a * b.inverse()
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
-
-
-def _rational_content(coords) -> Fraction:
-    from math import gcd, lcm
-
-    nums, dens = [], []
-    for c in coords:
-        if isinstance(c, NumberFieldElement):
-            rats = c.residue
-        else:
-            rats = (Fraction(c),)
-        for r in rats:
-            if r:
-                nums.append(abs(r.numerator))
-                dens.append(r.denominator)
-    if not nums:
-        return Fraction(1)
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    l = 1
-    for x in dens:
-        l = lcm(l, x)
-    return Fraction(g, l)
-
-
-def _normalize_floats(coords):
-    import mpmath
-
-    vals = [c.value if isinstance(c, BigFloat) else mpmath.mpf(str(c)) if isinstance(c, float) else mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpf(c) for c in coords]
-    mx = max(vals, key=abs)
-    return [v / mx for v in vals]
+        coords = normalize(self.coords)
+        return self if coords is self.coords else ProjectivePoint(coords)
 
 
 @dataclass(frozen=True)
@@ -204,11 +133,11 @@ class BiProjectivePoint:
         if self.x.dim != self.y.dim:
             raise ValueError("factors must share the same dimension")
 
-    def eq(self, other: "BiProjectivePoint", tol=None) -> bool:
-        return self.x.eq(other.x, tol) and self.y.eq(other.y, tol)
+    def eq(self, other: "BiProjectivePoint") -> bool:
+        return self.x.eq(other.x) and self.y.eq(other.y)
 
     def __eq__(self, other):
-        if not isinstance(other, BiProjectivePoint):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.eq(other)
 
@@ -224,9 +153,8 @@ class LinearMap:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         self.matrix = rows
-        if check and all(is_exact(c) for r in rows for c in r):
-            if scalar_is_zero(self.determinant()):
-                raise ValueError("singular matrix")
+        if check and is_zero(self.determinant()):
+            raise ValueError("singular matrix")
 
     @property
     def size(self) -> int:
@@ -243,50 +171,40 @@ class LinearMap:
         """Gaussian elimination over the scalar field."""
         n = self.size
         m = [list(r) for r in self.matrix]
-        det = None
-        sign = 1
+        det = one_like(m[0][0])
         for col in range(n):
-            piv = next(
-                (r for r in range(col, n) if not scalar_is_zero(m[r][col])), None
-            )
+            piv = next((r for r in range(col, n) if not is_zero(m[r][col])), None)
             if piv is None:
-                return m[col][col] * 0
+                return det * 0
             if piv != col:
                 m[col], m[piv] = m[piv], m[col]
-                sign = -sign
+                det = -det
             pval = m[col][col]
-            det = pval if det is None else det * pval
-            inv = 1 / pval if not isinstance(pval, NumberFieldElement) else pval.inverse()
+            det = det * pval
+            inv = inverse(pval)
             for r in range(col + 1, n):
                 f = m[r][col] * inv
-                if scalar_is_zero(f):
+                if is_zero(f):
                     continue
                 m[r] = [m[r][j] - f * m[col][j] for j in range(n)]
-        return det * sign if sign < 0 else det
+        return det
 
     def inverse(self) -> "LinearMap":
         n = self.size
-        m = [list(r) for r in self.matrix]
+        one = one_like(self.matrix[0][0])
         aug = [
-            row + [1 * (i == j) if not isinstance(row[0], NumberFieldElement) else (row[0].field.one() if i == j else row[0].field.zero()) for j in range(n)]
-            for i, row in enumerate(m)
+            list(row) + [one if i == j else one * 0 for j in range(n)]
+            for i, row in enumerate(self.matrix)
         ]
         for col in range(n):
-            piv = next(
-                (r for r in range(col, n) if not scalar_is_zero(aug[r][col])), None
-            )
+            piv = next((r for r in range(col, n) if not is_zero(aug[r][col])), None)
             if piv is None:
                 raise ValueError("singular matrix")
             aug[col], aug[piv] = aug[piv], aug[col]
-            pval = aug[col][col]
-            inv = (
-                pval.inverse()
-                if isinstance(pval, NumberFieldElement)
-                else 1 / pval
-            )
+            inv = inverse(aug[col][col])
             aug[col] = [c * inv for c in aug[col]]
             for r in range(n):
-                if r != col and not scalar_is_zero(aug[r][col]):
+                if r != col and not is_zero(aug[r][col]):
                     f = aug[r][col]
                     aug[r] = [aug[r][j] - f * aug[col][j] for j in range(2 * n)]
         return LinearMap([row[n:] for row in aug], check=False)
@@ -343,23 +261,21 @@ def gamma1_eval(t: CurveParam, k: int) -> BiProjectivePoint:
     return BiProjectivePoint(gamma_eval(t, k), gamma_eval(t - t ** 0 * 1, k))
 
 
-def param_recover(p: ProjectivePoint, k: int, tol=None) -> CurveParam:
+def param_recover(p: ProjectivePoint, k: int) -> CurveParam:
     """Invert gamma_eval; raises NotOnCurveError if p is off the curve."""
     cusp = ProjectivePoint.standard_basis(k, k)
-    if p.eq(cusp, tol):
+    if p.eq(cusp):
         return OO
     x0 = p.coords[0]
-    if scalar_is_zero(x0):
+    if is_zero(x0):
         raise NotOnCurveError(0, "x0 = 0 but the point is not the cusp")
-    t = _scalar_div(p.coords[1], x0)
+    t = p.coords[1] / x0
     expected = gamma_eval(t, k)
-    if not p.eq(expected, tol):
+    if not p.eq(expected):
         for j in range(k + 1):
-            lhs = p.coords[j] * expected.coords[0]
-            rhs = expected.coords[j] * p.coords[0]
-            if is_exact(lhs) and is_exact(rhs):
-                if lhs != rhs:
-                    raise NotOnCurveError(j)
+            if not close(p.coords[j] * expected.coords[0],
+                         expected.coords[j] * p.coords[0]):
+                raise NotOnCurveError(j)
         raise NotOnCurveError(None, "not on curve within tolerance")
     return t
 
@@ -368,10 +284,10 @@ def param_recover(p: ProjectivePoint, k: int, tol=None) -> CurveParam:
 # Cremona involutions
 
 
-def apply_J(p: ProjectivePoint, zero_tol=None) -> ProjectivePoint:
+def apply_J(p: ProjectivePoint) -> ProjectivePoint:
     """Standard Cremona involution in polynomial form: coordinate i of the
     image is the product of the other coordinates."""
-    zeros = p.zero_pattern(zero_tol)
+    zeros = p.zero_pattern()
     if len(zeros) >= 2:
         raise IndeterminacyError(
             f"point lies on coordinate hyperplanes {zeros}; J is undefined"
@@ -387,7 +303,7 @@ def apply_J(p: ProjectivePoint, zero_tol=None) -> ProjectivePoint:
     return ProjectivePoint(out).normalized()
 
 
-def apply_J_multi(factors: Sequence[ProjectivePoint], zero_tol=None):
+def apply_J_multi(factors: Sequence[ProjectivePoint]):
     """Multiprojective Cremona map (x, y1, .., y_{m-1}) -> (y1/x, .., 1/x)
     in polynomial form. For m = 1 this is the standard involution."""
     x = factors[0]
@@ -402,24 +318,24 @@ def apply_J_multi(factors: Sequence[ProjectivePoint], zero_tol=None):
     out = []
     for y in factors[1:]:
         comp = [y.coords[i] * rec[i] for i in range(n)]
-        if all(scalar_is_zero(c, zero_tol) for c in comp):
+        if all(map(is_zero, comp)):
             raise IndeterminacyError("output factor degenerated to zero")
         out.append(ProjectivePoint(comp).normalized())
-    if all(scalar_is_zero(c, zero_tol) for c in rec):
+    if all(map(is_zero, rec)):
         raise IndeterminacyError("reciprocal factor degenerated to zero")
     out.append(ProjectivePoint(rec).normalized())
     return out
 
 
-def apply_J_biproj(p: BiProjectivePoint, zero_tol=None) -> BiProjectivePoint:
+def apply_J_biproj(p: BiProjectivePoint) -> BiProjectivePoint:
     """(x, y) -> (y/x, 1/x) in bihomogeneous polynomial form."""
-    first, second = apply_J_multi([p.x, p.y], zero_tol)
+    first, second = apply_J_multi([p.x, p.y])
     return BiProjectivePoint(first, second)
 
 
-def apply_J_biproj_inverse(p: BiProjectivePoint, zero_tol=None) -> BiProjectivePoint:
+def apply_J_biproj_inverse(p: BiProjectivePoint) -> BiProjectivePoint:
     """(x, y) -> (1/y, x/y), the reversal of apply_J_biproj."""
-    second, first = apply_J_multi([p.y, p.x], zero_tol)
+    second, first = apply_J_multi([p.y, p.x])
     return BiProjectivePoint(first, second)
 
 
@@ -427,39 +343,7 @@ def apply_J_biproj_inverse(p: BiProjectivePoint, zero_tol=None) -> BiProjectiveP
 # concurrent lines
 
 
-def line_union_membership(p: ProjectivePoint, k: int, tol=None):
-    """Locate p on the union of the k+1 concurrent lines.
-
-    Returns a list of (line index, parameter) matches per the published
-    charts: line 0 is t -> [-t : 1 : ... : 1], line j >= 1 is
-    t -> [t : 0 : ... : 1 : ... : 0] with the 1 in slot j.  The point
-    [1 : ... : 1] is reported on every line (concurrence).
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    ones = ProjectivePoint([c * 0 + 1 for c in p.coords[:1]] * (k + 1))
-    if p.eq(ones, tol):
-        return [(j, None) for j in range(k + 1)]
-    matches = []
-    # line 0: coordinates 1..k all equal, coordinate 0 arbitrary
-    rest = p.coords[1:]
-    if not scalar_is_zero(rest[0]):
-        if all(
-            _scalar_eq(rest[0], c, tol) for c in rest[1:]
-        ):
-            t = -_scalar_div(p.coords[0], rest[0])
-            matches.append((0, t))
-    for j in range(1, k + 1):
-        others = [p.coords[i] for i in range(1, k + 1) if i != j]
-        if all(scalar_is_zero(c) for c in others) and not scalar_is_zero(p.coords[j]):
-            t = _scalar_div(p.coords[0], p.coords[j])
-            matches.append((j, t))
-    if not matches:
-        raise NotOnCurveError(None, "point is not on the union of lines")
-    return matches
-
-
-def concurrent_line_membership(p: ProjectivePoint, k: int, tol=None):
+def concurrent_line_membership(p: ProjectivePoint, k: int):
     """Locate p on the union of the k+1 lines through [1:...:1] and the
     coordinate points.
 
@@ -470,36 +354,17 @@ def concurrent_line_membership(p: ProjectivePoint, k: int, tol=None):
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    one = p.coords[0] * 0 + 1
-    ones = ProjectivePoint([one] * (k + 1))
-    if p.eq(ones, tol):
+    ones = ProjectivePoint([one_like(p.coords[0])] * (k + 1))
+    if p.eq(ones):
         return [(j, None) for j in range(k + 1)]
     matches = []
     for j in range(k + 1):
         others = [p.coords[i] for i in range(k + 1) if i != j]
-        if not all(_scalar_eq(others[0], c, tol) for c in others[1:]):
+        if not all(close(others[0], c) for c in others[1:]):
             continue
         common = others[0]
-        if scalar_is_zero(common):
-            matches.append((j, OO))
-        else:
-            matches.append((j, _scalar_div(p.coords[j], common)))
+        matches.append((j, OO if is_zero(common) else p.coords[j] / common))
     if not matches:
         raise NotOnCurveError(None, "point is not on the union of lines")
     return matches
 
-
-def _scalar_eq(a, b, tol=None) -> bool:
-    if is_exact(a) and is_exact(b):
-        return a == b
-    import mpmath
-
-    av = a.value if isinstance(a, BigFloat) else mpmath.mpf(a)
-    bv = b.value if isinstance(b, BigFloat) else mpmath.mpf(b)
-    if tol is None:
-        prec = max(
-            [x.precision_bits for x in (a, b) if isinstance(x, BigFloat)] + [53]
-        )
-        tol = mpmath.mpf(2) ** (-(prec // 2))
-    scale = max(abs(av), abs(bv), mpmath.mpf(1))
-    return abs(av - bv) <= tol * scale

@@ -15,7 +15,7 @@ from the spectra module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .arith import DEFAULT_PRECISION_BITS, BigFloat
 from .polynomials import IntegerPolynomial
@@ -165,12 +165,6 @@ def preserves_form(m, gram) -> bool:
         for i in range(n)
     ]
     return mt_g_m == gram
-
-
-def build_lattice(k: int, orbit: OrbitData):
-    """(lattice, Gram, roots) for a pk blowup with the given orbit data."""
-    lat = PicardLattice(k, orbit)
-    return lat, lat.gram(), lat.roots()
 
 
 def coxeter_action(k: int, orbit: OrbitData):

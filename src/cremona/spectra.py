@@ -214,17 +214,10 @@ def leading_salem_root(
     while hi - lo >= target_width or (
         _sign_changes(chain, lo) - _sign_changes(chain, hi) > 1
     ):
+        # a rational root at mid needs no care: Sturm counts on the
+        # half-open (mid, hi] stay exact, and a largest root at mid stays
+        # in (lo, mid]
         mid = (lo + hi) / 2
-        if core.sign_at(mid) == 0:
-            # rational root: nudge the endpoint so Sturm counting stays clean
-            eps = (hi - lo) / 4
-            if count_real_roots(core, mid, hi) >= 1:
-                lo = mid + eps
-                continue
-            lo, hi = mid - eps, mid + eps
-            if hi - lo <= target_width:
-                break
-            continue
         upper = _sign_changes(chain, mid) - _sign_changes(chain, hi)
         if upper >= 1:
             lo = mid
@@ -300,8 +293,3 @@ def spectral_report(
         gamma_agrees=agrees,
         notes=notes,
     )
-
-
-def classify_exceptional(family: str, k: int, n: int):
-    rep = spectral_report(family, k, n, precision_bits=64)
-    return rep.exceptional, rep

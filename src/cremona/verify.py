@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
-from .arith import BigFloat, NumberFieldElement, nf_embed
+from .arith import BigFloat, close, embed, one_like
 from .geometry import (
     BiProjectivePoint,
     IndeterminacyError,
@@ -30,7 +28,6 @@ from .geometry import (
     apply_linear,
     gamma1_eval,
     gamma_eval,
-    is_exact,
     concurrent_line_membership,
     param_recover,
 )
@@ -77,92 +74,86 @@ class OrbitCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# scalar embedding for the float backend
+# the construction in one backend
 
 
-def embed_scalar(x, root: BigFloat) -> BigFloat:
-    if isinstance(x, NumberFieldElement):
-        return nf_embed(x, root)
-    return BigFloat(x, root.precision_bits)
-
-
-def embed_matrix(m: LinearMap, root: BigFloat) -> LinearMap:
-    return LinearMap(
-        [[embed_scalar(c, root) for c in row] for row in m.matrix], check=False
-    )
+def embed_matrix(m: LinearMap, root: Optional[BigFloat]) -> LinearMap:
+    return LinearMap([[embed(c, root) for c in row] for row in m.matrix], check=False)
 
 
 def field_root(construction, precision_bits: int) -> BigFloat:
-    iso = leading_salem_root(construction.modulus, precision_bits)
-    if iso is None:
-        raise VerificationError("modulus has no real root above 1 to embed at")
-    return iso.value
+    """delta as the certified leading real root of the modulus, isolated once
+    per precision and kept on the construction."""
+    roots = construction.roots
+    if precision_bits not in roots:
+        iso = leading_salem_root(construction.modulus, precision_bits)
+        if iso is None:
+            raise VerificationError("modulus has no real root above 1 to embed at")
+        roots[precision_bits] = iso.value
+    return roots[precision_bits]
 
 
-def _prepare(construction, backend: str, precision_bits: int):
-    """(L matrices, delta, tau) in the requested backend."""
-    if backend == "exact":
-        return list(construction.L), construction.delta, construction.tau
-    if backend != "float":
-        raise ValueError(f"unknown backend {backend!r}")
-    root = field_root(construction, precision_bits)
-    mats = [embed_matrix(m, root) for m in construction.L]
-    return mats, root, embed_scalar(construction.tau, root)
+@dataclass
+class Backend:
+    """A construction's data as scalars of one backend."""
+
+    label: str
+    root: Optional[BigFloat]  # None on the exact backend
+    L: list
+    T_inv: list
+    S: list
+    delta: object
+    tau: object
 
 
-def projective_residual(p: ProjectivePoint, q: ProjectivePoint) -> float:
-    """Scale-free distance; zero for exact projective equality."""
-    if all(is_exact(c) for c in p.coords) and all(is_exact(c) for c in q.coords):
-        return 0.0 if p.eq(q) else 1.0
-    prec = max(
-        [c.precision_bits for c in p.coords if isinstance(c, BigFloat)]
-        + [c.precision_bits for c in q.coords if isinstance(c, BigFloat)]
-        + [53]
-    )
-    with mpmath.workprec(prec):
-        vals_p = _float_coords(p)
-        vals_q = _float_coords(q)
-        d1 = max(abs(a - b) for a, b in zip(vals_p, vals_q))
-        d2 = max(abs(a + b) for a, b in zip(vals_p, vals_q))
-        return float(min(d1, d2))
+def _prepare(construction, backend: str, precision_bits: int) -> Backend:
+    """The construction in the requested backend, built once per backend and
+    precision and kept on the construction."""
+    key = (backend, precision_bits)
+    if key not in construction.backends:
+        if backend == "exact":
+            root, label = None, "exact"
+        elif backend == "float":
+            root = field_root(construction, precision_bits)
+            label = f"float({precision_bits})"
+        else:
+            raise ValueError(f"unknown backend {backend!r}")
+        construction.backends[key] = Backend(
+            label=label,
+            root=root,
+            L=[embed_matrix(m, root) for m in construction.L],
+            T_inv=[embed_matrix(m, root).inverse() for m in construction.T_matrices],
+            S=[embed_matrix(m, root) for m in construction.S_matrices],
+            delta=embed(construction.delta, root),
+            tau=embed(construction.tau, root),
+        )
+    return construction.backends[key]
 
 
-def _float_coords(p: ProjectivePoint):
-    vals = [
-        c.value if isinstance(c, BigFloat) else mpmath.mpf(c.numerator) / c.denominator
-        if isinstance(c, Fraction)
-        else mpmath.mpf(c)
-        for c in p.coords
-    ]
-    mx = max(vals, key=abs)
-    if mx == 0:
+def _compare(points, targets):
+    """(whether every point equals its target, the largest residual)."""
+    try:
+        gaps = [p.distance(q) for p, q in zip(points, targets)]
+    except ZeroDivisionError:
         raise PrecisionExhaustedError(
             "all coordinates vanished; raise precision or use the exact backend"
-        )
-    return [v / mx for v in vals]
+        ) from None
+    return all(close(g, 0) for g in gaps), max(float(g) for g in gaps)
 
 
 # ---------------------------------------------------------------------------
 # orbit verification
 
 
-def _step_points(family, mats, point, zero_tol=None):
+def _step_points(family, mats, point):
     if family == "pk":
-        return [apply_linear(mats[0], apply_J(point[0], zero_tol))]
-    img = apply_J_multi(point, zero_tol)
+        return [apply_linear(mats[0], apply_J(point[0]))]
+    img = apply_J_multi(point)
     return [apply_linear(m, p) for m, p in zip(mats, img)]
 
 
-def _points_equal(a, b) -> bool:
-    return all(p.eq(q) for p, q in zip(a, b))
-
-
-def _residual(a, b) -> float:
-    return max(projective_residual(p, q) for p, q in zip(a, b))
-
-
-def _near_indeterminacy(point, zero_tol=None) -> bool:
-    return len(point[0].zero_pattern(zero_tol)) >= 2
+def _near_indeterminacy(point) -> bool:
+    return len(point[0].zero_pattern()) >= 2
 
 
 def verify_orbit(
@@ -178,7 +169,8 @@ def verify_orbit(
     """
     family = construction.family
     k = construction.k
-    mats, delta, tau = _prepare(construction, backend, precision_bits)
+    b = _prepare(construction, backend, precision_bits)
+    mats = b.L
     if family == "lines":
         n_steps = construction.n * (k + 1)
     else:
@@ -188,19 +180,18 @@ def verify_orbit(
         k=k,
         n=construction.n,
         m=construction.m,
-        backend=backend if backend == "exact" else f"float({precision_bits})",
+        backend=b.label,
     )
-    one = _matrix_one(mats[0])
+    one = one_like(b.delta)
     # (a): singleton orbits close immediately
     ok_a = True
     worst_a = 0.0
     for j in range(k):
         target = ProjectivePoint.standard_basis(j + 1, k, one=one)
         for m in mats:
-            col = m.column(j)
-            if not col.eq(target):
-                ok_a = False
-            worst_a = max(worst_a, projective_residual(col, target))
+            ok, res = _compare([m.column(j)], [target])
+            ok_a = ok_a and ok
+            worst_a = max(worst_a, res)
     report.conditions.append(
         ConditionResult("singleton orbits close", ok_a, worst_a)
     )
@@ -222,8 +213,7 @@ def verify_orbit(
             break
         report.orbit_points.append((step, [list(p.coords) for p in point]))
     if ok_c:
-        closed = _points_equal(point, e0)
-        res_b = _residual(point, e0)
+        closed, res_b = _compare(point, e0)
         report.conditions.append(
             ConditionResult("long orbit closes at e0", closed, res_b)
         )
@@ -254,16 +244,6 @@ def verify_orbit(
     return report
 
 
-def _matrix_one(m: LinearMap):
-    for row in m.matrix:
-        for c in row:
-            if isinstance(c, NumberFieldElement):
-                return c.field.one()
-            if isinstance(c, BigFloat):
-                return BigFloat(1, c.precision_bits)
-    return Fraction(1)
-
-
 # ---------------------------------------------------------------------------
 # curve invariance
 
@@ -290,52 +270,38 @@ class CurveReport:
 
 def apply_full_map(construction, point, backend="exact", precision_bits=256):
     """F = S o J o T^{-1} in the original frame, for pk or biproj."""
-    T = construction.T_matrices
-    S = construction.S_matrices
-    if backend == "float":
-        root = field_root(construction, precision_bits)
-        T = [embed_matrix(m, root) for m in T]
-        S = [embed_matrix(m, root) for m in S]
+    b = _prepare(construction, backend, precision_bits)
     if construction.family == "pk":
-        pre = apply_linear(T[0].inverse(), point)
-        return apply_linear(S[0], apply_J(pre))
+        pre = apply_linear(b.T_inv[0], point)
+        return apply_linear(b.S[0], apply_J(pre))
     pre = BiProjectivePoint(
-        apply_linear(T[0].inverse(), point.x),
-        apply_linear(T[1].inverse(), point.y),
+        apply_linear(b.T_inv[0], point.x),
+        apply_linear(b.T_inv[1], point.y),
     )
     mid = apply_J_biproj(pre)
     return BiProjectivePoint(
-        apply_linear(S[0], mid.x), apply_linear(S[1], mid.y)
+        apply_linear(b.S[0], mid.x), apply_linear(b.S[1], mid.y)
     )
 
 
-def _sample_params(construction, samples: int, backend, precision_bits):
-    """Deterministic rational parameters away from the indeterminacy set."""
-    excluded = list(construction.t_plus)
+def _sample_params(construction, samples: int, root):
+    """Deterministic rational parameters away from the indeterminacy set,
+    embedded at ``root`` (None on the exact backend)."""
+    one = one_like(construction.delta)
     out = []
     cand = 2
     while len(out) < samples:
-        t = Fraction(cand, 7)
+        t = Fraction(cand, 7) * one
         cand += 1
-        texact = t * _field_one(construction)
-        if any(texact == e for e in excluded):
+        if any(t == e for e in construction.t_plus):
             continue
-        out.append(t)
+        out.append(embed(t, root))
         if cand > 1000:
             raise VerificationError("could not find enough sample parameters")
-    if backend == "float":
-        root = field_root(construction, precision_bits)
-        return [BigFloat(t, root.precision_bits) for t in out]
-    return [t * _field_one(construction) for t in out]
+    return out
 
 
-def _field_one(construction):
-    if construction.field is not None:
-        return construction.field.one()
-    return Fraction(1)
-
-
-def _recover_param(construction, image, backend):
+def _recover_param(construction, image):
     k = construction.k
     if construction.family == "pk":
         return param_recover(image, k)
@@ -361,30 +327,17 @@ def verify_curve_invariance(
     involution) instead of passing."""
     family = construction.family
     k = construction.k
-    if backend == "float":
-        root = field_root(construction, precision_bits)
-        delta = root
-        tau = embed_scalar(construction.tau, root)
-    else:
-        delta = construction.delta
-        tau = construction.tau
-    report = CurveReport(
-        family=family,
-        k=k,
-        backend=backend if backend == "exact" else f"float({precision_bits})",
-    )
-    params = _sample_params(construction, samples, backend, precision_bits)
-    images = []
-    for t in params:
+    b = _prepare(construction, backend, precision_bits)
+    report = CurveReport(family=family, k=k, backend=b.label)
+    for t in _sample_params(construction, samples, b.root):
         p = gamma_eval(t, k) if family == "pk" else gamma1_eval(t, k)
         img = apply_full_map(construction, p, backend, precision_bits)
-        expected = delta * t + tau
+        expected = b.delta * t + b.tau
         try:
-            got = _recover_param(construction, img, backend)
-            ok = _scalars_close(got, expected)
+            got = _recover_param(construction, img)
+            ok = got is not OO and close(got, expected)
         except NotOnCurveError:
             got, ok = None, False
-        images.append(got)
         report.samples.append((t, got, expected, ok))
     # cusp: gamma(oo) must be fixed
     cusp = (
@@ -392,7 +345,7 @@ def verify_curve_invariance(
     )
     try:
         cusp_img = apply_full_map(construction, cusp, backend, precision_bits)
-        got = _recover_param(construction, cusp_img, backend)
+        got = _recover_param(construction, cusp_img)
         report.cusp_fixed = got is OO
     except (NotOnCurveError, IndeterminacyError):
         report.cusp_fixed = False
@@ -402,30 +355,10 @@ def verify_curve_invariance(
     ]
     if len(good) >= 2:
         (t0, g0), (t1, g1) = good[0], good[1]
-        slope = _scalar_quot(g1 - g0, t1 - t0)
+        slope = (g1 - g0) / (t1 - t0)
         report.multiplier_measured = slope
-        if _scalars_close(slope, slope ** 0):
-            report.translation_detected = True
+        report.translation_detected = close(slope, 1)
     return report
-
-
-def _scalar_quot(a, b):
-    if isinstance(b, NumberFieldElement):
-        return a * b.inverse()
-    return a / b
-
-
-def _scalars_close(a, b) -> bool:
-    if a is OO or b is OO:
-        return a is b
-    diff = a - b
-    if isinstance(diff, NumberFieldElement):
-        return diff.is_zero()
-    if isinstance(diff, BigFloat):
-        prec = diff.precision_bits
-        scale = max(1.0, float(abs(BigFloat(a, prec)).value))
-        return float(abs(diff).value) <= scale * 2.0 ** (-(prec // 2))
-    return diff == 0
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +421,10 @@ def verify_lines_orbit(construction, backend: str = "exact",
     if construction.family != "lines":
         raise VerificationError("lines-family construction required")
     k, m, n = construction.k, construction.m, construction.n
-    mats, _, _ = _prepare(construction, backend, precision_bits)
+    b = _prepare(construction, backend, precision_bits)
+    mats = b.L
     total = n * (k + 1)
-    one = _matrix_one(mats[0])
+    one = one_like(b.delta)
     e0 = [ProjectivePoint.standard_basis(0, k, one=one) for _ in range(m)]
     point = [mat.column(k) for mat in mats]
     seq = []
@@ -512,7 +446,7 @@ def verify_lines_orbit(construction, backend: str = "exact",
         except IndeterminacyError:
             failure = f"premature indeterminacy at step {step + 1}"
             break
-    closes = failure is None and _points_equal(point, e0)
+    closes = failure is None and _compare(point, e0)[0]
     # single-line steps must walk through the lines cyclically mod k+1
     single = [s[0] for s in seq if len(s) == 1]
     cyclic = _is_cyclic(single, k + 1)

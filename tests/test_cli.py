@@ -177,3 +177,34 @@ def test_precision_floor_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["degree", "--family", "pk", "-k", "2", "-n", "8",
               "--precision", "16"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["picard", "--family", "biproj", "-k", "2", "-n", "8"],
+    ["degree", "--family", "lines", "-k", "2", "-n", "8"],
+    ["report", "--family", "lines", "-k", "2", "-n", "8"],
+    ["verify", "-k", "2", "-n", "8", "--samples", "3"],
+    ["degree", "-k", "2", "-n", "8", "--backend", "float"],
+    ["picard", "-k", "2", "-n", "8", "-m", "2"],
+])
+def test_flags_a_subcommand_does_not_read_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "16"])
+def test_precision_env_validated_like_the_flag(monkeypatch, value):
+    monkeypatch.setenv("CREMONA_PRECISION_BITS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["degree", "--family", "pk", "-k", "2", "-n", "8"])
+    assert exc.value.code == 2
+
+
+def test_precision_env_sets_the_default(monkeypatch, capsys):
+    monkeypatch.setenv("CREMONA_PRECISION_BITS", "128")
+    code, payload, _ = run_json(
+        capsys, "verify", "-k", "2", "-n", "8", "--backend", "float"
+    )
+    assert code == EXIT_OK
+    assert payload["backend"] == "float(128)"

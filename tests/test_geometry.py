@@ -22,7 +22,6 @@ from cremona.geometry import (
     concurrent_line_membership,
     gamma1_eval,
     gamma_eval,
-    line_union_membership,
     param_recover,
 )
 
@@ -102,6 +101,16 @@ def test_linear_map_inverse_and_column():
         LinearMap([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
 
 
+def test_integer_matrix_inverts_exactly():
+    m = LinearMap([[3, 1], [1, 1]])
+    det = m.determinant()
+    assert det == 2 and isinstance(det, Fraction)
+    inv = m.inverse()
+    assert inv.matrix == ((Fraction(1, 2), Fraction(-1, 2)),
+                          (Fraction(-1, 2), Fraction(3, 2)))
+    assert all(isinstance(c, Fraction) for row in inv.matrix for c in row)
+
+
 def test_apply_linear():
     m = LinearMap([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     assert apply_linear(m, P(2, 3)) == P(3, 2)
@@ -128,15 +137,6 @@ def test_gamma1_pairs_offset_parameters():
     bp = gamma1_eval(Fraction(3), 2)
     assert bp.x == gamma_eval(Fraction(3), 2)
     assert bp.y == gamma_eval(Fraction(2), 2)
-
-
-def test_line_union_membership_printed_charts():
-    assert line_union_membership(P(-5, 1, 1), 2) == [(0, Fraction(5))]
-    assert line_union_membership(P(3, 0, 1), 2) == [(2, Fraction(3))]
-    all_lines = line_union_membership(P(1, 1, 1), 2)
-    assert [j for j, _ in all_lines] == [0, 1, 2]
-    with pytest.raises(NotOnCurveError):
-        line_union_membership(P(1, 2, 3), 2)
 
 
 def test_concurrent_line_membership():

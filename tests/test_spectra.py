@@ -152,3 +152,19 @@ def test_salem_factor_reciprocity():
     for family, k, n in (("pk", 2, 8), ("pk", 3, 6), ("biproj", 2, 5)):
         rep = spectral_report(family, k, n, 64)
         assert rep.salem_factor.is_reciprocal()
+
+
+@pytest.mark.parametrize("factors", [
+    ([-4, 1], [-24, 0, 1]),   # bisection hits the root 4 just below sqrt(24)
+    ([-8, 1], [-112, 0, 1]),  # likewise 8 just below sqrt(112)
+    ([-4, 1], [-2, 0, 1]),    # the largest root is itself a midpoint
+])
+def test_leading_root_past_a_rational_midpoint(factors):
+    poly = IntegerPolynomial.one()
+    for f in factors:
+        poly = poly * IntegerPolynomial(f)
+    iso = leading_salem_root(poly, 64)
+    largest = max(sympy.real_roots(to_sympy(poly)))
+    assert sympy.Rational(iso.low.numerator, iso.low.denominator) <= largest
+    assert largest <= sympy.Rational(iso.high.numerator, iso.high.denominator)
+    assert iso.width < Fraction(1, 2 ** 64)
