@@ -1,10 +1,21 @@
 """Scalar backends: exact arithmetic in Q[x]/(S(x)) and big-float numerics.
 
-The number-field side models Q(delta) for a monic integer modulus S, with all
-results kept reduced (residue degree < deg S). Inversion goes through the
-extended Euclidean algorithm; a nontrivial gcd with the modulus is surfaced as
-a ``ZeroDivisorError`` carrying the discovered factor, since it certifies that
-the claimed Salem factor is reducible.
+The number-field side models Q(delta) for a monic integer modulus S of degree
+d.  An element is stored as FLINT/Antic's ``nf_elem`` stores it: integer
+numerator coefficients of degree < d over one positive common denominator,
+in lowest terms, so that equal elements have equal representations.
+Multiplication is an integer convolution followed by reduction modulo S,
+which needs no division because S is monic; addition cross-multiplies the
+denominators.  Inversion is fraction-free: Bareiss elimination solves the
+integer system "numerator times u = 1 modulo S".  A singular system means a
+nontrivial gcd with the modulus, which is surfaced as a ``ZeroDivisorError``
+carrying that factor, since it certifies that the claimed Salem factor is
+reducible.
+
+Heights are controlled where orbits are iterated: ``normalize`` scales an
+exact point with an irrational coordinate to a unit leading coordinate, so
+the coefficients of an orbit point depend on the point alone and do not grow
+with the number of steps.
 
 The float side is a thin wrapper over mpmath carrying an explicit bit
 precision; mixed-precision operations carry the max precision of the operands.
@@ -22,15 +33,7 @@ from math import gcd, lcm
 
 import mpmath
 
-from .polynomials import (
-    IntegerPolynomial,
-    rat_add,
-    rat_divmod,
-    rat_mul,
-    rat_neg,
-    rat_trim,
-    rat_xgcd,
-)
+from .polynomials import IntegerPolynomial, rat_gcd_monic
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -61,7 +64,9 @@ class NumberField:
         if not modulus.is_monic():
             raise ValueError("modulus must be monic")
         self.modulus = modulus
-        self._mod_rat = modulus.to_rational()
+        # x^d = -(s_0 + s_1 x + ... + s_{d-1} x^{d-1}) modulo S; only the
+        # nonzero s_j take part in a reduction
+        self._tail = tuple((j, c) for j, c in enumerate(modulus.coeffs[:-1]) if c)
 
     @property
     def degree(self) -> int:
@@ -69,20 +74,41 @@ class NumberField:
 
     def element(self, coeffs) -> "NumberFieldElement":
         """Element from rational coefficients (reduced modulo S)."""
-        res = rat_trim([Fraction(c) for c in coeffs])
-        if len(res) - 1 >= self.degree:
-            _, res = rat_divmod(res, self._mod_rat)
-        return NumberFieldElement(self, res)
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        return self._element([f.numerator * (den // f.denominator) for f in fracs], den)
+
+    def _element(self, num: list, den: int) -> "NumberFieldElement":
+        """The element num(x) / den for integers num (consumed) and den > 0:
+        num is reduced modulo S, which needs no division since S is monic,
+        and the fraction is put in lowest terms."""
+        d = self.degree
+        for i in range(len(num) - 1, d - 1, -1):
+            c = num[i]
+            if c:
+                base = i - d
+                for j, s in self._tail:
+                    num[base + j] -= c * s
+        del num[d:]
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            return NumberFieldElement(self, (), 1)
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        return NumberFieldElement(self, tuple(num), den)
 
     def gen(self) -> "NumberFieldElement":
         """The residue class of x, i.e. the root delta itself."""
         return self.element([0, 1])
 
     def zero(self) -> "NumberFieldElement":
-        return NumberFieldElement(self, ())
+        return NumberFieldElement(self, (), 1)
 
     def one(self) -> "NumberFieldElement":
-        return self.element([1])
+        return NumberFieldElement(self, (1,), 1)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -95,28 +121,37 @@ class NumberField:
 
 
 class NumberFieldElement:
-    """Reduced residue in Q[x]/(S); immutable."""
+    """num(x) / den in Q[x]/(S); immutable and canonical: num is a tuple of
+    integers, constant term first, of degree < deg S with a nonzero last
+    entry (empty for zero), den > 0, and gcd(den, *num) = 1, so equal
+    elements have equal (num, den)."""
 
-    __slots__ = ("field", "residue")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, residue):
+    def __init__(self, field: NumberField, num: tuple, den: int):
         self.field = field
-        self.residue = residue  # tuple of Fraction, degree < deg S
+        self.num = num
+        self.den = den
 
     @property
     def modulus(self) -> IntegerPolynomial:
         return self.field.modulus
 
+    @property
+    def residue(self) -> tuple:
+        """The rational coefficients num[i] / den, constant term first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def is_zero(self) -> bool:
-        return not self.residue
+        return not self.num
 
     def is_rational(self) -> bool:
-        return len(self.residue) <= 1
+        return len(self.num) <= 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.residue[0] if self.residue else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
@@ -124,19 +159,32 @@ class NumberFieldElement:
                 raise ValueError("mixed number fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.element([other])
+            q = Fraction(other)
+            return NumberFieldElement(
+                self.field, (q.numerator,) if q else (), q.denominator
+            )
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return NumberFieldElement(self.field, rat_add(self.residue, o.residue))
+        a, b, den = self.num, o.num, self.den
+        if o.den != den:
+            a = [c * o.den for c in a]
+            b = [c * den for c in b]
+            den *= o.den
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self.field._element(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.field, rat_neg(self.residue))
+        return NumberFieldElement(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -151,9 +199,15 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        prod = rat_mul(self.residue, o.residue)
-        _, red = rat_divmod(prod, self.field._mod_rat)
-        return NumberFieldElement(self.field, red)
+        a, b = self.num, o.num
+        if not a or not b:
+            return self.field.zero()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return self.field._element(out, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -185,10 +239,13 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.residue == o.residue
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.modulus, self.residue))
+        # a rational element equals its Fraction, so it must hash like it
+        if self.is_rational():
+            return hash(self.as_rational())
+        return hash((self.field.modulus, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -198,14 +255,49 @@ class NumberFieldElement:
 
 
 def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
+    """1 / a, fraction-free: Bareiss elimination solves M u = e_0 over the
+    integers, M being the matrix of multiplication by a's numerator modulo S
+    (column j holds num(x) x^j mod S); then 1/a = den u(x).  A singular M
+    means num shares a factor with S, which is raised."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero in number field")
-    g, u, _ = rat_xgcd(a.residue, a.field._mod_rat)
-    if len(g) != 1:
-        # gcd(residue, S) nonconstant: S is reducible and g is a witness
-        raise ZeroDivisorError(g)
-    _, red = rat_divmod(u, a.field._mod_rat)
-    return NumberFieldElement(a.field, red)
+    field, num, den = a.field, a.num, a.den
+    if len(num) == 1:
+        c = num[0]
+        return NumberFieldElement(field, (den if c > 0 else -den,), abs(c))
+    d = field.degree
+    cols = [list(num) + [0] * (d - len(num))]
+    for _ in range(d - 1):
+        nxt = field._element([0] + cols[-1], 1)
+        cols.append(list(nxt.num) + [0] * (d - len(nxt.num)))
+    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+    prev = 1
+    for k in range(d):
+        piv = next((r for r in range(k, d) if rows[r][k]), None)
+        if piv is None:
+            # gcd(num, S) is nonconstant: S is reducible and it is a witness
+            modulus = field.modulus.to_rational()
+            raise ZeroDivisorError(rat_gcd_monic(a.residue, modulus))
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        p = top[k]
+        for r in range(k + 1, d):
+            row = rows[r]
+            f = row[k]
+            row[k + 1:] = [
+                (p * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])
+            ]
+        prev = p
+    # back substitution for y = det u, which Cramer's rule makes integral
+    det = prev
+    y = [0] * d
+    for i in range(d - 1, -1, -1):
+        row = rows[i]
+        acc = det * row[d] - sum(row[j] * y[j] for j in range(i + 1, d))
+        y[i] = acc // row[i]
+    if det < 0:
+        det, den = -det, -den
+    return field._element([den * c for c in y], det)
 
 
 class BigFloat:
@@ -411,19 +503,28 @@ def _unit(coords, prec: int) -> list:
 
 
 def normalize(coords) -> tuple:
-    """A coordinate vector rescaled to keep its entries small: divided by its
-    rational content (gcd of the numerators over lcm of the denominators of
-    every rational coefficient) when all entries are exact, and returned
-    unchanged when that is 1; else divided by its entry of largest modulus."""
+    """A coordinate vector rescaled to a canonical representative that keeps
+    its entries small, or returned unchanged when it already is one.
+
+    An exact vector with an irrational number-field entry is divided by its
+    first nonzero entry (one field inversion), so that entry becomes 1: the
+    representative then depends only on the projective point, and the
+    heights of an orbit's points stay bounded instead of growing with each
+    step.  An exact vector of rationals is divided by its rational content
+    (gcd of the numerators over lcm of the denominators).  A float vector is
+    divided by its entry of largest modulus."""
     if not all(map(is_exact, coords)):
         return tuple(_unit(coords, _precision(coords)))
-    nums, dens = [0], [1]
-    for c in coords:
-        for r in c.residue if isinstance(c, NumberFieldElement) else (Fraction(c),):
-            if r:
-                nums.append(abs(r.numerator))
-                dens.append(r.denominator)
-    content = Fraction(gcd(*nums) or 1, lcm(*dens))
+    if any(isinstance(c, NumberFieldElement) and not c.is_rational() for c in coords):
+        lead = next(c for c in coords if c)
+        if lead == 1:
+            return coords
+        scale = inverse(lead)
+        return tuple(c * scale for c in coords)
+    rats = [c.as_rational() if isinstance(c, NumberFieldElement) else Fraction(c)
+            for c in coords]
+    content = Fraction(gcd(*(r.numerator for r in rats)) or 1,
+                       lcm(*(r.denominator for r in rats)))
     if content == 1:
         return coords
     scale = 1 / content

@@ -399,9 +399,8 @@ def cmd_report(args) -> int:
             "characteristic_polynomial": ser_poly(cp),
             "spectral_radius": decimal_str(radius),
         }
-        cross["lattice_radius_matches_delta"] = (
-            abs(float(radius) - float(root)) < 1e-10
-        )
+        # both are the monic minimal polynomials of their leading roots
+        cross["lattice_radius_matches_delta"] = salem == construction.modulus
         trace_rep = trace_compatibility(construction)
         cross["trace_compatibility"] = [
             {"class": desc, "passed": ok} for desc, ok in trace_rep.checked

@@ -118,8 +118,11 @@ class ProjectivePoint:
         return tuple(i for i, c in enumerate(self.coords) if is_zero(c))
 
     def normalized(self) -> "ProjectivePoint":
-        """Divide out the rational content (exact) or the max modulus (float)
-        to keep coordinate growth under control."""
+        """The point with its coordinates rescaled (``arith.normalize``) to
+        keep their size under control: a unit leading coordinate when an
+        exact coordinate is irrational, the rational content divided out
+        when all are rational, the largest modulus divided out for floats.
+        Returns self when the coordinates already have that form."""
         coords = normalize(self.coords)
         return self if coords is self.coords else ProjectivePoint(coords)
 

@@ -2,7 +2,9 @@
 
 Coefficient lists are indexed by degree (coeffs[i] is the coefficient of x^i).
 ``IntegerPolynomial`` is the workhorse for characteristic polynomials and
-cyclotomic factors; rational-coefficient helpers back the number-field layer.
+cyclotomic factors; the rational-coefficient helpers give the squarefree part
+of a characteristic polynomial and the factor a number-field zero divisor
+shares with its modulus.
 """
 
 from __future__ import annotations
@@ -179,32 +181,6 @@ class IntegerPolynomial:
 RatCoeffs = tuple
 
 
-def rat_trim(coeffs: Sequence[Fraction]) -> RatCoeffs:
-    return trim(tuple(Fraction(c) for c in coeffs))
-
-
-def rat_add(a: RatCoeffs, b: RatCoeffs) -> RatCoeffs:
-    n = max(len(a), len(b))
-    return trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def rat_neg(a: RatCoeffs) -> RatCoeffs:
-    return tuple(-c for c in a)
-
-
-def rat_mul(a: RatCoeffs, b: RatCoeffs) -> RatCoeffs:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return trim(out)
-
-
 def rat_scale(a: RatCoeffs, s: Fraction) -> RatCoeffs:
     if s == 0:
         return ()
@@ -238,22 +214,6 @@ def rat_gcd_monic(a: RatCoeffs, b: RatCoeffs) -> RatCoeffs:
     if a:
         a = rat_scale(a, 1 / a[-1])
     return a
-
-
-def rat_xgcd(a: RatCoeffs, b: RatCoeffs):
-    """Extended Euclid: returns (g, u, v) monic g with u*a + v*b = g."""
-    r0, r1 = a, b
-    u0, u1 = (Fraction(1),), ()
-    v0, v1 = (), (Fraction(1),)
-    while r1:
-        q, r = rat_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, rat_add(u0, rat_neg(rat_mul(q, u1)))
-        v0, v1 = v1, rat_add(v0, rat_neg(rat_mul(q, v1)))
-    if r0:
-        s = 1 / r0[-1]
-        r0, u0, v0 = rat_scale(r0, s), rat_scale(u0, s), rat_scale(v0, s)
-    return r0, u0, v0
 
 
 def rat_eval(a: RatCoeffs, x):

@@ -1,8 +1,11 @@
 """Number field and big-float arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
+import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,6 +53,16 @@ def test_rational_coercion():
     assert (FIELD.element([Fraction(3, 2)])).as_rational() == Fraction(3, 2)
 
 
+def test_rational_elements_hash_like_their_fractions():
+    half = FIELD.element([Fraction(1, 2)])
+    assert FIELD.one() == 1 and hash(FIELD.one()) == hash(1)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert hash(FIELD.zero()) == hash(0)
+    assert len({FIELD.one(), 1}) == 1
+    assert len({half, Fraction(1, 2)}) == 1
+    assert len({FIELD.gen(), FIELD.gen() * 1, FIELD.one()}) == 2
+
+
 @given(elements, elements, elements)
 @settings(max_examples=100, deadline=None)
 def test_field_axioms(a, b, c):
@@ -69,8 +82,9 @@ def test_zero_divisor_reports_factor():
     # x^2 - 1 is reducible; x - 1 is a zero divisor there
     fld = NumberField(IntegerPolynomial([-1, 0, 1]))
     a = fld.gen() - 1
-    with pytest.raises(ZeroDivisorError):
+    with pytest.raises(ZeroDivisorError) as exc:
         a.inverse()
+    assert exc.value.factor == (Fraction(-1), Fraction(1))  # the factor x - 1
 
 
 def test_bigfloat_precision_floor():
@@ -104,3 +118,76 @@ def test_nf_embed_linearity():
 def test_nf_embed_rejects_non_root():
     with pytest.raises(InconsistentEmbeddingError):
         nf_embed(FIELD.gen(), BigFloat(2.5, 128))
+
+
+# ---------------------------------------------------------------------------
+# the kernel against sympy: Lehmer's polynomial and the degree-14 Salem
+# factor of pk (3, 12), x^14 - x^11 - ... - x^3 + 1
+
+SALEM_3_12 = IntegerPolynomial([1, 0, 0] + [-1] * 9 + [0, 0, 1])
+ORACLE_FIELDS = [FIELD, NumberField(SALEM_3_12)]
+X = sympy.Symbol("x")
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)] or [0], X, domain=sympy.QQ)
+
+
+def _residue(poly):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _oracle_elements(field):
+    """Rational elements, drawn with up to four coefficients past the
+    degree so that construction has to reduce them."""
+    return st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=40),
+        max_size=field.degree + 4,
+    ).map(field.element)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["lehmer", "pk-3-12"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_sympy(field, data):
+    a = data.draw(_oracle_elements(field))
+    b = data.draw(_oracle_elements(field))
+    S = _sympy_poly(field.modulus.to_rational())
+    A, B = _sympy_poly(a.residue), _sympy_poly(b.residue)
+    results = [(a * b, (A * B).rem(S)), (a + b, A + B), (a - b, A - B)]
+    if not a.is_zero():
+        results.append((a.inverse(), sympy.invert(A, S)))
+    for got, expected in results:
+        assert got.residue == _residue(expected)
+    assert field.element(a.residue) == a
+    assert field.element(a.residue).residue == a.residue
+
+
+@given(elements, elements)
+@settings(max_examples=60, deadline=None)
+def test_elements_are_stored_in_lowest_terms(a, b):
+    results = [a, a * b, a + b, a - b] + ([a.inverse()] if a else [])
+    for e in results:
+        assert e.den > 0 and gcd(e.den, *e.num) == 1
+        assert len(e.num) <= FIELD.degree and (not e.num or e.num[-1] != 0)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["lehmer", "pk-3-12"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_nf_embed_matches_sympy_to_60_digits(field, data):
+    a = data.draw(_oracle_elements(field))
+    root = leading_salem_root(field.modulus, 256).value
+    S = _sympy_poly(field.modulus.to_rational())
+    exact_root = sympy.N(max(S.real_roots()), 90)
+    expected = sum(
+        (sympy.Rational(c.numerator, c.denominator) * exact_root ** i
+         for i, c in enumerate(a.residue)),
+        sympy.Float(0, 90),
+    )
+    got = sympy.Float(mpmath.nstr(nf_embed(a, root).value, 75), 90)
+    assert abs(got - expected) <= sympy.Float(10, 90) ** -60 * max(1, abs(expected))

@@ -130,6 +130,27 @@ def test_report_bundle(capsys):
     assert all(entry["passed"] for entry in cross["trace_compatibility"])
 
 
+@pytest.mark.parametrize("k, n", [(2, 8), (4, 8)])
+def test_report_lattice_radius_compares_salem_factors(capsys, monkeypatch, k, n):
+    import cremona.picard
+    from cremona.polynomials import IntegerPolynomial
+
+    code, payload, _ = run_json(capsys, "report", "-k", str(k), "-n", str(n))
+    assert code == EXIT_OK
+    assert payload["cross_checks"]["lattice_radius_matches_delta"]
+    assert payload["degree"]["salem_factor"] == payload["construct"]["modulus"]
+    # the same radius from another polynomial is not a match
+    radius_of = cremona.picard.spectral_radius
+
+    def other_salem(matrix, precision_bits):
+        radius, cp, salem = radius_of(matrix, precision_bits)
+        return radius, cp, salem * IntegerPolynomial([-1, 1])
+
+    monkeypatch.setattr(cremona.picard, "spectral_radius", other_salem)
+    _, payload, _ = run_json(capsys, "report", "-k", str(k), "-n", str(n))
+    assert payload["cross_checks"]["lattice_radius_matches_delta"] is False
+
+
 def test_report_exceptional_stops_early(capsys):
     code, payload, _ = run_json(
         capsys, "report", "--family", "pk", "-k", "2", "-n", "7"

@@ -12,7 +12,7 @@ from cremona.construct import (
     construct_pk,
     curve_fixing_map,
 )
-from cremona.geometry import LinearMap
+from cremona.geometry import LinearMap, ProjectivePoint
 from cremona.polynomials import IntegerPolynomial
 from cremona.verify import (
     blown_point_params,
@@ -74,6 +74,38 @@ def test_perturbed_matrix_fails_closure():
         cond for cond in rep.conditions if cond.name == "long orbit closes at e0"
     )
     assert not closure.passed
+
+
+def _max_residue_bits(report) -> int:
+    return max(
+        max(r.numerator.bit_length(), r.denominator.bit_length())
+        for _, coords_list in report.orbit_points
+        for coords in coords_list
+        for c in coords
+        for r in c.residue
+    )
+
+
+@pytest.mark.parametrize("build, k, n", [(construct_pk, 2, 20),
+                                          (construct_biproj, 3, 8)])
+def test_exact_orbit_heights_stay_bounded(build, k, n):
+    # rescaling by the rational content alone let the heights reach 901,563
+    # bits at pk (2, 20) and 41,679 bits at biproj (3, 8)
+    rep = verify_orbit(build(k, n), backend="exact")
+    assert rep.all_passed and rep.distinct and rep.curve_invariant
+    assert _max_residue_bits(rep) <= 64
+
+
+def test_normalized_orbit_is_the_unscaled_orbit():
+    c = construct_pk(2, 8)
+    rep = verify_orbit(c, backend="exact")
+    L = c.L[0].matrix
+    x = [row[c.k] for row in L]
+    for step, (coords,) in rep.orbit_points:
+        jx = [x[(i + 1) % 3] * x[(i + 2) % 3] for i in range(3)]
+        x = [sum((L[i][j] * jx[j] for j in range(3)), 0) for i in range(3)]
+        assert ProjectivePoint(coords).eq(ProjectivePoint(x)), step
+    assert len(rep.orbit_points) == c.n - 1
 
 
 def test_curve_invariance_pk_20_samples():
