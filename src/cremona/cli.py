@@ -36,8 +36,6 @@ from .construct import (
 from .picard import (
     LatticeError,
     OrbitData,
-    PicardLattice,
-    berkowitz_charpoly,
     canonical_pairings,
     coxeter_action,
     pair,
@@ -253,7 +251,6 @@ def _condition_dicts(report):
 
 def cmd_verify(args) -> int:
     construction = _build_construction(args)
-    root = field_root(construction, args.precision)
     if args.family == "lines":
         rep = verify_lines_orbit(construction, args.backend, args.precision)
         payload = {
@@ -274,6 +271,7 @@ def cmd_verify(args) -> int:
         }
         emit(payload, args.out)
         return EXIT_OK if (rep.closes and rep.on_union and rep.cyclic) else EXIT_VERIFY
+    root = field_root(construction, args.precision)
     rep = verify_orbit(construction, args.backend, args.precision)
     params, endpoint = blown_point_params(construction)
     mult = rep.multiplier_measured
@@ -305,28 +303,32 @@ def cmd_verify(args) -> int:
 
 
 def _parse_orbit_data(args) -> OrbitData:
+    """--lengths or else the Coxeter (1,..,1,n); --sigma or else the cyclic
+    shift i -> i+1."""
+    def ints(text):
+        return tuple(int(t) for t in text.split(","))
+
     if args.lengths:
-        lengths = tuple(int(t) for t in args.lengths.split(","))
-        if args.sigma:
-            sigma = tuple(int(t) for t in args.sigma.split(","))
-        else:
-            sigma = tuple((i + 1) % len(lengths) for i in range(len(lengths)))
-        return OrbitData(lengths=lengths, sigma=sigma)
-    return OrbitData.coxeter(args.k, args.n)
+        lengths = ints(args.lengths)
+    else:
+        lengths = OrbitData.coxeter(args.k, args.n).lengths
+    if args.sigma:
+        sigma = ints(args.sigma)
+    else:
+        sigma = tuple((i + 1) % len(lengths) for i in range(len(lengths)))
+    return OrbitData(lengths=lengths, sigma=sigma)
 
 
 def cmd_picard(args) -> int:
     orbit = _parse_orbit_data(args)
     k = args.k
-    lat = PicardLattice(k, orbit)
-    action, _ = coxeter_action(k, orbit)
+    action, lat = coxeter_action(k, orbit)
     gram = lat.gram()
     roots = lat.roots()
     root_gram = [[pair(gram, a, b) for b in roots] for a in roots]
-    cp = berkowitz_charpoly(action)
     from .picard import spectral_radius as lattice_radius
 
-    radius, _, salem = lattice_radius(action, args.precision)
+    radius, cp, salem = lattice_radius(action, args.precision)
     kk, kc = canonical_pairings(k, orbit)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -347,11 +349,8 @@ def cmd_picard(args) -> int:
     }
     # cross-check against the family characteristic polynomial when the data
     # is the cyclic (1,...,1,n) case it was derived for
-    if orbit.lengths == tuple([1] * k + [orbit.lengths[-1]]) and orbit.sigma == tuple(
-        (i + 1) % (k + 1) for i in range(k + 1)
-    ):
-        n = orbit.lengths[-1]
-        family_poly = char_poly_pk(k, n)
+    if orbit == OrbitData.coxeter(k, orbit.lengths[-1]):
+        family_poly = char_poly_pk(k, orbit.lengths[-1])
         lifted = cp * IntegerPolynomial([-1, 1])
         payload["family_polynomial_matches"] = (
             lifted == family_poly or -lifted == family_poly

@@ -81,10 +81,11 @@ class CoxeterConstruction:
     def modulus(self):
         return self.field.modulus
 
-    def keep_root(self, rep) -> "CoxeterConstruction":
-        """Reuse the Salem root a default-precision spectral report isolated."""
-        if rep.delta is not None:
-            self.roots[DEFAULT_PRECISION_BITS] = rep.delta.value
+    def keep_root(self, root) -> "CoxeterConstruction":
+        """Reuse a Salem root already isolated at the default precision
+        (None when there is none)."""
+        if root is not None:
+            self.roots[DEFAULT_PRECISION_BITS] = root
         return self
 
 
@@ -139,6 +140,20 @@ def curve_fixing_map(k: int, delta, t_plus):
     return T, S, tau, s_params
 
 
+def _shaped_L(s, betas) -> LinearMap:
+    """The shape every family's L has: row 0 = (0,..,0,s), row r has
+    betas[r-1] in column r-1 and s - betas[r-1] in the last column."""
+    k = len(betas)
+    zero = s * 0
+    rows = [[zero] * k + [s]]
+    for r, b in enumerate(betas):
+        row = [zero] * (k + 1)
+        row[r] = b
+        row[k] = s - b
+        rows.append(row)
+    return LinearMap(rows)
+
+
 # ---------------------------------------------------------------------------
 # projective-space family
 
@@ -158,19 +173,11 @@ def build_L_pk(k: int, n: int, delta: NumberFieldElement) -> LinearMap:
     """Matrix of the conjugated map F = L o J: row 0 = (0,..,0,1),
     subdiagonal beta_i = (delta^i - 1) / (delta (delta^{k+1} - delta^i)),
     last column 1 - beta_i."""
-    one = delta.field.one()
-    zero = delta.field.zero()
     betas = [
         (delta ** i - 1) * (delta * (delta ** (k + 1) - delta ** i)).inverse()
         for i in range(1, k + 1)
     ]
-    rows = [[zero] * k + [one]]
-    for i, b in enumerate(betas):
-        row = [zero] * (k + 1)
-        row[i] = b
-        row[k] = one - b
-        rows.append(row)
-    return LinearMap(rows)
+    return _shaped_L(delta.field.one(), betas)
 
 
 def construct_pk(k: int, n: int) -> CoxeterConstruction:
@@ -193,7 +200,7 @@ def construct_pk(k: int, n: int) -> CoxeterConstruction:
         S_matrices=[S],
         s_params=s_params,
         notes=notes,
-    ).keep_root(rep)
+    ).keep_root(rep.delta.value if rep.delta else None)
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +250,14 @@ def build_L_biproj(k: int, n: int, delta: NumberFieldElement):
     s_2 is rederived from T_2^{-1} S_2 rather than taken from the published
     value (delta^2+delta+1)/delta, which fails the factorization check.
     """
-    one = delta.field.one()
-    zero = delta.field.zero()
     betas = [
         (delta ** j - 1)
         * (delta + 1)
         * (delta * delta * (delta ** (k + 1) - delta ** j)).inverse()
         for j in range(1, k + 1)
     ]
-    s_vals = [one, (delta + 1) ** 2 * delta.inverse()]
-    out = []
-    for s in s_vals:
-        rows = [[zero] * k + [s]]
-        for i, b in enumerate(betas):
-            row = [zero] * (k + 1)
-            row[i] = b
-            row[k] = s - b
-            rows.append(row)
-        out.append(LinearMap(rows))
-    return out
+    s_vals = [delta.field.one(), (delta + 1) ** 2 * delta.inverse()]
+    return [_shaped_L(s, betas) for s in s_vals]
 
 
 def construct_biproj(k: int, n: int) -> CoxeterConstruction:
@@ -294,7 +290,7 @@ def construct_biproj(k: int, n: int) -> CoxeterConstruction:
         S_matrices=[S1, S2],
         s_params=t_minus,
         notes=notes,
-    ).keep_root(rep)
+    ).keep_root(rep.delta.value if rep.delta else None)
 
 
 # ---------------------------------------------------------------------------
@@ -310,55 +306,46 @@ def build_L_lines(k: int, m: int, n: int, alpha):
     n(k+1) and is validated here."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    zero = alpha * 0
     am = alpha ** m
     denom = alpha - 1
     if is_zero(denom) or is_zero(am - 1):
         raise RootOfUnityError("alpha must not be a root of unity")
     v = -alpha * (am - 1) * inverse(denom)
-    mats = []
-    for j in range(m):
-        s_j = (
+    return [
+        _shaped_L(
             (am - 1)
             * (alpha ** (j + 1) - 1)
-            * inverse(alpha ** j * denom * (alpha ** (m - j) - 1))
+            * inverse(alpha ** j * denom * (alpha ** (m - j) - 1)),
+            [v] * k,
         )
-        rows = [[zero] * k + [s_j]]
-        for i in range(1, k + 1):
-            row = [zero] * (k + 1)
-            row[i - 1] = v
-            row[k] = s_j - v
-            rows.append(row)
-        mats.append(LinearMap(rows))
-    return mats
+        for j in range(m)
+    ]
 
 
 def lines_alpha_field(k: int, m: int, n: int):
-    """Default multiplier field for the lines family: Salem factor of the
-    Coxeter element of the T(m+1, k+1, n(k+1)) diagram.
+    """Default multiplier field for the lines family, over the Salem factor
+    of the Coxeter element of the T(m+1, k+1, n(k+1)) diagram, plus that
+    element's spectral radius (the field's root at the default precision).
 
     The diagram rank (m+1) + (k+1) + n(k+1) - 2 equals m + N with
     N = k + n(k+1) blown-up points, matching the Picard rank of (P^k)^m
     blown up along the full orbit."""
-    from .picard import coxeter_element_tpqr
-    from .spectra import strip_cyclotomic
+    from .picard import coxeter_element_tpqr, spectral_radius
 
     arm = n * (k + 1)
-    _, charpoly, _ = coxeter_element_tpqr(m + 1, k + 1, arm)
-    _, core = strip_cyclotomic(charpoly)
-    if core.degree == 0:
+    radius, _, salem = spectral_radius(coxeter_element_tpqr(m + 1, k + 1, arm))
+    if salem is None:
         raise RootOfUnityError(
             f"T({m + 1},{k + 1},{arm}) Coxeter element is periodic: "
             "multiplier would be a root of unity"
         )
-    if core.leading() < 0:
-        core = -core
-    return NumberField(core)
+    return NumberField(salem), radius
 
 
 def construct_lines(k: int, m: int, n: int, alpha=None) -> CoxeterConstruction:
+    radius = None
     if alpha is None:
-        fld = lines_alpha_field(k, m, n)
+        fld, radius = lines_alpha_field(k, m, n)
         alpha = fld.gen()
     elif isinstance(alpha, NumberFieldElement):
         fld = alpha.field
@@ -375,4 +362,4 @@ def construct_lines(k: int, m: int, n: int, alpha=None) -> CoxeterConstruction:
         tau=fld.zero(),
         L=mats,
         m=m,
-    )
+    ).keep_root(radius)

@@ -1,11 +1,14 @@
 """Combinatorial Picard lattice of the blowup and the Coxeter action.
 
-The lattice is represented by an explicit ordered basis {H, E_{i,j}} (plus V
-for the biprojective variant), a Gram matrix for the invariant pairing, and a
-root basis whose reflections generate a T-shaped Weyl group.  The pullback
-action of the map is assembled two independent ways, as the reflection
-decomposition s0 * sigma-hat * pi_0 ... pi_k and directly from hyperplane
-degrees and exceptional multiplicities, so the two can be cross-checked.
+One ``PicardLattice`` serves both families: an explicit ordered basis of
+hyperplane classes (H for P^k, H and V for P^k x P^k) followed by the
+exceptional classes E_{i,j}, a Gram matrix for the invariant pairing, and a
+root basis whose reflections generate a T-shaped Weyl group.  A small
+per-family table gives the hyperplane block and the pullbacks of the
+hyperplane classes and of the last class of an orbit.  The pullback action is
+assembled two independent ways, as the reflection s0 times one basis
+permutation sigma-hat * pi_0 ... pi_k and directly from that table
+(``geometric_pullback``), so the two can be cross-checked.
 
 Characteristic polynomials come from the Berkowitz algorithm (division-free,
 stays in integers), and spectral radii reuse the certified Sturm isolation
@@ -19,7 +22,7 @@ from typing import Sequence
 
 from .arith import DEFAULT_PRECISION_BITS, BigFloat
 from .polynomials import IntegerPolynomial
-from .spectra import leading_salem_root, strip_cyclotomic
+from .spectra import leading_salem_root, salem_factor
 
 
 class LatticeError(Exception):
@@ -50,25 +53,44 @@ class OrbitData:
     def total(self) -> int:
         return sum(self.lengths)
 
-    def sigma_inverse(self, i: int) -> int:
-        return self.sigma.index(i)
+
+# Per family, as functions of k: the hyperplane classes that head the basis,
+# their Gram block, their pullbacks, and the pullback of the last class of an
+# orbit.  A pullback is (coefficients on the hyperplane classes, coefficient
+# on the first-step classes E_{m,1}).
+FAMILIES = {
+    "pk": lambda k: (("H",), [[k - 1]], [((k,), 1 - k)], ((1,), -1)),
+    "biproj": lambda k: (
+        ("H", "V"),
+        [[k - 1, k], [k, k - 1]],
+        [((0, k), 1 - k), ((1, k), -k)],
+        ((0, 1), -1),
+    ),
+}
 
 
 class PicardLattice:
-    """Basis-indexed lattice for a blowup of P^k at N curve points.
+    """Basis-indexed lattice for a blowup of P^k (family "pk") or of
+    P^k x P^k (family "biproj") at N curve points.
 
-    Basis order: H, then E_{0,1}..E_{k,1}, then the tail of the longest
-    orbit, then remaining tails in (orbit, step) order.
+    Basis order: the hyperplane classes (H, or H and V), then
+    E_{0,1}..E_{k,1}, then the tail of the longest orbit, then remaining
+    tails in (orbit, step) order.
     """
 
-    def __init__(self, k: int, orbit: OrbitData):
+    def __init__(self, k: int, orbit: OrbitData, family: str = "pk"):
+        if family not in FAMILIES:
+            raise LatticeError(f"unknown family {family!r}")
         if k < 2:
             raise LatticeError("k must be >= 2")
         if len(orbit.lengths) != k + 1:
             raise LatticeError("need k+1 orbit lengths")
         self.k = k
         self.orbit = orbit
-        labels = [("H",)] + [("E", i, 1) for i in range(k + 1)]
+        hyperplanes, self._block, _, _ = FAMILIES[family](k)
+        self.header = len(hyperplanes)
+        labels = [(h,) for h in hyperplanes]
+        labels += [("E", i, 1) for i in range(k + 1)]
         longest = max(range(k + 1), key=lambda i: (orbit.lengths[i], i))
         labels += [("E", longest, j) for j in range(2, orbit.lengths[longest] + 1)]
         for i in range(k + 1):
@@ -78,21 +100,27 @@ class PicardLattice:
         self.index = {lab: pos for pos, lab in enumerate(labels)}
         self.rank = len(labels)
 
+    @property
+    def exceptional(self):
+        """The labels ("E", i, j) in basis order."""
+        return self.labels[self.header:]
+
     def gram(self):
-        """<H,H> = k-1, <E,E> = -1, everything else orthogonal."""
+        """The family's block on the hyperplane classes, <E,E> = -1,
+        everything else orthogonal."""
         g = [[0] * self.rank for _ in range(self.rank)]
-        g[0][0] = self.k - 1
-        for i in range(1, self.rank):
+        for r, row in enumerate(self._block):
+            g[r][: self.header] = row
+        for i in range(self.header, self.rank):
             g[i][i] = -1
         return g
 
-    def basis_vector(self, label):
-        v = [0] * self.rank
-        v[self.index[label]] = 1
-        return v
-
     def e_index(self, i: int, j: int) -> int:
         return self.index[("E", i, j)]
+
+    def forward(self, i: int, j: int):
+        """Position of E_{i,j+1}, or None when E_{i,j} ends orbit i."""
+        return self.index.get(("E", i, j + 1))
 
     def roots(self):
         """alpha_0 = H - sum E_{i,1}; alpha_i = E_{i-1} - E_i in basis order."""
@@ -102,7 +130,7 @@ class PicardLattice:
         for i in range(self.k + 1):
             a0[self.e_index(i, 1)] = -1
         out.append(a0)
-        for i in range(2, self.rank):
+        for i in range(self.header + 1, self.rank):
             a = [0] * self.rank
             a[i - 1] = 1
             a[i] = -1
@@ -110,16 +138,14 @@ class PicardLattice:
         return out
 
     def anticanonical(self):
-        """-K_X = (k+1)H - (k-1) sum E_{i,j}."""
-        v = [0] * self.rank
-        v[0] = self.k + 1
-        for pos in range(1, self.rank):
-            v[pos] = -(self.k - 1)
-        return v
+        """-K_X = (k+1) times each hyperplane class - (dim-1) sum E_{i,j},
+        dim = k or 2k."""
+        dim = self.k * self.header
+        return [self.k + 1] * self.header + [1 - dim] * (self.rank - self.header)
 
     def curve_degrees(self):
-        """Intersection numbers with the curve: H.C = k+1, E.C = 1."""
-        return [self.k + 1] + [1] * (self.rank - 1)
+        """Intersection numbers with the curve: H.C = k+1 (V.C too), E.C = 1."""
+        return [self.k + 1] * self.header + [1] * (self.rank - self.header)
 
 
 def pair(gram, a, b) -> int:
@@ -172,62 +198,47 @@ def coxeter_action(k: int, orbit: OrbitData):
 
     pi_i cycles the exceptional classes along orbit i; sigma-hat permutes the
     first-step classes E_{i,1} -> E_{sigma(i),1}; s0 reflects in
-    H - sum E_{i,1}.
+    H - sum E_{i,1}.  Together sigma-hat * pi_0..pi_k is one permutation of
+    the basis: E_{i,j} -> E_{i,j+1} along each orbit, and the last class of
+    orbit i -> E_{sigma(i),1}.
     """
     lat = PicardLattice(k, orbit)
-    gram = lat.gram()
-    s0 = reflection(lat.roots()[0], gram)
-    n = lat.rank
-    sigma_hat = [[0] * n for _ in range(n)]
-    sigma_hat[0][0] = 1
-    for lab in lat.labels[1:]:
-        _, i, j = lab
-        target = ("E", orbit.sigma[i], 1) if j == 1 else lab
-        sigma_hat[lat.index[target]][lat.index[lab]] = 1
-    prod = identity_matrix(n)
-    for i in range(k + 1):
-        pi = [[0] * n for _ in range(n)]
-        pi[0][0] = 1
-        for lab in lat.labels[1:]:
-            _, m, j = lab
-            if m == i:
-                nxt = ("E", i, j + 1 if j < orbit.lengths[i] else 1)
-                pi[lat.index[nxt]][lat.index[lab]] = 1
-            else:
-                pi[lat.index[lab]][lat.index[lab]] = 1
-        prod = mat_mul(prod, pi)
-    return mat_mul(s0, mat_mul(sigma_hat, prod)), lat
+    s0 = reflection(lat.roots()[0], lat.gram())
+    perm = [0]
+    for _, i, j in lat.exceptional:
+        nxt = lat.forward(i, j)
+        perm.append(lat.e_index(orbit.sigma[i], 1) if nxt is None else nxt)
+    # s0 times a permutation matrix: column c of s0 * P is column perm[c] of s0
+    return [[row[p] for p in perm] for row in s0], lat
 
 
-def geometric_pullback(k: int, orbit: OrbitData):
-    """The same action assembled from degrees and multiplicities:
-    the hyperplane class maps to kH - (k-1) sum E_{m,1}; E_{i,j} moves
-    forward to E_{i,j+1} for j < n_i; the last class of orbit i becomes
-    H - sum_{m != sigma(i)} E_{m,1} (the exceptional divisor over the
-    indeterminacy point blows up to a hyperplane through the other
-    first-step centers)."""
-    lat = PicardLattice(k, orbit)
-    n = lat.rank
-    cols = {}
-    h_col = [0] * n
-    h_col[0] = k
-    for m in range(k + 1):
-        h_col[lat.e_index(m, 1)] = -(k - 1)
-    cols[("H",)] = h_col
-    for lab in lat.labels[1:]:
-        _, i, j = lab
-        if j < orbit.lengths[i]:
-            cols[lab] = lat.basis_vector(("E", i, j + 1))
+def geometric_pullback(k: int, orbit: OrbitData, family: str = "pk"):
+    """The same action assembled from degrees and multiplicities: each
+    hyperplane class maps by the family's table (pk: H -> kH - (k-1) sum
+    E_{m,1}; biproj: H -> kV - (k-1) sum E_{m,1}, V -> H + kV - k sum
+    E_{m,1}); E_{i,j} moves forward to E_{i,j+1} for j < n_i; the last class
+    of orbit i becomes H (biproj: V) - sum_{m != sigma(i)} E_{m,1} (the
+    exceptional divisor over the indeterminacy point blows up to a
+    hyperplane through the other first-step centers)."""
+    lat = PicardLattice(k, orbit, family)
+    _, _, pullbacks, last_pullback = FAMILIES[family](k)
+    first = [lat.e_index(m, 1) for m in range(k + 1)]
+
+    def image(header, e_coeff, skip=None):
+        col = list(header) + [0] * (lat.rank - lat.header)
+        for m, pos in enumerate(first):
+            if m != skip:
+                col[pos] = e_coeff
+        return col
+
+    cols = [image(*img) for img in pullbacks]
+    for _, i, j in lat.exceptional:
+        nxt = lat.forward(i, j)
+        if nxt is None:
+            cols.append(image(*last_pullback, skip=orbit.sigma[i]))
         else:
-            v = [0] * n
-            v[0] = 1
-            for m in range(k + 1):
-                if m != orbit.sigma[i]:
-                    v[lat.e_index(m, 1)] = -1
-            cols[lab] = v
-    return [
-        [cols[lab][r] for lab in lat.labels] for r in range(n)
-    ], lat
+            cols.append([int(r == nxt) for r in range(lat.rank)])
+    return [list(row) for row in zip(*cols)], lat
 
 
 def berkowitz_charpoly(matrix) -> IntegerPolynomial:
@@ -260,14 +271,10 @@ def spectral_radius(
     """(radius, char poly, salem core or None); radius 1 when the polynomial
     is purely cyclotomic."""
     cp = berkowitz_charpoly(matrix)
-    _, core = strip_cyclotomic(cp)
-    if core.degree == 0:
-        return BigFloat(1, precision_bits), cp, None
-    salem = core if core.leading() > 0 else -core
-    root = leading_salem_root(salem, precision_bits)
-    if root is None:
-        return BigFloat(1, precision_bits), cp, salem
-    return root.value, cp, salem
+    _, salem = salem_factor(cp)
+    root = None if salem is None else leading_salem_root(salem, precision_bits)
+    radius = BigFloat(1, precision_bits) if root is None else root.value
+    return radius, cp, salem
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +302,16 @@ def tpqr_gram(p: int, q: int, r: int):
     return g
 
 
-def coxeter_element_tpqr(
-    p: int, q: int, r: int, precision_bits: int = DEFAULT_PRECISION_BITS
-):
-    """(matrix, char poly, spectral radius) for the product of all simple
-    reflections of T(p,q,r), branch node last."""
+def coxeter_element_tpqr(p: int, q: int, r: int):
+    """Matrix of the product of all simple reflections of T(p,q,r), branch
+    node last; ``spectral_radius`` gives its radius and Salem factor."""
     gram = tpqr_gram(p, q, r)
     n = len(gram)
     m = identity_matrix(n)
     for i in range(n):  # arms first, branch node last by construction
         alpha = [1 if j == i else 0 for j in range(n)]
         m = mat_mul(m, reflection(alpha, gram))
-    radius, cp, _ = spectral_radius(m, precision_bits)
-    return m, cp, radius
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +349,8 @@ class TraceReport:
         return self.salem_divides and all(ok for _, ok in self.checked)
 
 
-def class_traces(construction):
-    """u-parameter traces of the basis classes, u = t - 1.
+def class_traces(construction, lat: PicardLattice):
+    """u-parameter traces of the basis classes of ``lat``, u = t - 1.
 
     A hyperplane meets the curve at parameters summing to 0, so tr(H) =
     -(k+1) in u coordinates; E_{i,j} carries the parameter of its center,
@@ -354,14 +358,10 @@ def class_traces(construction):
     """
     k = construction.k
     delta = construction.delta
-    fld = construction.field
-    orbit = OrbitData.coxeter(k, construction.n)
-    lat = PicardLattice(k, orbit)
-    traces = [fld.element([-(k + 1)])]
-    for lab in lat.labels[1:]:
-        _, i, j = lab
+    traces = [construction.field.element([-(k + 1)])]
+    for _, i, j in lat.exceptional:
         traces.append(delta ** (j - 1) * (construction.s_params[i] - 1))
-    return lat, traces
+    return traces
 
 
 def trace_compatibility(construction, sample_classes=None) -> TraceReport:
@@ -374,8 +374,7 @@ def trace_compatibility(construction, sample_classes=None) -> TraceReport:
     delta = construction.delta
     orbit = OrbitData.coxeter(k, n)
     m, lat = coxeter_action(k, orbit)
-    lat_t, traces = class_traces(construction)
-    assert lat.labels == lat_t.labels
+    traces = class_traces(construction, lat)
     degs = lat.curve_degrees()
     if sample_classes is None:
         sample_classes = default_trace_classes(lat)
@@ -390,12 +389,8 @@ def trace_compatibility(construction, sample_classes=None) -> TraceReport:
             (traces[i] * c for i, c in enumerate(image)), construction.field.zero()
         )
         checked.append((desc, tr_fd == delta * tr_d))
-    cp = berkowitz_charpoly(m)
-    quot = cp.try_divide(construction.modulus)
-    salem_divides = quot is not None
-    if not salem_divides:
-        quot = (-cp).try_divide(construction.modulus)
-        salem_divides = quot is not None
+    # the modulus is monic, so it divides cp exactly when it divides -cp
+    salem_divides = berkowitz_charpoly(m).try_divide(construction.modulus) is not None
     return TraceReport(k=k, n=n, checked=checked, salem_divides=salem_divides)
 
 
@@ -421,79 +416,3 @@ def default_trace_classes(lat: PicardLattice):
         u[lat.e_index(0, 1)] = 1
         out.append(("kE_{k,1} + E_{0,1} - H", u))
     return out
-
-
-# ---------------------------------------------------------------------------
-# biprojective action
-
-
-class BiprojLattice:
-    """Basis {H, V, E_{i,j}} for a blowup of P^k x P^k, N = k + n points."""
-
-    def __init__(self, k: int, n: int):
-        self.k = k
-        self.n = n
-        self.orbit = OrbitData.coxeter(k, n)
-        labels = [("H",), ("V",)] + [("E", i, 1) for i in range(k + 1)]
-        labels += [("E", k, j) for j in range(2, n + 1)]
-        self.labels = labels
-        self.index = {lab: pos for pos, lab in enumerate(labels)}
-        self.rank = len(labels)
-
-    def e_index(self, i, j):
-        return self.index[("E", i, j)]
-
-    def basis_vector(self, label):
-        v = [0] * self.rank
-        v[self.index[label]] = 1
-        return v
-
-    def gram(self):
-        """Invariant pairing: <H,H> = <V,V> = k-1, <H,V> = k, <E,E> = -1."""
-        g = [[0] * self.rank for _ in range(self.rank)]
-        g[0][0] = g[1][1] = self.k - 1
-        g[0][1] = g[1][0] = self.k
-        for i in range(2, self.rank):
-            g[i][i] = -1
-        return g
-
-    def anticanonical(self):
-        """-K = (k+1)(H + V) - (2k-1) sum E_{i,j}."""
-        v = [0] * self.rank
-        v[0] = v[1] = self.k + 1
-        for pos in range(2, self.rank):
-            v[pos] = -(2 * self.k - 1)
-        return v
-
-
-def biproj_pic_action(k: int, n: int):
-    """Induced action on the biprojective Picard lattice: the horizontal
-    class maps to kV - (k-1) sum E_{m,1}, the vertical class to
-    H + kV - k sum E_{m,1}, E_{i,j} moves forward to E_{i,j+1} for j < n_i,
-    and the last class of orbit i becomes V - sum_{m != sigma(i)} E_{m,1}."""
-    lat = BiprojLattice(k, n)
-    orbit = lat.orbit
-    cols = {}
-    h_col = [0] * lat.rank
-    h_col[1] = k
-    for m in range(k + 1):
-        h_col[lat.e_index(m, 1)] = -(k - 1)
-    cols[("H",)] = h_col
-    v_col = [0] * lat.rank
-    v_col[0] = 1
-    v_col[1] = k
-    for m in range(k + 1):
-        v_col[lat.e_index(m, 1)] = -k
-    cols[("V",)] = v_col
-    for lab in lat.labels[2:]:
-        _, i, j = lab
-        if j < orbit.lengths[i]:
-            cols[lab] = lat.basis_vector(("E", i, j + 1))
-        else:
-            v = [0] * lat.rank
-            v[1] = 1
-            for m in range(k + 1):
-                if m != orbit.sigma[i]:
-                    v[lat.e_index(m, 1)] = -1
-            cols[lab] = v
-    return [[cols[lab][r] for lab in lat.labels] for r in range(lat.rank)], lat

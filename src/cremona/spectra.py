@@ -4,7 +4,9 @@ Salem root isolation.
 ``char_poly_pk`` builds (x^{n+k}-1)(x^2-1) - x(x^{k+1}-1)(x^{n-1}-1) for the
 projective-space family; ``char_poly_biproj`` builds the biprojective variant.
 ``strip_cyclotomic`` removes every cyclotomic factor by exact trial division,
-leaving a Salem core (or a constant for the exceptional parameter pairs).
+leaving a Salem core (or a constant for the exceptional parameter pairs);
+``salem_factor`` is the one place that turns that core into the Salem factor
+every caller uses.
 Root isolation uses Sturm sequences over exact rationals with bisection
 refinement, so every reported root carries a certified isolating interval.
 """
@@ -115,6 +117,15 @@ def strip_cyclotomic(p: IntegerPolynomial):
         if mult:
             factors.append((d, mult))
     return factors, core
+
+
+def salem_factor(p: IntegerPolynomial):
+    """(cyclotomic factors, core with positive leading coefficient) from
+    ``strip_cyclotomic``; the core is None when p is purely cyclotomic."""
+    factors, core = strip_cyclotomic(p)
+    if core.degree == 0:
+        return factors, None
+    return factors, core if core.leading() > 0 else -core
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +274,11 @@ def spectral_report(
         literal = gamma_biproj_lists(k, n)
     else:
         raise ValueError(f"unknown family {family!r}")
-    factors, core = strip_cyclotomic(poly)
-    exceptional = core.degree == 0
-    salem = None
+    factors, salem = salem_factor(poly)
+    exceptional = salem is None
     delta = None
     notes = []
     if not exceptional:
-        salem = core if core.leading() > 0 else -core
         delta = leading_salem_root(salem, precision_bits)
         if delta is None:
             notes.append("nonconstant core without real root > 1")

@@ -62,7 +62,6 @@ class OrbitCheckReport:
     curve_invariant: Optional[bool] = None
     multiplier_measured: object = None
     translation_detected: bool = False
-    m: Optional[int] = None
     notes: list = field(default_factory=list)
 
     @property
@@ -166,22 +165,16 @@ def verify_orbit(
     (b) the length-n orbit closes: F^{n-1} of the last column lands on the
         first coordinate point;
     (c) no intermediate orbit point meets the indeterminacy locus.
+
+    For pk and biproj; the lines family has ``verify_lines_orbit``.
     """
     family = construction.family
+    if family == "lines":
+        raise VerificationError("lines family: use verify_lines_orbit")
     k = construction.k
     b = _prepare(construction, backend, precision_bits)
     mats = b.L
-    if family == "lines":
-        n_steps = construction.n * (k + 1)
-    else:
-        n_steps = construction.n
-    report = OrbitCheckReport(
-        family=family,
-        k=k,
-        n=construction.n,
-        m=construction.m,
-        backend=b.label,
-    )
+    report = OrbitCheckReport(family=family, k=k, n=construction.n, backend=b.label)
     one = one_like(b.delta)
     # (a): singleton orbits close immediately
     ok_a = True
@@ -200,7 +193,7 @@ def verify_orbit(
     point = [m.column(k) for m in mats]
     ok_c = True
     fail_step = None
-    for step in range(1, n_steps):
+    for step in range(1, construction.n):
         if _near_indeterminacy(point):
             ok_c = False
             fail_step = step - 1
@@ -233,14 +226,13 @@ def verify_orbit(
                 f"indeterminacy at step {fail_step}",
             )
         )
-    if family != "lines":
-        inv = verify_curve_invariance(
-            construction, samples=3, backend=backend, precision_bits=precision_bits
-        )
-        report.curve_invariant = inv.all_passed
-        report.multiplier_measured = inv.multiplier_measured
-        report.translation_detected = inv.translation_detected
-        report.distinct = verify_distinctness(construction)
+    inv = verify_curve_invariance(
+        construction, samples=3, backend=backend, precision_bits=precision_bits
+    )
+    report.curve_invariant = inv.all_passed
+    report.multiplier_measured = inv.multiplier_measured
+    report.translation_detected = inv.translation_detected
+    report.distinct = verify_distinctness(construction)
     return report
 
 

@@ -86,6 +86,24 @@ def test_verify_lines(capsys):
     assert payload["closes"] and payload["cyclic"] and payload["on_union"]
 
 
+@pytest.mark.parametrize("extra", [["--precision", "512"], ["--backend", "float"]])
+def test_lines_verify_isolates_no_second_root(capsys, monkeypatch, extra):
+    # the lines report prints no decimals, and at the default precision the
+    # float backend reuses the root the construction's spectral radius gave
+    import cremona.verify
+
+    def refuse(*args):
+        raise AssertionError("Salem root isolated a second time")
+
+    monkeypatch.setattr(cremona.verify, "leading_salem_root", refuse)
+    code, payload, _ = run_json(
+        capsys, "verify", "--family", "lines", "-k", "2", "-m", "2", "-n", "2",
+        *extra,
+    )
+    assert code == EXIT_OK
+    assert payload["closes"]
+
+
 def test_lines_n1_exceptional_exit_3(capsys):
     code, _, err = run(
         capsys, "verify", "--family", "lines", "-k", "2", "-m", "2", "-n", "1"
@@ -109,6 +127,17 @@ def test_picard_general_orbit_data(capsys):
     )
     assert code == EXIT_OK
     assert payload["orbit_lengths"] == [1, 1, 8]
+
+
+def test_picard_sigma_applies_without_lengths(capsys):
+    code, payload, _ = run_json(
+        capsys, "picard", "-k", "2", "-n", "8", "--sigma", "0,1,2"
+    )
+    assert code == EXIT_OK
+    assert payload["orbit_lengths"] == [1, 1, 8]
+    assert payload["sigma"] == [0, 1, 2]
+    # not the Coxeter data, so no family-polynomial cross-check
+    assert "family_polynomial_matches" not in payload
 
 
 def test_picard_invalid_sigma_exit_2(capsys):

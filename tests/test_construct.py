@@ -222,7 +222,7 @@ def test_build_L_lines_shape():
 
 
 def test_lines_m1_subdiagonal_is_minus_alpha():
-    fld = lines_alpha_field(2, 1, 3)
+    fld, _ = lines_alpha_field(2, 1, 3)
     alpha = fld.gen()
     (mat,) = build_L_lines(2, 1, 3, alpha)
     assert mat.matrix[1][0] == -alpha
@@ -247,7 +247,7 @@ def test_lines_root_of_unity_refused():
 
 
 def test_lines_n_validated():
-    fld = lines_alpha_field(2, 2, 2)
+    fld, _ = lines_alpha_field(2, 2, 2)
     with pytest.raises(ValueError):
         build_L_lines(2, 2, 0, fld.gen())
 

@@ -1,15 +1,15 @@
 """Picard lattice, Coxeter action, spectral and trace cross-checks."""
 
+from itertools import permutations
+
 import pytest
 
 from cremona.construct import construct_biproj, construct_pk
 from cremona.picard import (
-    BiprojLattice,
     LatticeError,
     OrbitData,
     PicardLattice,
     berkowitz_charpoly,
-    biproj_pic_action,
     canonical_pairings,
     coxeter_action,
     coxeter_element_tpqr,
@@ -72,6 +72,20 @@ def test_coxeter_action_matches_geometric_pullback():
         assert cox == geo
 
 
+@pytest.mark.parametrize(
+    "lengths", [(2, 1, 3), (1, 4, 2), (3, 3, 1, 2), (1, 1, 1, 1)]
+)
+def test_coxeter_action_matches_geometric_pullback_general_orbits(lengths):
+    # every sigma, so the last class of each orbit is sent to every first step
+    k = len(lengths) - 1
+    for sigma in permutations(range(k + 1)):
+        orbit = OrbitData(lengths=lengths, sigma=sigma)
+        cox, lat = coxeter_action(k, orbit)
+        geo, _ = geometric_pullback(k, orbit)
+        assert cox == geo, sigma
+        assert preserves_form(cox, lat.gram())
+
+
 def test_action_preserves_form_and_fixes_anticanonical():
     for k, n in ((2, 8), (3, 6)):
         orbit = OrbitData.coxeter(k, n)
@@ -100,10 +114,10 @@ def test_lehmer_radius_for_1_1_8():
 
 def test_tpqr_diagrams():
     # finite: T(2,3,5) = E8 has a periodic Coxeter element
-    _, _, rad5 = coxeter_element_tpqr(2, 3, 5, 64)
+    rad5, _, _ = spectral_radius(coxeter_element_tpqr(2, 3, 5), 64)
     assert float(rad5) == 1.0
     # hyperbolic: T(2,3,7) = E10 Coxeter element realizes Lehmer's number
-    _, cp7, rad7 = coxeter_element_tpqr(2, 3, 7, 128)
+    rad7, cp7, _ = spectral_radius(coxeter_element_tpqr(2, 3, 7), 128)
     assert abs(float(rad7) - 1.17628081825991750) < 1e-12
     assert cp7.try_divide(LEHMER) is not None
     assert len(tpqr_gram(2, 3, 7)) == 10
@@ -136,7 +150,7 @@ def test_trace_compatibility_exact():
 
 def test_biproj_lattice_action():
     for k, n in ((2, 5), (3, 4)):
-        m, lat = biproj_pic_action(k, n)
+        m, lat = geometric_pullback(k, OrbitData.coxeter(k, n), "biproj")
         assert preserves_form(m, lat.gram())
         minus_k = lat.anticanonical()
         assert mat_vec(m, minus_k) == minus_k
@@ -145,8 +159,17 @@ def test_biproj_lattice_action():
         assert cp == family or -cp == family
 
 
+@pytest.mark.parametrize("family", ["pk", "biproj"])
+def test_curve_degrees_are_invariant(family):
+    # the curve is invariant, so (F* D).C = D.C for every class D
+    for k, n in ((2, 5), (3, 9)):
+        m, lat = geometric_pullback(k, OrbitData.coxeter(k, n), family)
+        degs = lat.curve_degrees()
+        assert mat_vec([list(col) for col in zip(*m)], degs) == degs
+
+
 def test_biproj_lattice_rank():
-    lat = BiprojLattice(2, 5)
+    lat = PicardLattice(2, OrbitData.coxeter(2, 5), "biproj")
     assert lat.rank == 2 + 2 + 5  # H, V and N = k + n exceptional classes
 
 

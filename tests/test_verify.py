@@ -15,6 +15,7 @@ from cremona.construct import (
 from cremona.geometry import LinearMap, ProjectivePoint
 from cremona.polynomials import IntegerPolynomial
 from cremona.verify import (
+    VerificationError,
     blown_point_params,
     verify_curve_invariance,
     verify_distinctness,
@@ -218,7 +219,15 @@ def test_lines_small_case_orbit_length_three():
 
 
 def test_lines_wrong_family_rejected():
-    from cremona.verify import VerificationError
-
     with pytest.raises(VerificationError):
         verify_lines_orbit(construct_pk(2, 8))
+
+
+@pytest.mark.parametrize("k,m,n", [(2, 2, 2), (2, 2, 3), (3, 2, 2)])
+def test_verify_orbit_refuses_lines(k, m, n):
+    # the lines orbit has n(k+1) points and its own checker; verify_orbit
+    # once walked it one step short and reported a closing orbit as open
+    c = construct_lines(k, m, n)
+    with pytest.raises(VerificationError):
+        verify_orbit(c)
+    assert verify_lines_orbit(c).closes
