@@ -37,9 +37,10 @@ from .picard import (
     LatticeError,
     OrbitData,
     canonical_pairings,
+    congruence,
     coxeter_action,
-    pair,
     preserves_form,
+    transpose,
     trace_compatibility,
 )
 from .polynomials import IntegerPolynomial
@@ -325,7 +326,7 @@ def cmd_picard(args) -> int:
     action, lat = coxeter_action(k, orbit)
     gram = lat.gram()
     roots = lat.roots()
-    root_gram = [[pair(gram, a, b) for b in roots] for a in roots]
+    root_gram = congruence(transpose(roots), gram)
     from .picard import spectral_radius as lattice_radius
 
     radius, cp, salem = lattice_radius(action, args.precision)
@@ -390,7 +391,7 @@ def cmd_report(args) -> int:
     cross = {}
     if args.family == "pk":
         orbit = OrbitData.coxeter(args.k, args.n)
-        action, _ = coxeter_action(args.k, orbit)
+        action, lat = coxeter_action(args.k, orbit)
         from .picard import spectral_radius as lattice_radius
 
         radius, cp, salem = lattice_radius(action, args.precision)
@@ -400,7 +401,9 @@ def cmd_report(args) -> int:
         }
         # both are the monic minimal polynomials of their leading roots
         cross["lattice_radius_matches_delta"] = salem == construction.modulus
-        trace_rep = trace_compatibility(construction)
+        trace_rep = trace_compatibility(
+            construction, action=(action, lat), charpoly=cp
+        )
         cross["trace_compatibility"] = [
             {"class": desc, "passed": ok} for desc, ok in trace_rep.checked
         ]

@@ -149,7 +149,8 @@ class PicardLattice:
 
 
 def pair(gram, a, b) -> int:
-    return sum(a[i] * gram[i][j] * b[j] for i in range(len(a)) for j in range(len(a)))
+    """a^T G b."""
+    return sum(x * y for x, y in zip(a, mat_vec(gram, b)))
 
 
 def reflection(alpha: Sequence[int], gram):
@@ -166,31 +167,30 @@ def reflection(alpha: Sequence[int], gram):
 
 
 def mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    """Product of matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def congruence(m, gram):
+    """M^T G M: the Gram matrix of the columns of m, in O(n^3)."""
+    return mat_mul(transpose(m), mat_mul(gram, m))
+
+
 def preserves_form(m, gram) -> bool:
-    n = len(m)
-    mt_g_m = [
-        [
-            sum(m[a][i] * gram[a][b] * m[b][j] for a in range(n) for b in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return mt_g_m == gram
+    return congruence(m, gram) == gram
 
 
 def coxeter_action(k: int, orbit: OrbitData):
@@ -364,16 +364,22 @@ def class_traces(construction, lat: PicardLattice):
     return traces
 
 
-def trace_compatibility(construction, sample_classes=None) -> TraceReport:
+def trace_compatibility(
+    construction, sample_classes=None, *, action=None, charpoly=None
+) -> TraceReport:
     """Check tr(F* D) = delta tr(D) for degree-zero classes D.
 
     The trace functional is linear over the basis traces; degree zero means
     D.C = 0, which makes the trace independent of translation normalization.
+    ``action`` is the (matrix, lattice) pair ``coxeter_action`` gives for the
+    construction's (1, ..., 1, n) orbit and ``charpoly`` its characteristic
+    polynomial; each is computed here when the caller has not.
     """
     k, n = construction.k, construction.n
     delta = construction.delta
-    orbit = OrbitData.coxeter(k, n)
-    m, lat = coxeter_action(k, orbit)
+    if action is None:
+        action = coxeter_action(k, OrbitData.coxeter(k, n))
+    m, lat = action
     traces = class_traces(construction, lat)
     degs = lat.curve_degrees()
     if sample_classes is None:
@@ -390,7 +396,9 @@ def trace_compatibility(construction, sample_classes=None) -> TraceReport:
         )
         checked.append((desc, tr_fd == delta * tr_d))
     # the modulus is monic, so it divides cp exactly when it divides -cp
-    salem_divides = berkowitz_charpoly(m).try_divide(construction.modulus) is not None
+    if charpoly is None:
+        charpoly = berkowitz_charpoly(m)
+    salem_divides = charpoly.try_divide(construction.modulus) is not None
     return TraceReport(k=k, n=n, checked=checked, salem_divides=salem_divides)
 
 

@@ -125,14 +125,16 @@ class IntegerPolynomial:
     def sign_at(self, x: Fraction) -> int:
         """Sign of the value at a rational point, computed in integers.
 
-        Horner with denominator scaling: sum c_i p^i q^(n-i) has the sign of
-        the value at p/q.
+        Homogeneous Horner: sum c_i p^i q^(n-1-i) has the sign of the value
+        at p/q, and the power of q is carried along instead of recomputed.
         """
         p, q = x.numerator, x.denominator
-        acc = 0
-        n = len(self.coeffs)
-        for i in range(n - 1, -1, -1):
-            acc = acc * p + self.coeffs[i] * q ** (n - 1 - i)
+        coeffs = self.coeffs
+        acc = coeffs[-1] if coeffs else 0
+        q_pow = 1
+        for c in reversed(coeffs[:-1]):
+            q_pow *= q
+            acc = acc * p + c * q_pow
         return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "IntegerPolynomial":

@@ -3,12 +3,16 @@ Salem root isolation.
 
 ``char_poly_pk`` builds (x^{n+k}-1)(x^2-1) - x(x^{k+1}-1)(x^{n-1}-1) for the
 projective-space family; ``char_poly_biproj`` builds the biprojective variant.
-``strip_cyclotomic`` removes every cyclotomic factor by exact trial division,
-leaving a Salem core (or a constant for the exceptional parameter pairs);
-``salem_factor`` is the one place that turns that core into the Salem factor
-every caller uses.
-Root isolation uses Sturm sequences over exact rationals with bisection
-refinement, so every reported root carries a certified isolating interval.
+``strip_cyclotomic`` removes every cyclotomic factor by exact trial division
+over the indices d with phi(d) <= deg, phi read from one sieve
+(``totients``), leaving a Salem core (or a constant for the exceptional
+parameter pairs); ``salem_factor`` is the one place that turns that core into
+the Salem factor every caller uses.
+Root isolation first bisects on Sturm counts until one root is left in the
+interval, then refines by the sign of the squarefree polynomial alone; every
+decision is exact, so each reported root carries a certified isolating
+interval.  The Sturm chain is the pseudo-remainder chain of the polynomial
+itself, rebuilt from its squarefree part only when it has a repeated factor.
 """
 
 from __future__ import annotations
@@ -86,26 +90,33 @@ def cyclotomic(d: int) -> IntegerPolynomial:
     return poly
 
 
-def euler_phi(d: int) -> int:
-    return sum(1 for i in range(1, d + 1) if gcd(i, d) == 1)
+def totients(limit: int) -> list:
+    """phi(d) for 0 <= d <= limit (phi(0) = 0), by one sieve over the primes."""
+    phi = list(range(limit + 1))
+    for prime in range(2, limit + 1):
+        if phi[prime] == prime:  # untouched so far, so prime
+            for multiple in range(prime, limit + 1, prime):
+                phi[multiple] -= phi[multiple] // prime
+    return phi
 
 
 def strip_cyclotomic(p: IntegerPolynomial):
     """Split p = +-(core) * prod Phi_d^mult with a cyclotomic-free core.
 
     Every index d with phi(d) <= deg p is tried (d <= 2 deg^2 suffices since
-    phi(d) >= sqrt(d/2)); division is exact, so the factor list reconstructs
-    the input exactly.
+    phi(d) >= sqrt(d/2)), with phi read from one sieve; division is exact, so
+    the factor list reconstructs the input exactly.
     """
     if p.is_zero():
         raise ValueError("cannot strip the zero polynomial")
     core = p
     factors = []
-    deg = p.degree
-    for d in range(1, 2 * deg * deg + 1):
+    limit = 2 * p.degree * p.degree
+    phi = totients(limit)
+    for d in range(1, limit + 1):
         if core.degree == 0:
             break
-        if euler_phi(d) > core.degree:
+        if phi[d] > core.degree:
             continue
         mult = 0
         while True:
@@ -155,11 +166,11 @@ def _squarefree_part(p: IntegerPolynomial) -> IntegerPolynomial:
     return out
 
 
-def sturm_sequence(p: IntegerPolynomial):
-    """Primitive-part Sturm chain of the squarefree part of p."""
-    p = _squarefree_part(p)
+def _prs_chain(p: IntegerPolynomial):
+    """Primitive-part pseudo-remainder chain p, p', -prem, ... down to the
+    last nonzero remainder, which is gcd(p, p') up to a scalar."""
     chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
+    while chain[-1].degree > 0:
         a, b = chain[-2], chain[-1]
         # pseudo-remainder keeps everything in Z[x]
         lead = b.leading()
@@ -173,6 +184,18 @@ def sturm_sequence(p: IntegerPolynomial):
         g = rem.content()
         rem = IntegerPolynomial([-c // g for c in rem.coeffs])
         chain.append(rem)
+    return chain
+
+
+def sturm_sequence(p: IntegerPolynomial):
+    """Primitive-part Sturm chain of the squarefree part of p.
+
+    The chain of p itself is built first; only when it ends in a non-constant
+    gcd(p, p') (a repeated factor) is it rebuilt from ``_squarefree_part``.
+    """
+    chain = _prs_chain(p)
+    if chain[-1].degree > 0:
+        chain = _prs_chain(_squarefree_part(p))
     return chain
 
 
@@ -210,30 +233,42 @@ def leading_salem_root(
 ) -> Optional[IsolatedRoot]:
     """Certified isolating interval for the largest real root > 1, if any.
 
-    Bisection on Sturm counts over (1, B], narrowed below 2^-precision_bits.
-    Returns None when the core has no real root exceeding 1.
+    Bisection over (1, B] in two phases.  Sturm counts isolate the largest
+    root: the half (mid, hi] is kept while it holds a root, until (lo, hi]
+    holds exactly one.  Then the sign of the squarefree polynomial alone
+    decides each half, until the width is below 2^-precision_bits.  Both
+    phases make the same exact decisions, so the interval is the one Sturm
+    counts at every step would give.  Returns None when the core has no real
+    root exceeding 1.
     """
     if core.degree < 1:
         return None
     chain = sturm_sequence(core)
     lo, hi = Fraction(1), root_bound(core)
-    total = _sign_changes(chain, lo) - _sign_changes(chain, hi)
-    if total == 0:
+    v_lo, v_hi = _sign_changes(chain, lo), _sign_changes(chain, hi)
+    if v_lo == v_hi:
         return None
-    # keep the subinterval containing the largest root
     target_width = Fraction(1, 2 ** precision_bits)
-    while hi - lo >= target_width or (
-        _sign_changes(chain, lo) - _sign_changes(chain, hi) > 1
-    ):
-        # a rational root at mid needs no care: Sturm counts on the
-        # half-open (mid, hi] stay exact, and a largest root at mid stays
-        # in (lo, mid]
+    # a rational root at mid needs no care: Sturm counts on the half-open
+    # (mid, hi] stay exact, and a largest root at mid stays in (lo, mid]
+    while v_lo - v_hi > 1:
         mid = (lo + hi) / 2
-        upper = _sign_changes(chain, mid) - _sign_changes(chain, hi)
-        if upper >= 1:
+        v_mid = _sign_changes(chain, mid)
+        if v_mid - v_hi >= 1:
+            lo, v_lo = mid, v_mid
+        else:
+            hi, v_hi = mid, v_mid
+    # one simple root r in (lo, hi]: r > mid iff r = hi or p changes sign
+    # across (mid, hi)
+    squarefree = chain[0]
+    s_hi = squarefree.sign_at(hi)
+    while hi - lo >= target_width:
+        mid = (lo + hi) / 2
+        s_mid = squarefree.sign_at(mid)
+        if s_mid != 0 and (s_hi == 0 or s_mid != s_hi):
             lo = mid
         else:
-            hi = mid
+            hi, s_hi = mid, s_mid
     import mpmath
 
     with mpmath.workprec(precision_bits + 16):

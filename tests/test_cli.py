@@ -159,6 +159,35 @@ def test_report_bundle(capsys):
     assert all(entry["passed"] for entry in cross["trace_compatibility"])
 
 
+def test_report_builds_the_lattice_action_once(capsys, monkeypatch):
+    import cremona.cli
+    import cremona.picard
+
+    calls = {"coxeter_action": 0, "berkowitz_charpoly": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cremona.cli, "coxeter_action",
+                        counted(cremona.cli, "coxeter_action"))
+    monkeypatch.setattr(cremona.picard, "coxeter_action",
+                        counted(cremona.picard, "coxeter_action"))
+    monkeypatch.setattr(cremona.picard, "berkowitz_charpoly",
+                        counted(cremona.picard, "berkowitz_charpoly"))
+    code, payload, _ = run_json(capsys, "report", "-k", "3", "-n", "12")
+    assert code == EXIT_OK
+    assert calls == {"coxeter_action": 1, "berkowitz_charpoly": 1}
+    cross = payload["cross_checks"]
+    assert cross["salem_divides_lattice_polynomial"]
+    assert all(entry["passed"] for entry in cross["trace_compatibility"])
+
+
 @pytest.mark.parametrize("k, n", [(2, 8), (4, 8)])
 def test_report_lattice_radius_compares_salem_factors(capsys, monkeypatch, k, n):
     import cremona.picard

@@ -11,6 +11,7 @@ from cremona.picard import (
     PicardLattice,
     berkowitz_charpoly,
     canonical_pairings,
+    congruence,
     coxeter_action,
     coxeter_element_tpqr,
     geometric_pullback,
@@ -23,6 +24,7 @@ from cremona.picard import (
     spectral_radius,
     tpqr_gram,
     trace_compatibility,
+    transpose,
 )
 from cremona.polynomials import IntegerPolynomial
 from cremona.spectra import char_poly_biproj, char_poly_pk, leading_salem_root
@@ -53,6 +55,30 @@ def test_root_grams():
     for i in range(1, 9):
         assert pair(gram, roots[i], roots[i + 1]) == 1
     assert pair(gram, roots[0], roots[1]) == 0
+
+
+@pytest.mark.parametrize("family", ["pk", "biproj"])
+def test_congruence_matches_entrywise_sums(family):
+    # the O(n^4) sums preserves_form and the CLI's root Gram used to take
+    lat = PicardLattice(3, OrbitData(lengths=(2, 1, 3, 2), sigma=(2, 0, 3, 1)),
+                        family)
+    gram = lat.gram()
+    m, _ = geometric_pullback(3, lat.orbit, family)
+    n = lat.rank
+    assert congruence(m, gram) == [
+        [sum(m[a][i] * gram[a][b] * m[b][j] for a in range(n) for b in range(n))
+         for j in range(n)]
+        for i in range(n)
+    ]
+    roots = lat.roots()
+    assert congruence(transpose(roots), gram) == [
+        [sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+         for y in roots]
+        for x in roots
+    ]
+    assert preserves_form(m, gram)
+    doubled = [[2 * c for c in row] for row in m]
+    assert not preserves_form(doubled, gram)
 
 
 def test_reflection_involution_preserves_form():

@@ -71,6 +71,28 @@ def test_ring_identities(a, b, x):
     assert (a - b)(x) == a(x) - b(x)
 
 
+@given(
+    st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12).map(IntegerPolynomial),
+    st.fractions(max_denominator=10 ** 9),
+)
+@settings(max_examples=300, deadline=None)
+def test_sign_at_is_the_sign_of_the_value(p, x):
+    value = p(x)
+    assert p.sign_at(x) == (value > 0) - (value < 0)
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=5).map(IntegerPolynomial),
+    st.integers(-4, 4),
+    st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_sign_at_is_zero_at_rational_roots(cofactor, num, log_den):
+    root = Fraction(num, 2 ** log_den)
+    p = cofactor * IntegerPolynomial([-root.numerator, root.denominator])
+    assert p.sign_at(root) == 0
+
+
 def _rp(*coeffs):
     return trim([Fraction(c) for c in coeffs])
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from cremona import spectra
 from cremona.polynomials import IntegerPolynomial
 from cremona.spectra import (
     GAMMA_BIPROJ_FINITE,
@@ -17,9 +18,13 @@ from cremona.spectra import (
     gamma_biproj_lists,
     gamma_pk_lists,
     leading_salem_root,
+    root_bound,
+    salem_factor,
     spectral_report,
     strip_cyclotomic,
     sturm_sequence,
+    totients,
+    _squarefree_part,
 )
 
 X = sympy.symbols("x")
@@ -97,6 +102,54 @@ def test_count_real_roots_vs_sympy():
         assert got == expected
 
 
+def test_totients_match_sympy():
+    phi = totients(5000)
+    assert phi[1:] == [sympy.totient(d) for d in range(1, 5001)]
+
+
+@pytest.mark.parametrize("poly", [char_poly_pk(10, 60), char_poly_biproj(5, 40)],
+                         ids=["pk-10-60", "biproj-5-40"])
+def test_strip_cyclotomic_matches_sympy_factorization(poly):
+    factors, core = strip_cyclotomic(poly)
+    content, sympy_factors = sympy.factor_list(to_sympy(poly))
+    cyclotomic_part = {}
+    rest = content
+    for f, mult in sympy_factors:
+        if sympy.Poly(f, X).is_cyclotomic:
+            cyclotomic_part[sympy.expand(f)] = mult
+        else:
+            rest *= f ** mult
+    assert cyclotomic_part == {to_sympy(cyclotomic(d)): m for d, m in factors}
+    assert sympy.expand(rest - to_sympy(core)) == 0
+
+
+@pytest.mark.parametrize("factors", [
+    ([-2, 1], [-2, 1], [-3, 0, 1], [-5, 0, 1]),  # (x-2)^2 (x^2-3)(x^2-5)
+    ([-3, 0, 1], [-3, 0, 1], [-3, 0, 1], [1, 1]),  # (x^2-3)^3 (x+1)
+    ([1, -1, 0, 1], [1, -1, 0, 1], [-7, 1]),  # a repeated irreducible cubic
+])
+def test_count_real_roots_of_repeated_factors(factors, monkeypatch):
+    poly = _product(*factors)
+    calls = []
+    squarefree = spectra._squarefree_part
+    monkeypatch.setattr(spectra, "_squarefree_part",
+                        lambda p: calls.append(p) or squarefree(p))
+    roots = sympy.real_roots(to_sympy(poly))
+    for lo, hi in ((-10, 10), (1, 10), (2, 3), (-2, 2)):
+        expected = len({r for r in roots if lo < r <= hi})
+        assert count_real_roots(poly, Fraction(lo), Fraction(hi)) == expected
+    assert calls, "a repeated factor takes the squarefree fallback"
+
+
+def test_squarefree_chain_skips_the_fallback(monkeypatch):
+    def refuse(p):
+        raise AssertionError("squarefree input needs no gcd")
+
+    monkeypatch.setattr(spectra, "_squarefree_part", refuse)
+    assert sturm_sequence(LEHMER)[0] == LEHMER
+    assert leading_salem_root(_core("pk", 3, 20), 64) is not None
+
+
 def test_sturm_chain_endpoints():
     chain = sturm_sequence(LEHMER)
     assert chain[0] == LEHMER
@@ -168,3 +221,106 @@ def test_leading_root_past_a_rational_midpoint(factors):
     assert sympy.Rational(iso.low.numerator, iso.low.denominator) <= largest
     assert largest <= sympy.Rational(iso.high.numerator, iso.high.denominator)
     assert iso.width < Fraction(1, 2 ** 64)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the bisection leading_salem_root ran before it refined by signs,
+# with the Sturm chain of the squarefree part and the sign kernel of that time
+
+
+def _old_sign_at(poly, x):
+    p, q = x.numerator, x.denominator
+    acc = 0
+    n = len(poly.coeffs)
+    for i in range(n - 1, -1, -1):
+        acc = acc * p + poly.coeffs[i] * q ** (n - 1 - i)
+    return (acc > 0) - (acc < 0)
+
+
+def _old_sturm_chain(p):
+    p = _squarefree_part(p)
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        a, b = chain[-2], chain[-1]
+        scaled = a * abs(b.leading()) ** (a.degree - b.degree + 1)
+        _, rem = scaled.divmod_exact(b)
+        if rem.is_zero():
+            break
+        g = rem.content()
+        chain.append(IntegerPolynomial([-c // g for c in rem.coeffs]))
+    return chain
+
+
+def _old_sign_changes(chain, x):
+    signs = [s for s in (_old_sign_at(q, x) for q in chain) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def all_chain_bisection(core, precisions):
+    """{bits: (low, high)}, every step deciding by Sturm counts over the
+    whole chain.  The counts at lo and hi are carried along rather than
+    recounted, which changes no decision.  Bisection is deterministic, so
+    one run to the finest precision passes through the interval each
+    coarser one stops at."""
+    chain = _old_sturm_chain(core)
+    lo, hi = Fraction(1), root_bound(core)
+    v_lo, v_hi = _old_sign_changes(chain, lo), _old_sign_changes(chain, hi)
+    assert v_lo - v_hi >= 1
+    out = {}
+    pending = sorted(precisions)
+    while pending:
+        if hi - lo < Fraction(1, 2 ** pending[0]) and v_lo - v_hi <= 1:
+            out[pending.pop(0)] = (lo, hi)
+            continue
+        mid = (lo + hi) / 2
+        v_mid = _old_sign_changes(chain, mid)
+        if v_mid - v_hi >= 1:
+            lo, v_lo = mid, v_mid
+        else:
+            hi, v_hi = mid, v_mid
+    return out
+
+
+def _product(*factors):
+    poly = IntegerPolynomial.one()
+    for f in factors:
+        poly = poly * IntegerPolynomial(f)
+    return poly
+
+
+def _core(family, k, n):
+    poly = (char_poly_pk if family == "pk" else char_poly_biproj)(k, n)
+    return salem_factor(poly)[1]
+
+
+# At 1024 bits the all-chain oracle takes 1-5 s per sweep core, over two
+# minutes for all 45, so those cores are checked at 64 and 256 bits and the
+# short ones at all three.
+ALL_BITS, SWEEP_BITS = (64, 256, 1024), (64, 256)
+ORACLE_INPUTS = (
+    [pytest.param(LEHMER, ALL_BITS, id="lehmer")]
+    + [pytest.param(("pk", k, n), SWEEP_BITS, id=f"pk-{k}-{n}")
+       for k in range(2, 5) for n in range(20, 29)]
+    + [pytest.param(("biproj", k, n), SWEEP_BITS, id=f"biproj-{k}-{n}")
+       for k in range(2, 4) for n in range(20, 29)]
+    + [
+        pytest.param(_product([-4, 1], [-24, 0, 1]), ALL_BITS,
+                     id="(x-4)(x^2-24)"),
+        # two roots above 1 a quarter apart: Sturm counts must split them
+        pytest.param(_product([-8, 0, 1], [-9, 0, 1]), ALL_BITS,
+                     id="(x^2-8)(x^2-9)"),
+        # B = 3, so the first midpoint is the root 2
+        pytest.param(_product([-2, 1], [1, 0, 1]), ALL_BITS,
+                     id="(x-2)(x^2+1)"),
+    ]
+)
+
+
+@pytest.mark.parametrize("core, precisions", ORACLE_INPUTS)
+def test_sign_refinement_matches_all_chain_bisection(core, precisions):
+    if isinstance(core, tuple):
+        core = _core(*core)
+    expected = all_chain_bisection(core, precisions)
+    for bits in precisions:
+        iso = leading_salem_root(core, bits)
+        assert (iso.low, iso.high) == expected[bits], bits
