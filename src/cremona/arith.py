@@ -29,6 +29,7 @@ from floats; everything else calls it or the overloaded operators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import mpmath
@@ -391,24 +392,34 @@ class BigFloat:
         return hash(self.value)
 
 
-def nf_embed(a: NumberFieldElement, root: BigFloat) -> BigFloat:
-    """Evaluate the residue at a numerical root of the modulus.
-
-    ``root`` must actually solve the modulus at its stated precision; this is
-    checked and violations raise ``InconsistentEmbeddingError``.
-    """
-    prec = root.precision_bits
+@lru_cache(maxsize=64)
+def _check_root(modulus: IntegerPolynomial, value, prec: int) -> None:
+    """Raise ``InconsistentEmbeddingError`` unless ``value`` solves the
+    modulus at ``prec`` bits.  Only a passing check is remembered, so each
+    (modulus, root) pair is evaluated once and a bad root raises every time."""
     with mpmath.workprec(prec):
-        mod_val = a.modulus(root.value)
+        mod_val = modulus(value)
         # scale-aware tolerance: Horner on a degree-d poly loses O(d) bits
-        scale = max(1, max(abs(c) for c in a.modulus.coeffs)) * max(
-            1, abs(root.value)
-        ) ** max(1, a.modulus.degree)
+        scale = max(1, max(abs(c) for c in modulus.coeffs)) * max(
+            1, abs(value)
+        ) ** max(1, modulus.degree)
         tol = mpmath.mpf(2) ** (-(prec - 16))
         if abs(mod_val) > scale * tol:
             raise InconsistentEmbeddingError(
                 f"claimed root is off by {mod_val} at {prec} bits"
             )
+
+
+def nf_embed(a: NumberFieldElement, root: BigFloat) -> BigFloat:
+    """Evaluate the residue at a numerical root of the modulus.
+
+    ``root`` must actually solve the modulus at its stated precision; this is
+    checked once per (modulus, root) and violations raise
+    ``InconsistentEmbeddingError``.
+    """
+    prec = root.precision_bits
+    _check_root(a.modulus, root.value, prec)
+    with mpmath.workprec(prec):
         acc = mpmath.mpf(0)
         for c in reversed(a.residue):
             acc = acc * root.value + mpmath.mpf(c.numerator) / c.denominator

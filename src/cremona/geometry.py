@@ -336,12 +336,6 @@ def apply_J_biproj(p: BiProjectivePoint) -> BiProjectivePoint:
     return BiProjectivePoint(first, second)
 
 
-def apply_J_biproj_inverse(p: BiProjectivePoint) -> BiProjectivePoint:
-    """(x, y) -> (1/y, x/y), the reversal of apply_J_biproj."""
-    second, first = apply_J_multi([p.y, p.x])
-    return BiProjectivePoint(first, second)
-
-
 # ---------------------------------------------------------------------------
 # concurrent lines
 

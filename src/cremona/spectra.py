@@ -4,15 +4,19 @@ Salem root isolation.
 ``char_poly_pk`` builds (x^{n+k}-1)(x^2-1) - x(x^{k+1}-1)(x^{n-1}-1) for the
 projective-space family; ``char_poly_biproj`` builds the biprojective variant.
 ``strip_cyclotomic`` removes every cyclotomic factor by exact trial division
-over the indices d with phi(d) <= deg, phi read from one sieve
+over the indices d with phi(d) <= deg, phi read from one sieve per process
 (``totients``), leaving a Salem core (or a constant for the exceptional
 parameter pairs); ``salem_factor`` is the one place that turns that core into
 the Salem factor every caller uses.
-Root isolation first bisects on Sturm counts until one root is left in the
-interval, then refines by the sign of the squarefree polynomial alone; every
-decision is exact, so each reported root carries a certified isolating
-interval.  The Sturm chain is the pseudo-remainder chain of the polynomial
-itself, rebuilt from its squarefree part only when it has a repeated factor.
+Root isolation reports the interval that bisection of (1, B] ends in, in
+three phases: Sturm counts isolate the largest root; fixed-point Newton
+steps then guess the dyadic cell of the final width that holds it, which is
+accepted only on an exact certificate, the signs of the squarefree
+polynomial at the cell's two ends; if no candidate cell is certified,
+bisection on that sign finishes.  Every decision is exact, so each reported
+root carries a certified isolating interval.  The Sturm chain is the
+pseudo-remainder chain of the polynomial itself, rebuilt from its
+squarefree part only when it has a repeated factor.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, gcd
 from typing import Optional
 
 from .arith import DEFAULT_PRECISION_BITS, BigFloat
@@ -100,30 +104,44 @@ def totients(limit: int) -> list:
     return phi
 
 
+_PHI = [0]  # phi(d) for d < len(_PHI), grown by _phi_table
+
+
+def _phi_table(limit: int) -> list:
+    """phi(d) for 0 <= d <= limit (at least), from one sieve per process;
+    a larger limit rebuilds it at no less than twice the old size, so a
+    sweep of growing degrees sieves O(1) times."""
+    global _PHI
+    if len(_PHI) <= limit:
+        _PHI = totients(max(limit, 2 * len(_PHI)))
+    return _PHI
+
+
 def strip_cyclotomic(p: IntegerPolynomial):
     """Split p = +-(core) * prod Phi_d^mult with a cyclotomic-free core.
 
     Every index d with phi(d) <= deg p is tried (d <= 2 deg^2 suffices since
-    phi(d) >= sqrt(d/2)), with phi read from one sieve; division is exact, so
-    the factor list reconstructs the input exactly.
+    phi(d) >= sqrt(d/2)), with phi read from the process's sieve; division is
+    exact, so the factor list reconstructs the input exactly.
     """
     if p.is_zero():
         raise ValueError("cannot strip the zero polynomial")
     core = p
+    degree = p.degree
     factors = []
-    limit = 2 * p.degree * p.degree
-    phi = totients(limit)
+    limit = 2 * degree * degree
+    phi = _phi_table(limit)
     for d in range(1, limit + 1):
-        if core.degree == 0:
+        if degree == 0:
             break
-        if phi[d] > core.degree:
+        if phi[d] > degree:
             continue
         mult = 0
         while True:
             quot = core.try_divide(cyclotomic(d))
             if quot is None:
                 break
-            core = quot
+            core, degree = quot, quot.degree
             mult += 1
         if mult:
             factors.append((d, mult))
@@ -228,18 +246,100 @@ class IsolatedRoot:
         return self.high - self.low
 
 
+def _halvings(width: Fraction, bits: int) -> int:
+    """The least m >= 0 with width / 2^m < 2^-bits, from bit lengths."""
+    scaled = width.numerator << bits
+    den = width.denominator
+    if den > scaled:
+        return 0
+    m = scaled.bit_length() - den.bit_length()
+    return m if den << m > scaled else m + 1
+
+
+def _sign_bisect(squarefree, lo, hi, s_hi, steps):
+    """``steps`` halvings of (lo, hi], keeping the half that holds the one
+    simple root r: r > mid iff r = hi or p changes sign across (mid, hi)."""
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        s_mid = squarefree.sign_at(mid)
+        if s_mid != 0 and (s_hi == 0 or s_mid != s_hi):
+            lo = mid
+        else:
+            hi, s_hi = mid, s_mid
+    return lo, hi, s_hi
+
+
+def _newton(coeffs, x: Fraction, bits: int):
+    """Approximation X / 2^P of the simple root near x, by one Newton step
+    in fixed-point integers at each of a doubling sequence of precisions P,
+    up to ``bits`` plus the bits Horner's rule loses at x.  A guess only:
+    the caller trusts no cell without an exact sign certificate."""
+    deg = len(coeffs) - 1
+    # Horner at x loses up to log2((deg + 1) max(1, |x|)^deg) bits
+    magnitude = (abs(x.numerator) // x.denominator).bit_length()
+    guard = 16 + (deg + 1).bit_length() + deg * magnitude
+    # each step roughly doubles the correct bits; 16 spare bits a level
+    # absorb the constant |p''/2p'| of that doubling
+    precisions = [bits + guard]
+    while precisions[-1] > 48:
+        precisions.append(precisions[-1] // 2 + 16)
+    prev = precisions[-1]
+    big = (x.numerator << prev) // x.denominator
+    for prec in reversed(precisions):
+        big <<= prec - prev
+        prev = prec
+        value, slope = coeffs[-1] << prec, 0
+        for c in reversed(coeffs[:-1]):
+            slope = (slope * big >> prec) + value
+            value = (value * big >> prec) + (c << prec)
+        if slope == 0:
+            break
+        big -= (value << prec) // slope
+    return Fraction(big, 1 << prev)
+
+
+def _certified_cell(squarefree, lo: Fraction, width: Fraction, guess: Fraction,
+                    cells: int):
+    """The cell (lo + j w, lo + (j + 1) w] holding the one root of the
+    squarefree polynomial in (lo, lo + cells w], tried at the cell of the
+    guess and its two neighbours; None if none of them is certified.
+
+    A cell is certified when p(c_hi) = 0, or when p(c_lo) != 0 and the signs
+    at its ends differ: both say the root of (lo, lo + cells w] is in it.
+    """
+    j = min(max(ceil((guess - lo) / width) - 1, 0), cells - 1)
+    signs = {}
+
+    def sign(i):
+        if i not in signs:
+            signs[i] = squarefree.sign_at(lo + i * width)
+        return signs[i]
+
+    for cell in (j, j - 1, j + 1):
+        if 0 <= cell < cells:
+            s_lo, s_hi = sign(cell), sign(cell + 1)
+            if s_hi == 0 or (s_lo != 0 and s_lo != s_hi):
+                return lo + cell * width, lo + (cell + 1) * width
+    return None
+
+
 def leading_salem_root(
     core: IntegerPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Optional[IsolatedRoot]:
     """Certified isolating interval for the largest real root > 1, if any.
 
-    Bisection over (1, B] in two phases.  Sturm counts isolate the largest
-    root: the half (mid, hi] is kept while it holds a root, until (lo, hi]
-    holds exactly one.  Then the sign of the squarefree polynomial alone
-    decides each half, until the width is below 2^-precision_bits.  Both
-    phases make the same exact decisions, so the interval is the one Sturm
-    counts at every step would give.  Returns None when the core has no real
-    root exceeding 1.
+    The interval is the one bisection of (1, B] down to a width below
+    2^-precision_bits ends in, found in three phases.  Sturm counts isolate
+    the largest root: the half (mid, hi] is kept while it holds a root,
+    until (lo, hi] holds exactly one.  The halvings left to make are then
+    counted, and the dyadic cells of (lo, hi] of the final width are
+    indexed: a few sign bisections and fixed-point Newton steps guess the
+    root, and the cell holding the guess (or a neighbour) is accepted on an
+    exact certificate, the signs of the squarefree polynomial at its two
+    ends.  Should no candidate be certified, bisection on that sign
+    finishes the job.  Floats only propose a cell; every decision is exact,
+    and the interval is the one Sturm counts at every step would give.
+    Returns None when the core has no real root exceeding 1.
     """
     if core.degree < 1:
         return None
@@ -248,7 +348,6 @@ def leading_salem_root(
     v_lo, v_hi = _sign_changes(chain, lo), _sign_changes(chain, hi)
     if v_lo == v_hi:
         return None
-    target_width = Fraction(1, 2 ** precision_bits)
     # a rational root at mid needs no care: Sturm counts on the half-open
     # (mid, hi] stay exact, and a largest root at mid stays in (lo, mid]
     while v_lo - v_hi > 1:
@@ -258,17 +357,22 @@ def leading_salem_root(
             lo, v_lo = mid, v_mid
         else:
             hi, v_hi = mid, v_mid
-    # one simple root r in (lo, hi]: r > mid iff r = hi or p changes sign
-    # across (mid, hi)
+    # one simple root in (lo, hi], which bisection would halve `halvings`
+    # more times: by sign down to 2^-24, then to the certified cell
     squarefree = chain[0]
-    s_hi = squarefree.sign_at(hi)
-    while hi - lo >= target_width:
-        mid = (lo + hi) / 2
-        s_mid = squarefree.sign_at(mid)
-        if s_mid != 0 and (s_hi == 0 or s_mid != s_hi):
-            lo = mid
-        else:
-            hi, s_hi = mid, s_mid
+    halvings = _halvings(hi - lo, precision_bits)
+    if halvings:
+        coarse = min(halvings, _halvings(hi - lo, 24))
+        lo, hi, s_hi = _sign_bisect(squarefree, lo, hi, squarefree.sign_at(hi), coarse)
+        halvings -= coarse
+        if halvings:
+            guess = _newton(squarefree.coeffs, (lo + hi) / 2, precision_bits)
+            cell = _certified_cell(squarefree, lo, (hi - lo) / (1 << halvings),
+                                   guess, 1 << halvings)
+            if cell is None:
+                lo, hi, _ = _sign_bisect(squarefree, lo, hi, s_hi, halvings)
+            else:
+                lo, hi = cell
     import mpmath
 
     with mpmath.workprec(precision_bits + 16):

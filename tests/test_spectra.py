@@ -2,9 +2,12 @@
 cross-checked against sympy as an independent oracle."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremona import spectra
 from cremona.polynomials import IntegerPolynomial
@@ -312,6 +315,11 @@ ORACLE_INPUTS = (
         # B = 3, so the first midpoint is the root 2
         pytest.param(_product([-2, 1], [1, 0, 1]), ALL_BITS,
                      id="(x-2)(x^2+1)"),
+        # roots 1 + 2^-100 and 1 + 2^-99: the Sturm phase alone ends below
+        # 2^-64, so no sign halving is left at 64 bits
+        pytest.param(_product([-(2 ** 100 + 1), 2 ** 100],
+                              [-(2 ** 100 + 2), 2 ** 100]), ALL_BITS,
+                     id="(2^100x-2^100-1)(2^100x-2^100-2)"),
     ]
 )
 
@@ -324,3 +332,63 @@ def test_sign_refinement_matches_all_chain_bisection(core, precisions):
     for bits in precisions:
         iso = leading_salem_root(core, bits)
         assert (iso.low, iso.high) == expected[bits], bits
+
+
+def test_halvings_match_repeated_halving():
+    for width in (Fraction(3), Fraction(1, 3), Fraction(5, 2 ** 70),
+                  Fraction(1, 2 ** 64), Fraction(2 ** 80 + 1, 7)):
+        for bits in (0, 1, 24, 64, 256):
+            m, w = 0, width
+            while w >= Fraction(1, 2 ** bits):
+                m, w = m + 1, w / 2
+            assert spectra._halvings(width, bits) == m, (width, bits)
+
+
+def _guess_at(offset):
+    """A stand-in for the Newton step that guesses its start point plus
+    ``offset``."""
+    return lambda coeffs, x, bits: x + offset
+
+
+# the start point is the middle of a bracket narrower than 2^-24: 2^-27 off
+# is some 2^(bits-27) cells away from the root, 1 off is left of the
+# bracket, so the guess lands on its first cell
+@pytest.mark.parametrize("offset", [Fraction(-1, 2 ** 27), Fraction(1, 2 ** 27),
+                                    Fraction(-1)], ids=["far-low", "far-high", "lo"])
+@pytest.mark.parametrize("core, bits", [(LEHMER, 256), (("pk", 3, 20), 64),
+                                        (("biproj", 2, 25), 512)],
+                         ids=["lehmer-256", "pk-3-20-64", "biproj-2-25-512"])
+def test_wrong_guess_falls_back_to_bisection(core, bits, offset, monkeypatch):
+    if isinstance(core, tuple):
+        core = _core(*core)
+    expected = all_chain_bisection(core, (bits,))[bits]
+    fallbacks = []
+    bisect = spectra._sign_bisect
+    monkeypatch.setattr(spectra, "_newton", _guess_at(offset))
+    monkeypatch.setattr(spectra, "_sign_bisect",
+                        lambda *args: fallbacks.append(args[-1]) or bisect(*args))
+    iso = leading_salem_root(core, bits)
+    assert (iso.low, iso.high) == expected
+    # the coarse halvings, then the rest once no candidate cell is certified
+    assert len(fallbacks) == 2 and fallbacks[1] > 2
+
+
+linear = st.tuples(st.integers(1, 2 ** 40), st.integers(-2 ** 42, 2 ** 42)).map(
+    lambda ab: [-ab[1], ab[0]])
+quadratic = st.tuples(st.integers(-2 ** 20, 2 ** 20), st.integers(-2 ** 20, 2 ** 20)).map(
+    lambda bc: [bc[1], bc[0], 1])
+# a root a/b > 1 makes sure there is a largest root to find
+above_one = st.tuples(st.integers(1, 2 ** 30), st.integers(1, 2 ** 30)).map(
+    lambda ab: [-(ab[0] + ab[1]), ab[1]])
+
+
+@given(above_one, st.lists(st.one_of(linear, quadratic), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_cell_certificate_matches_sign_bisection(root_factor, factors):
+    poly = _product(root_factor, *factors)
+    for bits in (64, 256, 512):
+        with mock.patch.object(spectra, "_certified_cell", lambda *args: None):
+            expected = leading_salem_root(poly, bits)
+        iso = leading_salem_root(poly, bits)
+        assert (iso.low, iso.high) == (expected.low, expected.high), bits
+        assert iso.value.value == expected.value.value
