@@ -6,11 +6,15 @@ numerator coefficients of degree < d over one positive common denominator,
 in lowest terms, so that equal elements have equal representations.
 Multiplication is an integer convolution followed by reduction modulo S,
 which needs no division because S is monic; addition cross-multiplies the
-denominators.  Inversion is fraction-free: Bareiss elimination solves the
-integer system "numerator times u = 1 modulo S".  A singular system means a
-nontrivial gcd with the modulus, which is surfaced as a ``ZeroDivisorError``
-carrying that factor, since it certifies that the claimed Salem factor is
-reducible.
+denominators, and ``dot`` sums a row of products over one denominator with
+one reduction.  Inversion is p-adic: the numerator is inverted modulo
+(S, p) for a 62-bit prime p, the inverse is lifted by Newton's iteration
+modulo p^2, p^4, ... and rationally reconstructed, and a candidate is
+accepted only when its product with the element is exactly 1, which
+certifies it; intermediate values stay near the size of the inverse.  A
+numerator that shares a factor with the modulus is surfaced as a
+``ZeroDivisorError`` carrying that factor, since it certifies that the
+claimed Salem factor is reducible.
 
 Heights are controlled where orbits are iterated: ``normalize`` scales an
 exact point with an irrational coordinate to a unit leading coordinate, so
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import mpmath
 
@@ -79,10 +83,10 @@ class NumberField:
         den = lcm(*(f.denominator for f in fracs))
         return self._element([f.numerator * (den // f.denominator) for f in fracs], den)
 
-    def _element(self, num: list, den: int) -> "NumberFieldElement":
-        """The element num(x) / den for integers num (consumed) and den > 0:
-        num is reduced modulo S, which needs no division since S is monic,
-        and the fraction is put in lowest terms."""
+    def _reduce(self, num: list) -> list:
+        """num(x) modulo S, in place: integer coefficients, constant term
+        first, of which the first deg S are kept.  S is monic, so this needs
+        no division."""
         d = self.degree
         for i in range(len(num) - 1, d - 1, -1):
             c = num[i]
@@ -91,6 +95,12 @@ class NumberField:
                 for j, s in self._tail:
                     num[base + j] -= c * s
         del num[d:]
+        return num
+
+    def _element(self, num: list, den: int) -> "NumberFieldElement":
+        """The element num(x) / den for integers num (consumed) and den > 0:
+        num is reduced modulo S and the fraction is put in lowest terms."""
+        self._reduce(num)
         while num and not num[-1]:
             num.pop()
         if not num:
@@ -200,15 +210,9 @@ class NumberFieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        a, b = self.num, o.num
-        if not a or not b:
+        if not self.num or not o.num:
             return self.field.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-        return self.field._element(out, self.den * o.den)
+        return self.field._element(_convolve(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -255,50 +259,206 @@ class NumberFieldElement:
         return f"NFE({list(self.residue)} mod {self.modulus})"
 
 
+def _convolve(a, b, out=None, scale=1) -> list:
+    """The coefficients of a(x) b(x), each times ``scale``, added into
+    ``out`` (a new list when None); a and b are nonempty."""
+    if out is None:
+        out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            ai *= scale
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
+def dot(row, vec):
+    """sum(r * v for r, v in zip(row, vec)).  When the entries are exact and
+    one lies in a number field, the products' integer convolutions are
+    summed over one common denominator and the sum is reduced modulo S and
+    put in lowest terms once, instead of once per product."""
+    field = next(
+        (x.field for x in (*row, *vec) if isinstance(x, NumberFieldElement)), None
+    )
+    if field is None or not all(map(is_exact, (*row, *vec))):
+        return sum(r * v for r, v in zip(row, vec))
+    one = field.one()
+    terms = []
+    for r, v in zip(row, vec):
+        r, v = one._coerce(r), one._coerce(v)
+        if r.num and v.num:
+            terms.append((r.num, v.num, r.den * v.den))
+    if not terms:
+        return field.zero()
+    den = lcm(*(t[2] for t in terms))
+    out = [0] * max(len(a) + len(b) - 1 for a, b, _ in terms)
+    for a, b, t_den in terms:
+        _convolve(a, b, out, den // t_den)
+    return field._element(out, den)
+
+
+# The four largest primes below 2^62.  A prime that divides the resultant of
+# an element's numerator and the modulus cannot invert it and is skipped.
+_PRIMES = (
+    4611686018427387847,
+    4611686018427387817,
+    4611686018427387787,
+    4611686018427387761,
+)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, for 2 <= n < 2^64,
+    where these bases make it exact."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    odd, twos = n - 1, 0
+    while not odd & 1:
+        odd >>= 1
+        twos += 1
+    for b in bases:
+        x = pow(b, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """``_PRIMES``, then the other primes below 2^62 in descending order,
+    found lazily; the sequence is the same on every run."""
+    yield from _PRIMES
+    n = 1 << 62
+    while True:
+        n -= 1
+        if n not in _PRIMES and _is_prime(n):
+            yield n
+
+
+def _inverse_mod_p(a: tuple, s: tuple, p: int):
+    """u with a u = 1 modulo (s, p) by the extended Euclidean algorithm over
+    F_p, or None when gcd(a, s) mod p is not a unit.  Coefficient lists are
+    constant term first; s is monic and longer than a."""
+    r0, r1 = [c % p for c in s], [c % p for c in a]
+    while r1 and not r1[-1]:
+        r1.pop()
+    t0, t1 = [], [1]  # t_i a = r_i modulo s
+    while len(r1) > 1:
+        # r0 = q r1 + r, then t0 - q t1 goes with r
+        r = r0[:]
+        inv_lead = pow(r1[-1], -1, p)
+        shift = len(r0) - len(r1)
+        q = [0] * (shift + 1)
+        for i in range(shift, -1, -1):
+            c = r[i + len(r1) - 1] * inv_lead % p
+            if c:
+                q[i] = c
+                for j, b in enumerate(r1, i):
+                    r[j] = (r[j] - c * b) % p
+        del r[len(r1) - 1:]
+        while r and not r[-1]:
+            r.pop()
+        t = t0 + [0] * (len(q) + len(t1) - 1 - len(t0))
+        for i, c in enumerate(q):
+            if c:
+                for j, b in enumerate(t1, i):
+                    t[j] = (t[j] - c * b) % p
+        while t and not t[-1]:
+            t.pop()
+        r0, r1, t0, t1 = r1, r, t1, t
+    if not r1:
+        return None  # the gcd is r0, of positive degree
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in t1]
+
+
+def _rational_reconstruction(c: int, m: int, bound: int):
+    """(n, d) with n = c d modulo m, |n| <= bound, 0 < d <= bound and
+    gcd(n, d) = 1, or None; Wang's half-extended Euclidean algorithm.  Such
+    a fraction is unique when 2 bound^2 < m."""
+    r0, r1, t0, t1 = m, c, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(u: list, m: int):
+    """Integers (nums, den) with u_i = nums_i / den modulo m, all within
+    Wang's bound sqrt(m/2), or None.  Each coefficient is reconstructed
+    after multiplying it by the denominator found so far, so a common
+    denominator costs its size once, not once per coefficient."""
+    bound = isqrt(m // 2)
+    nums, den = [], 1
+    for c in u:
+        frac = _rational_reconstruction(c * den % m, m, bound)
+        if frac is None:
+            return None
+        n, d = frac
+        if d != 1:
+            den *= d
+            if den > bound:
+                return None
+            nums = [x * d for x in nums]
+        nums.append(n)
+    return nums, den
+
+
 def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
-    """1 / a, fraction-free: Bareiss elimination solves M u = e_0 over the
-    integers, M being the matrix of multiplication by a's numerator modulo S
-    (column j holds num(x) x^j mod S); then 1/a = den u(x).  A singular M
-    means num shares a factor with S, which is raised."""
+    """1 / a by p-adic lifting with a certificate.
+
+    The numerator is inverted modulo (S, p) by Euclid over F_p, for the
+    first prime p of a fixed sequence that does not divide its resultant
+    with S; Newton's iteration u <- u (2 - num u) lifts the inverse modulo
+    p^2, p^4, ...; after each lift the coefficients are rationally
+    reconstructed over a running common denominator.  A candidate is
+    returned only when candidate * num = 1 holds exactly modulo S: that
+    product is the certificate, so no bound on the inverse's height is
+    needed, and a failed one lifts further.  If every fixed prime fails,
+    gcd(num, S) is computed over Q: a nonconstant gcd is raised as a
+    ``ZeroDivisorError`` (it certifies that S is reducible), a constant one
+    means the primes were unlucky and further primes are drawn."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero in number field")
     field, num, den = a.field, a.num, a.den
     if len(num) == 1:
         c = num[0]
         return NumberFieldElement(field, (den if c > 0 else -den,), abs(c))
+    modulus = field.modulus.coeffs
+    for tried, p in enumerate(_primes()):
+        if tried == len(_PRIMES):
+            factor = rat_gcd_monic(a.residue, field.modulus.to_rational())
+            if len(factor) > 1:
+                raise ZeroDivisorError(factor)
+        u = _inverse_mod_p(num, modulus, p)
+        if u is not None:
+            break
     d = field.degree
-    cols = [list(num) + [0] * (d - len(num))]
-    for _ in range(d - 1):
-        nxt = field._element([0] + cols[-1], 1)
-        cols.append(list(nxt.num) + [0] * (d - len(nxt.num)))
-    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
-    prev = 1
-    for k in range(d):
-        piv = next((r for r in range(k, d) if rows[r][k]), None)
-        if piv is None:
-            # gcd(num, S) is nonconstant: S is reducible and it is a witness
-            modulus = field.modulus.to_rational()
-            raise ZeroDivisorError(rat_gcd_monic(a.residue, modulus))
-        rows[k], rows[piv] = rows[piv], rows[k]
-        top = rows[k]
-        p = top[k]
-        for r in range(k + 1, d):
-            row = rows[r]
-            f = row[k]
-            row[k + 1:] = [
-                (p * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])
-            ]
-        prev = p
-    # back substitution for y = det u, which Cramer's rule makes integral
-    det = prev
-    y = [0] * d
-    for i in range(d - 1, -1, -1):
-        row = rows[i]
-        acc = det * row[d] - sum(row[j] * y[j] for j in range(i + 1, d))
-        y[i] = acc // row[i]
-    if det < 0:
-        det, den = -det, -den
-    return field._element([den * c for c in y], det)
+    u += [0] * (d - len(u))
+    m = p
+    while True:
+        # num u = 1 - m h modulo S with h integral, and u (1 + m h) inverts
+        # num modulo m^2
+        e = field._reduce(_convolve(num, u))
+        e[0] -= 1
+        h = [-(c // m) for c in e]
+        uh = field._reduce(_convolve(u, h))
+        u = [c + m * (x % m) for c, x in zip(u, uh)]
+        m *= m
+        found = _reconstruct(u, m)
+        if found is not None:
+            nums, inv_den = found
+            if field._reduce(_convolve(num, nums)) == [inv_den] + [0] * (d - 1):
+                return field._element([den * c for c in nums], inv_den)
 
 
 class BigFloat:

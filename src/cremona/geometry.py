@@ -24,6 +24,7 @@ from .arith import (
     NumberFieldElement,
     align,
     close,
+    dot,
     gap,
     inverse,
     is_zero,
@@ -233,13 +234,12 @@ class LinearMap:
 
 
 def apply_linear(m: LinearMap, p: ProjectivePoint) -> ProjectivePoint:
+    """The image m p, normalized (``ProjectivePoint.normalized``): the one
+    rescaling of a map step, since ``apply_J`` and ``apply_J_multi`` leave
+    their images as they come."""
     if m.size != len(p.coords):
         raise ValueError("dimension mismatch")
-    out = [
-        sum((m.matrix[i][j] * p.coords[j] for j in range(m.size)))
-        for i in range(m.size)
-    ]
-    return ProjectivePoint(out).normalized()
+    return ProjectivePoint([dot(row, p.coords) for row in m.matrix]).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,8 @@ def param_recover(p: ProjectivePoint, k: int) -> CurveParam:
 
 def apply_J(p: ProjectivePoint) -> ProjectivePoint:
     """Standard Cremona involution in polynomial form: coordinate i of the
-    image is the product of the other coordinates."""
+    image is the product of the other coordinates.  The image is not
+    normalized; ``apply_linear`` normalizes the step that follows."""
     zeros = p.zero_pattern()
     if len(zeros) >= 2:
         raise IndeterminacyError(
@@ -303,12 +304,13 @@ def apply_J(p: ProjectivePoint) -> ProjectivePoint:
             if j != i:
                 prod = p.coords[j] if prod is None else prod * p.coords[j]
         out.append(prod)
-    return ProjectivePoint(out).normalized()
+    return ProjectivePoint(out)
 
 
 def apply_J_multi(factors: Sequence[ProjectivePoint]):
     """Multiprojective Cremona map (x, y1, .., y_{m-1}) -> (y1/x, .., 1/x)
-    in polynomial form. For m = 1 this is the standard involution."""
+    in polynomial form. For m = 1 this is the standard involution.  The
+    factors are not normalized, as in ``apply_J``."""
     x = factors[0]
     n = len(x.coords)
     rec = []
@@ -323,10 +325,10 @@ def apply_J_multi(factors: Sequence[ProjectivePoint]):
         comp = [y.coords[i] * rec[i] for i in range(n)]
         if all(map(is_zero, comp)):
             raise IndeterminacyError("output factor degenerated to zero")
-        out.append(ProjectivePoint(comp).normalized())
+        out.append(ProjectivePoint(comp))
     if all(map(is_zero, rec)):
         raise IndeterminacyError("reciprocal factor degenerated to zero")
-    out.append(ProjectivePoint(rec).normalized())
+    out.append(ProjectivePoint(rec))
     return out
 
 

@@ -82,16 +82,47 @@ def char_poly_biproj(k: int, n: int) -> IntegerPolynomial:
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntegerPolynomial:
-    """The d-th cyclotomic polynomial, by recursive exact division of x^d - 1."""
+    """The d-th cyclotomic polynomial.
+
+    Phi_d(x) = Phi_r(x^(d/r)) for r the product of the primes dividing d.
+    For squarefree r > 1, Phi_r(x) is the product over e | r of
+    (1 - x^e)^mu(r/e) (the signs of the binomials x^e - 1 cancel, since the
+    mu(r/e) sum to 0), a power series with constant term 1 known from its
+    first phi(r) + 1 coefficients: multiplying by 1 - x^e, or dividing by it
+    exactly, is one pass over them."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    poly = _xn_minus_1(d)
-    for e in range(1, d):
-        if d % e == 0:
-            quot = poly.try_divide(cyclotomic(e))
-            assert quot is not None
-            poly = quot
-    return poly
+    if d == 1:
+        return _xn_minus_1(1)
+    primes, rest, f = [], d, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        primes.append(rest)
+    signed = [(1, (-1) ** len(primes))]  # (e, mu(r/e)) for the e | r
+    radical, degree = 1, 1
+    for p in primes:
+        signed += [(e * p, -mu) for e, mu in signed]
+        radical *= p
+        degree *= p - 1
+    series = [1] + [0] * degree
+    for e, mu in signed:
+        if e > degree:
+            continue  # 1 - x^e is 1 to this order
+        if mu > 0:
+            for i in range(degree, e - 1, -1):
+                series[i] -= series[i - e]
+        else:
+            for i in range(e, degree + 1):
+                series[i] += series[i - e]
+    step = d // radical
+    coeffs = [0] * (degree * step + 1)
+    coeffs[::step] = series
+    return IntegerPolynomial(coeffs)
 
 
 def totients(limit: int) -> list:

@@ -9,15 +9,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cremona import arith
 from cremona.arith import (
     BigFloat,
     InconsistentEmbeddingError,
     NumberField,
     ZeroDivisorError,
+    dot,
     nf_embed,
 )
 from cremona.polynomials import IntegerPolynomial
-from cremona.spectra import leading_salem_root
+from cremona.spectra import char_poly_pk, leading_salem_root, salem_factor
 
 LEHMER = IntegerPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 FIELD = NumberField(LEHMER)
@@ -191,3 +193,111 @@ def test_nf_embed_matches_sympy_to_60_digits(field, data):
     )
     got = sympy.Float(mpmath.nstr(nf_embed(a, root).value, 75), 90)
     assert abs(got - expected) <= sympy.Float(10, 90) ** -60 * max(1, abs(expected))
+
+
+# ---------------------------------------------------------------------------
+# inversion at the frontier: the Salem factors of pk (2, 40) and pk (2, 60),
+# of degrees 36 and 62
+
+SALEM_2_40 = salem_factor(char_poly_pk(2, 40))[1]
+SALEM_2_60 = salem_factor(char_poly_pk(2, 60))[1]
+
+
+def _sparse_elements(field):
+    """Elements with one to three small nonzero coefficients.  Their inverses
+    are dense, with hundreds of bits, yet sympy finds them in well under a
+    second; a dense element takes sympy seconds at degree 36 and minutes at
+    degree 62."""
+    return st.dictionaries(
+        st.integers(0, field.degree - 1),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+        min_size=1,
+        max_size=3,
+    ).map(lambda terms: field.element(
+        [terms.get(i, 0) for i in range(field.degree)]
+    ))
+
+
+@pytest.mark.parametrize(
+    "field", [NumberField(SALEM_2_40), NumberField(SALEM_2_60)],
+    ids=["pk-2-40", "pk-2-60"],
+)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_inverse_matches_sympy_at_the_frontier(field, data):
+    a = data.draw(_sparse_elements(field))
+    S = _sympy_poly(field.modulus.to_rational())
+    expected = sympy.invert(_sympy_poly(a.residue), S)
+    assert a.inverse().residue == _residue(expected)
+
+
+def test_zero_divisor_reports_factor_at_degree_38():
+    # the Salem factor of pk (2, 40) times Phi_3, where Phi_3 itself is a
+    # zero divisor: every prime fails, and gcd over Q names the factor
+    phi3 = IntegerPolynomial([1, 1, 1])
+    fld = NumberField(SALEM_2_40 * phi3)
+    assert fld.degree == 38
+    with pytest.raises(ZeroDivisorError) as exc:
+        fld.element(phi3.coeffs).inverse()
+    assert exc.value.factor == phi3.to_rational()
+
+
+def test_unlucky_primes_are_skipped(monkeypatch):
+    # the resultant of x + 6 and Lehmer's polynomial is 23 * 89 * 24733; with
+    # those as the fixed primes, inversion modulo each fails, gcd over Q is
+    # constant, and the inverse comes from a prime drawn afterwards
+    a = FIELD.gen() + 6
+    A, S = _sympy_poly(a.residue), _sympy_poly(LEHMER.to_rational())
+    unlucky = tuple(sympy.primefactors(sympy.resultant(A, S)))
+    assert unlucky == (23, 89, 24733)
+    monkeypatch.setattr(arith, "_PRIMES", unlucky)
+    tried = []
+    real = arith._inverse_mod_p
+
+    def recording(num, modulus, p):
+        u = real(num, modulus, p)
+        tried.append((p, u is None))
+        return u
+
+    monkeypatch.setattr(arith, "_inverse_mod_p", recording)
+    assert a.inverse().residue == _residue(sympy.invert(A, S))
+    assert tried[:3] == [(p, True) for p in unlucky]
+    assert tried[-1][0] not in unlucky and not tried[-1][1]
+
+
+def test_prime_sequence():
+    # the fixed primes, then the primes below 2^62 that follow them
+    expected, p = [], 1 << 62
+    for _ in range(7):
+        p = sympy.prevprime(p)
+        expected.append(p)
+    primes = arith._primes()
+    assert [next(primes) for _ in range(7)] == expected
+    assert arith._PRIMES == tuple(expected[:len(arith._PRIMES)])
+    small = [n for n in range(2, 2000) if arith._is_prime(n)]
+    assert small == list(sympy.primerange(2000))
+
+
+scalars = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    elements,
+)
+floats = st.one_of(
+    st.integers(-9, 9),
+    st.floats(-4, 4).map(lambda v: BigFloat(v, 128)),
+)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(scalars, min_size=n, max_size=n),
+    st.lists(scalars, min_size=n, max_size=n),
+    st.lists(floats, min_size=n, max_size=n),
+)))
+@settings(max_examples=50, deadline=None)
+def test_dot_is_the_plain_sum(vectors):
+    row, vec, float_vec = vectors
+    for r, v in [(row, vec), (row, row), (float_vec, float_vec)]:
+        got, expected = dot(r, v), sum(x * y for x, y in zip(r, v))
+        assert type(got) is type(expected)
+        assert got == expected

@@ -109,6 +109,41 @@ def test_normalized_orbit_is_the_unscaled_orbit():
     assert len(rep.orbit_points) == c.n - 1
 
 
+def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
+    # apply_linear normalizes each factor once; the involutions rescale nothing
+    from cremona import arith, verify
+    from cremona.geometry import apply_J, apply_J_multi
+
+    inversions = []
+    real_invert, real_step = arith.nf_invert, verify._step_points
+
+    def counting_invert(a):
+        inversions.append(a)
+        return real_invert(a)
+
+    per_step = []
+
+    def counting_step(family, mats, point):
+        before = len(inversions)
+        out = real_step(family, mats, point)
+        per_step.append((len(inversions) - before, len(point)))
+        return out
+
+    monkeypatch.setattr(arith, "nf_invert", counting_invert)
+    monkeypatch.setattr(verify, "_step_points", counting_step)
+    for c in (construct_pk(2, 20), construct_biproj(3, 8)):
+        per_step.clear()
+        assert verify_orbit(c, backend="exact").all_passed
+        assert len(per_step) == c.n - 1
+        assert all(count <= factors for count, factors in per_step), per_step
+    delta = construct_pk(2, 20).delta
+    p = ProjectivePoint([delta, delta + 1, 2 * delta])
+    inversions.clear()
+    apply_J(p)
+    apply_J_multi([p, p])
+    assert not inversions
+
+
 def test_curve_invariance_pk_20_samples():
     c = construct_pk(2, 8)
     rep = verify_curve_invariance(c, samples=20, backend="exact")
