@@ -21,8 +21,15 @@ exact point with an irrational coordinate to a unit leading coordinate, so
 the coefficients of an orbit point depend on the point alone and do not grow
 with the number of steps.
 
-The float side is a thin wrapper over mpmath carrying an explicit bit
-precision; mixed-precision operations carry the max precision of the operands.
+The float side is ``BigFloat``, an mpmath ``mpf`` with an explicit bit
+precision.  Its arithmetic calls mpmath's raw kernels (``mpmath.libmp``)
+directly at the larger precision of the operands, rounding to nearest, so
+results are bit for bit those of mpmath under ``workprec`` without entering
+a precision context per operation.  ``nf_embed`` evaluates an element at the
+root in the manner of Arb's ``arb_dot``: the root's powers are rounded once
+into a fixed-point table per (modulus, root, precision), the element's
+integer numerators are summed against it exactly, and the sum is rounded
+once.
 
 The scalar protocol at the end of the module (``is_exact``, ``is_zero``,
 ``one_like``, ``inverse``, ``embed``, ``gap``/``close`` and the vector
@@ -35,8 +42,29 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    from_man_exp,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_eq,
+    mpf_ge,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from .polynomials import IntegerPolynomial, rat_gcd_monic
 
@@ -461,8 +489,52 @@ def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
                 return field._element([den * c for c in nums], inv_den)
 
 
+# mpmath's raw kernels act on (sign, mantissa, exponent, bit count) tuples
+# and take the precision and rounding mode as arguments, so no context is
+# entered; every BigFloat result is rounded to nearest.
+_RND = round_nearest
+_make_mpf = mpmath.mp.make_mpf
+
+
+def _raw(x, prec: int) -> tuple:
+    """An int, float or Fraction as a raw mpf rounded to ``prec`` bits; a
+    Fraction's numerator is rounded first and then the quotient, as
+    ``mpf(numerator) / denominator`` does at that precision."""
+    if isinstance(x, int):
+        return from_int(x, prec, _RND)
+    if isinstance(x, float):
+        return from_float(x, prec, _RND)
+    if isinstance(x, Fraction):
+        return mpf_div(from_int(x.numerator, prec, _RND), from_int(x.denominator),
+                       prec, _RND)
+    raise TypeError(f"cannot make a BigFloat from {type(x).__name__}")
+
+
+def _bigfloat(raw: tuple, prec: int) -> "BigFloat":
+    """The BigFloat of a raw mpf, with no conversion or check."""
+    out = object.__new__(BigFloat)
+    out.value = _make_mpf(raw)
+    out.precision_bits = prec
+    return out
+
+
+def _rsub(a, b, prec, rnd):
+    return mpf_sub(b, a, prec, rnd)
+
+
+def _rdiv(a, b, prec, rnd):
+    return mpf_div(b, a, prec, rnd)
+
+
 class BigFloat:
-    """Arbitrary-precision real/complex value with explicit bit precision."""
+    """Arbitrary-precision real with an explicit bit precision.
+
+    ``value`` is an mpmath ``mpf``.  Arithmetic calls mpmath's raw kernels
+    at the larger precision of the operands, rounding to nearest, so each
+    result is bit for bit the same mpmath expression evaluated under
+    ``workprec`` at that precision.  An int, float or Fraction operand, in
+    arithmetic and in comparisons alike, is first rounded to this value's
+    precision.  An ``mpf`` passed in is kept as it is, unrounded."""
 
     __slots__ = ("value", "precision_bits")
 
@@ -470,62 +542,59 @@ class BigFloat:
         if precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         self.precision_bits = precision_bits
-        with mpmath.workprec(precision_bits):
-            if isinstance(value, BigFloat):
-                value = value.value
-            if isinstance(value, Fraction):
-                self.value = mpmath.mpf(value.numerator) / value.denominator
-            elif isinstance(value, complex):
-                self.value = mpmath.mpc(value)
-            else:
-                self.value = mpmath.mpf(value) if not isinstance(
-                    value, (mpmath.mpf, mpmath.mpc)
-                ) else value
+        if isinstance(value, BigFloat):
+            value = value.value
+        elif not isinstance(value, mpmath.mpf):
+            value = _make_mpf(_raw(value, precision_bits))
+        self.value = value
 
     def _binop(self, other, op):
+        prec = self.precision_bits
         if isinstance(other, BigFloat):
-            prec = max(self.precision_bits, other.precision_bits)
-            ov = other.value
+            if other.precision_bits > prec:
+                prec = other.precision_bits
+            ov = other.value._mpf_
         elif isinstance(other, (int, float, Fraction)):
-            prec = self.precision_bits
-            ov = BigFloat(other, prec).value
+            ov = _raw(other, prec)
         else:
             return NotImplemented
-        with mpmath.workprec(prec):
-            return BigFloat(op(self.value, ov), prec)
+        return _bigfloat(op(self.value._mpf_, ov, prec, _RND), prec)
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, mpf_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, mpf_sub)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
+        return self._binop(other, _rsub)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        return self._binop(other, mpf_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
+        return self._binop(other, mpf_div)
 
     def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
+        return self._binop(other, _rdiv)
 
     def __neg__(self):
-        return BigFloat(-self.value, self.precision_bits)
+        prec = self.precision_bits
+        return _bigfloat(mpf_neg(self.value._mpf_, prec, _RND), prec)
 
     def __pow__(self, exp: int):
-        with mpmath.workprec(self.precision_bits):
-            return BigFloat(self.value ** exp, self.precision_bits)
+        if not isinstance(exp, int):
+            return NotImplemented
+        prec = self.precision_bits
+        return _bigfloat(mpf_pow_int(self.value._mpf_, exp, prec, _RND), prec)
 
     def __abs__(self):
-        with mpmath.workprec(self.precision_bits):
-            return BigFloat(abs(self.value), self.precision_bits)
+        prec = self.precision_bits
+        return _bigfloat(mpf_abs(self.value._mpf_, prec, _RND), prec)
 
     def __float__(self):
         return float(self.value)
@@ -533,30 +602,43 @@ class BigFloat:
     def __repr__(self):
         return f"BigFloat({self.value}, bits={self.precision_bits})"
 
-    def __eq__(self, other):
+    def _compare(self, other, relation):
         if isinstance(other, BigFloat):
-            return self.value == other.value
-        if isinstance(other, (int, float, Fraction)):
-            return self.value == BigFloat(other, self.precision_bits).value
-        return NotImplemented
+            ov = other.value._mpf_
+        elif isinstance(other, (int, float, Fraction)):
+            ov = _raw(other, self.precision_bits)
+        else:
+            return NotImplemented
+        return relation(self.value._mpf_, ov)
+
+    def __eq__(self, other):
+        return self._compare(other, mpf_eq)
 
     def __lt__(self, other):
-        ov = other.value if isinstance(other, BigFloat) else other
-        return self.value < ov
+        return self._compare(other, mpf_lt)
 
     def __le__(self, other):
-        ov = other.value if isinstance(other, BigFloat) else other
-        return self.value <= ov
+        return self._compare(other, mpf_le)
+
+    def __gt__(self, other):
+        return self._compare(other, mpf_gt)
+
+    def __ge__(self, other):
+        return self._compare(other, mpf_ge)
 
     def __hash__(self):
         return hash(self.value)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
+def _pow2(exp: int) -> tuple:
+    """2^exp as a raw mpf."""
+    return from_man_exp(1, exp)
+
+
 def _check_root(modulus: IntegerPolynomial, value, prec: int) -> None:
-    """Raise ``InconsistentEmbeddingError`` unless ``value`` solves the
-    modulus at ``prec`` bits.  Only a passing check is remembered, so each
-    (modulus, root) pair is evaluated once and a bad root raises every time."""
+    """Raise ``InconsistentEmbeddingError`` unless ``value`` is finite and
+    solves the modulus at ``prec`` bits."""
     with mpmath.workprec(prec):
         mod_val = modulus(value)
         # scale-aware tolerance: Horner on a degree-d poly loses O(d) bits
@@ -564,26 +646,66 @@ def _check_root(modulus: IntegerPolynomial, value, prec: int) -> None:
             1, abs(value)
         ) ** max(1, modulus.degree)
         tol = mpmath.mpf(2) ** (-(prec - 16))
-        if abs(mod_val) > scale * tol:
+        if not (mpmath.isfinite(value) and abs(mod_val) <= scale * tol):
             raise InconsistentEmbeddingError(
                 f"claimed root is off by {mod_val} at {prec} bits"
             )
 
 
-def nf_embed(a: NumberFieldElement, root: BigFloat) -> BigFloat:
-    """Evaluate the residue at a numerical root of the modulus.
+@lru_cache(maxsize=64)
+def _power_table(modulus: IntegerPolynomial, value, prec: int) -> tuple:
+    """(w, P) with P_i = round(value^i 2^w) for i < deg S, the powers of a
+    checked root in fixed point with w fractional bits (see ``nf_embed``).
+    The root is checked first; a failed check raises and, not being a
+    result, is not cached, so a bad root raises on every call."""
+    _check_root(modulus, value, prec)
+    sign, man, exp, bc = value._mpf_
+    if sign:
+        man = -man
+    d = modulus.degree
+    # 2^(top-1) <= |value| < 2^top; below 1, the powers shrink and need
+    # (d-1)(1-top) guard bits
+    top = exp + bc
+    w = prec + max(0, (d - 1) * (1 - top))
+    table, power = [], 1  # power = man^i, exactly
+    for i in range(d):
+        shift = i * exp + w  # value^i 2^w = power 2^shift
+        if shift >= 0:
+            table.append(power << shift)
+        else:
+            table.append((power + (1 << (-shift - 1))) >> -shift)
+        power *= man
+    return w, tuple(table)
 
-    ``root`` must actually solve the modulus at its stated precision; this is
-    checked once per (modulus, root) and violations raise
-    ``InconsistentEmbeddingError``.
-    """
+
+def nf_embed(a: NumberFieldElement, root: BigFloat) -> BigFloat:
+    """The residue evaluated at a numerical root of the modulus, at the
+    root's precision p.
+
+    ``root`` must actually solve the modulus at precision p; the first
+    embedding at a (modulus, root, p) checks it, and a root that fails
+    raises ``InconsistentEmbeddingError`` on every call.  The check passed,
+    the powers r^i of the root's value r, i < d = deg S, are rounded once
+    each to fixed point with w fractional bits and cached; an element
+    num / den is then the integer sum of num_i P_i, scaled by 2^-w and
+    divided by den with one rounding to p bits.
+
+    Error bound.  With c_i = num_i / den and N = sum |c_i| |r|^i, the
+    integer sum is within E = 2^-(w+1) sum |c_i| of a(r) = sum c_i r^i,
+    and the result is its rounding to p bits, so
+    |nf_embed(a, root) - a(r)| <= 2^-p (|a(r)| + E) + E.  The guard width
+    w - p = max(0, (d-1)(1-t)), for 2^(t-1) <= |r| < 2^t, makes
+    E <= 2^-(p+1) N (a root below 1 needs guard bits because its powers
+    shrink), so the error is at most 2^-(p-1) N: within Horner's bound
+    gamma_2d N, gamma_n = n 2^-p / (1 - n 2^-p), for the evaluation at p
+    bits that this replaces.  The error is absolute, so an element that
+    nearly cancels at r keeps few correct bits, as it did with Horner."""
     prec = root.precision_bits
-    _check_root(a.modulus, root.value, prec)
-    with mpmath.workprec(prec):
-        acc = mpmath.mpf(0)
-        for c in reversed(a.residue):
-            acc = acc * root.value + mpmath.mpf(c.numerator) / c.denominator
-    return BigFloat(acc, prec)
+    w, table = _power_table(a.modulus, root.value, prec)
+    total = from_man_exp(sum(map(mul, a.num, table)), -w)
+    if a.den == 1:
+        return _bigfloat(mpf_pos(total, prec, _RND), prec)
+    return _bigfloat(mpf_div(total, from_int(a.den), prec, _RND), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +723,7 @@ def is_exact(x) -> bool:
 
 def is_zero(x) -> bool:
     if isinstance(x, BigFloat):
-        return abs(x.value) <= mpmath.ldexp(1, -max(48, x.precision_bits - 16))
+        return mpf_le(mpf_abs(x.value._mpf_), _pow2(-max(48, x.precision_bits - 16)))
     return not x
 
 
@@ -637,12 +759,10 @@ def _precision(xs) -> int:
     return max([x.precision_bits for x in xs if isinstance(x, BigFloat)] + [53])
 
 
-def _mpf(x):
-    if isinstance(x, BigFloat):
-        return x.value
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
+def _raw_at(x, prec: int) -> tuple:
+    """A real scalar as a raw mpf: a BigFloat's value as it is, anything
+    else rounded to ``prec`` bits."""
+    return x.value._mpf_ if isinstance(x, BigFloat) else _raw(x, prec)
 
 
 def gap(a, b):
@@ -651,9 +771,14 @@ def gap(a, b):
     if is_exact(a) and is_exact(b):
         return int(a != b)
     prec = _precision((a, b))
-    with mpmath.workprec(prec):
-        av, bv = _mpf(a), _mpf(b)
-        return BigFloat(abs(av - bv) / max(abs(av), abs(bv), 1), prec)
+    av, bv = _raw_at(a, prec), _raw_at(b, prec)
+    top = fone
+    for v in (av, bv):
+        v = mpf_abs(v, prec, _RND)
+        if mpf_gt(v, top):
+            top = v
+    diff = mpf_abs(mpf_sub(av, bv, prec, _RND))
+    return _bigfloat(mpf_div(diff, top, prec, _RND), prec)
 
 
 def close(a, b) -> bool:
@@ -662,15 +787,19 @@ def close(a, b) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
     g = gap(a, b)
-    return g.value <= mpmath.ldexp(1, -(g.precision_bits // 2))
+    return mpf_le(g.value._mpf_, _pow2(-(g.precision_bits // 2)))
 
 
 def _unit(coords, prec: int) -> list:
-    """Float entries divided by the entry of largest modulus, at ``prec``."""
-    with mpmath.workprec(prec):
-        vals = [_mpf(c) for c in coords]
-        top = max(vals, key=abs)
-        return [BigFloat(v / top, prec) for v in vals]
+    """Float entries divided by the first entry of largest modulus (rounded
+    to ``prec``), at ``prec``."""
+    vals = [_raw_at(c, prec) for c in coords]
+    top, top_abs = vals[0], mpf_abs(vals[0], prec, _RND)
+    for v in vals[1:]:
+        v_abs = mpf_abs(v, prec, _RND)
+        if mpf_gt(v_abs, top_abs):
+            top, top_abs = v, v_abs
+    return [_bigfloat(mpf_div(v, top, prec, _RND), prec) for v in vals]
 
 
 def normalize(coords) -> tuple:

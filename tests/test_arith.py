@@ -1,6 +1,8 @@
 """Number field and big-float arithmetic."""
 
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import mpmath
@@ -118,8 +120,25 @@ def test_nf_embed_linearity():
 
 
 def test_nf_embed_rejects_non_root():
-    with pytest.raises(InconsistentEmbeddingError):
-        nf_embed(FIELD.gen(), BigFloat(2.5, 128))
+    # a failed check is not remembered: the second call checks again
+    for value in (2.5, float("nan"), float("inf")):
+        for _ in range(2):
+            with pytest.raises(InconsistentEmbeddingError):
+                nf_embed(FIELD.gen(), BigFloat(value, 128))
+
+
+def test_bigfloat_orders_against_exact_scalars():
+    one = BigFloat(1, 64)
+    assert one < Fraction(3, 2) and one <= Fraction(3, 2)
+    assert not one < Fraction(1, 2) and not one <= Fraction(1, 2)
+    assert one > Fraction(1, 2) and one >= Fraction(1, 2)
+    assert Fraction(3, 2) > one and Fraction(1, 2) <= one
+    assert one <= 1 and one >= 1 and not one < 1 and one < 2 and one > 0.5
+    assert max(BigFloat(2, 64), Fraction(3, 2)) == 2
+    # an exact operand is rounded to the BigFloat's precision, as == does
+    wide = 2 ** 70 + 1
+    assert BigFloat(wide, 64) == wide and BigFloat(wide, 64) <= wide
+    assert not BigFloat(wide, 64) < wide
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +320,141 @@ def test_dot_is_the_plain_sum(vectors):
         got, expected = dot(r, v), sum(x * y for x, y in zip(r, v))
         assert type(got) is type(expected)
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# BigFloat against mpmath: every operation is bit for bit the mpmath
+# expression under workprec at the larger precision of its operands
+
+PRECISIONS = (64, 128, 256, 512)
+# numerators wider than the precision, where rounding the numerator first
+# and then the quotient can differ from rounding the quotient once
+wide_ints = st.one_of(st.integers(-(2 ** 80), 2 ** 80),
+                      st.integers(2 ** 64, 2 ** 600).map(lambda n: n | 1))
+wide_fractions = st.builds(Fraction, wide_ints, st.integers(3, 2 ** 200))
+
+
+@st.composite
+def bigfloats(draw):
+    """BigFloats at mixed precisions, some holding an mpf 16 bits wider than
+    their precision, as the certified root does."""
+    prec = draw(st.sampled_from(PRECISIONS))
+    value = draw(st.one_of(
+        wide_ints, st.floats(allow_nan=False, allow_infinity=False), wide_fractions
+    ))
+    if draw(st.booleans()):
+        with mpmath.workprec(prec + 16):
+            q = Fraction(value)
+            value = mpmath.mpf(q.numerator) / q.denominator
+    return BigFloat(value, prec)
+
+
+def _mp(x):
+    """The mpmath value an operand stands for at the working precision."""
+    if isinstance(x, BigFloat):
+        return x.value
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _same(got, expected, prec):
+    assert got.value._mpf_ == expected._mpf_
+    assert got.precision_bits == prec
+
+
+@given(bigfloats(), st.one_of(bigfloats(), wide_ints, wide_fractions),
+       st.integers(-6, 12))
+@settings(max_examples=300, deadline=None)
+def test_bigfloat_is_bit_identical_to_mpmath(x, y, exp):
+    prec = max(x.precision_bits, getattr(y, "precision_bits", 0))
+    if not isinstance(y, BigFloat):
+        with mpmath.workprec(prec):
+            expected = _mp(y)
+        _same(BigFloat(y, prec), expected, prec)
+    for op in BINARY:
+        for a, b in [(x, y), (y, x)]:  # the reflected forms when y is exact
+            with mpmath.workprec(prec):
+                try:
+                    expected = op(_mp(a), _mp(b))
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        op(a, b)
+                    continue
+            _same(op(a, b), expected, prec)
+    prec = x.precision_bits
+    with mpmath.workprec(prec):
+        unary = [(-x, -x.value), (abs(x), abs(x.value))]
+        if x.value or exp >= 0:
+            unary.append((x ** exp, x.value ** exp))
+    for got, expected in unary:
+        _same(got, expected, prec)
+
+
+# ---------------------------------------------------------------------------
+# nf_embed against exact evaluation at the ends of the certified interval
+
+EMBED_FIELDS = [*ORACLE_FIELDS, NumberField(SALEM_2_60)]
+_isolated = lru_cache(maxsize=None)(leading_salem_root)
+
+
+def _horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _exact(x: BigFloat) -> Fraction:
+    sign, man, exp, _ = x.value._mpf_
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+def _near_cancelling(field, iso, prec):
+    """tail(x) + q with S = x^d + tail and q a dyadic close to delta^d:
+    tail(delta) = -delta^d, so the element is tiny at delta while its terms
+    are not."""
+    d = field.degree
+    scale = 2 ** (prec + 8)
+    q = Fraction(round(iso.low ** d * scale), scale)
+    tail = list(field.modulus.coeffs[:d])
+    return field.element([tail[0] + q, *tail[1:]])
+
+
+def _assert_within_bound(a, iso, prec):
+    r = _exact(iso.value)
+    assert iso.low <= r <= iso.high
+    ends = sorted((_horner(a.residue, iso.low), _horner(a.residue, iso.high)))
+    # the docstring's bound, 2^-(p-1) sum |c_i| r^i, plus 2^-2p sum |c_i|
+    # i^2 R^i for a value that a turning point lifts past both ends
+    eps, big = Fraction(1, 2 ** prec), max(r, iso.high)
+    tol = (2 * eps * sum(abs(c) * r ** i for i, c in enumerate(a.residue))
+           + eps * eps * sum(abs(c) * i * i * big ** i
+                             for i, c in enumerate(a.residue)))
+    got = nf_embed(a, iso.value)
+    assert got.precision_bits == prec
+    assert ends[0] - tol <= _exact(got) <= ends[1] + tol
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+@pytest.mark.parametrize("field", EMBED_FIELDS, ids=["lehmer", "pk-3-12", "pk-2-60"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_nf_embed_within_its_bound_of_the_certified_root(field, prec, data):
+    iso = _isolated(field.modulus, prec)
+    _assert_within_bound(data.draw(_oracle_elements(field)), iso, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])
+@pytest.mark.parametrize("field", EMBED_FIELDS, ids=["lehmer", "pk-3-12", "pk-2-60"])
+def test_nf_embed_within_its_bound_where_it_nearly_cancels(field, prec):
+    iso = _isolated(field.modulus, prec)
+    a = _near_cancelling(field, iso, prec)
+    _assert_within_bound(a, iso, prec)
+    # the value is small beside its terms: most of the p bits cancel
+    terms = sum(abs(c) * iso.low ** i for i, c in enumerate(a.residue))
+    assert abs(_exact(nf_embed(a, iso.value))) < terms * Fraction(1, 2 ** (prec // 2))

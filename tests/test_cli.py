@@ -78,6 +78,24 @@ def test_verify_pass_exit_0(capsys):
     assert payload["max_residual"] == 0.0
 
 
+@pytest.mark.parametrize("family,k,n", [("pk", 3, 12), ("biproj", 2, 10)])
+def test_float_and_exact_decimals_agree(capsys, family, k, n):
+    # both backends embed the exact orbit parameters at the same root
+    decimals = {}
+    for backend in ("exact", "float"):
+        code, payload, _ = run_json(
+            capsys, "verify", "--family", family, "-k", str(k), "-n", str(n),
+            "--backend", backend, "--precision", "256",
+        )
+        assert code == EXIT_OK
+        decimals[backend] = (
+            [p["decimal"] for p in payload["orbit_parameters"]],
+            payload["orbit_endpoint"]["decimal"],
+        )
+    assert decimals["float"] == decimals["exact"]
+    assert decimals["float"][0]
+
+
 def test_verify_lines(capsys):
     code, payload, _ = run_json(
         capsys, "verify", "--family", "lines", "-k", "2", "-m", "2", "-n", "2"
