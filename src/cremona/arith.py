@@ -257,16 +257,20 @@ class NumberFieldElement:
         return self.field.element([other]) * nf_invert(self)
 
     def __pow__(self, exp: int):
+        """Binary powering: one squaring per bit below the top one and one
+        product per further set bit, so x ** 2**m costs m products."""
         if exp < 0:
             return nf_invert(self) ** (-exp)
-        result = self.field.one()
-        base = self
-        while exp:
+        if not exp:
+            return self.field.one()
+        base, result = self, None
+        while True:
             if exp & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exp >>= 1
-        return result
+            if not exp:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         o = self._coerce(other)

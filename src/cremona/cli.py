@@ -75,9 +75,9 @@ def frac_str(f) -> str:
 
 
 def decimal_str(value: BigFloat) -> str:
-    """Fixed-width decimal rendering; deterministic for a given precision."""
-    with mpmath.workprec(value.precision_bits):
-        return mpmath.nstr(value.value, DECIMAL_DIGITS, strip_zeros=False)
+    """Fixed-width decimal rendering; deterministic for a given value (the
+    digits come from the value's own mantissa, not the working precision)."""
+    return mpmath.nstr(value.value, DECIMAL_DIGITS, strip_zeros=False)
 
 
 def ser_exact(x):
@@ -97,9 +97,7 @@ def ser_scalar(x, root):
 def ser_matrix(m, root):
     return {
         "exact": [[ser_exact(c) for c in row] for row in m.matrix],
-        "decimal": [
-            [ser_scalar(c, root)["decimal"] for c in row] for row in m.matrix
-        ],
+        "decimal": [[decimal_str(embed(c, root)) for c in row] for row in m.matrix],
     }
 
 

@@ -7,6 +7,14 @@ is F = L o J after conjugating away T) are all exact elements of that field.
 Explicit S and T matrices are kept as well so the un-conjugated map
 F = S o J o T^{-1}, which fixes the standard curve, can be verified directly.
 
+No matrix is checked for singularity by elimination over Q(delta): every T
+and S is a center matrix, whose determinant is (prod a_j) e_1(t) times the
+Vandermonde determinant of its parameters, and every L has the determinant
+(-1)^k s prod beta_r of its shape.  The field inversions that build the
+column scalings a_j certify the first to be a unit (see ``center_matrix``),
+and k products decide the second (see ``_shaped_L``).  ``verify`` still
+inverts T by elimination, so curve invariance checks T independently.
+
 The biprojective family follows the recurrence system for t_j^- (the printed
 closed form for t_j^+ is evaluated alongside and any mismatch is recorded,
 not patched).  The concurrent-lines family produces the m matrices L_j from
@@ -24,9 +32,10 @@ from .arith import (
     NumberField,
     NumberFieldElement,
     inverse,
+    is_exact,
     is_zero,
 )
-from .geometry import LinearMap, gamma_eval
+from .geometry import LinearMap, curve_powers
 from .spectra import spectral_report
 
 
@@ -95,30 +104,46 @@ class CoxeterConstruction:
 
 def column_scalings(params):
     """Scalings a_i with M = [a_i * gamma(t_i)] satisfying M(1,..,1) = e_k:
-    a_i = 1 / ((sum t_j) * prod_{j != i} (t_j - t_i))."""
+    a_i = 1 / ((sum t_j) * prod_{j != i} (t_j - t_i)).  Each difference
+    t_j - t_i is formed once, for i < j, and negated for j < i."""
     total = sum(params[1:], params[0])
     if is_zero(total):
         raise ValueError("parameter sum vanishes; centers are dependent")
+    n = len(params)
+    diffs = {(i, j): params[j] - params[i] for i in range(n) for j in range(i + 1, n)}
     out = []
-    for i, ti in enumerate(params):
-        prod = None
-        for j, tj in enumerate(params):
+    for i in range(n):
+        prod = total
+        for j in range(n):
             if j != i:
-                d = tj - ti
-                prod = d if prod is None else prod * d
-        out.append(inverse(total * prod))
+                prod = prod * (diffs[i, j] if i < j else -diffs[j, i])
+        out.append(inverse(prod))
     return out
 
 
 def center_matrix(k: int, params) -> LinearMap:
     """Matrix with columns a_j * gamma(t_j), normalized to send (1,..,1) to
-    the cusp e_k."""
+    the cusp e_k; column j is a_j, a_j t_j, .., a_j t_j^{k-1}, a_j t_j^{k+1}
+    by running products.
+
+    Its determinant has the closed form
+
+        det T = (prod_j a_j) * e_1(t) * prod_{i<j} (t_j - t_i),
+
+    the generalized Vandermonde determinant on the monomials 1, x, ..,
+    x^{k-1}, x^{k+1} being the Schur polynomial s_(1) = e_1 times the
+    Vandermonde determinant.  ``column_scalings`` inverts
+    e_1 * prod_{j != i} (t_j - t_i) for every i; for exact scalars
+    ``inverse`` raises on a non-unit (``nf_invert`` certifies each inverse
+    by an exact product), so e_1, every difference and every a_j are units,
+    det T is a unit and T is invertible with no elimination.  Float
+    parameters keep the elimination check."""
     scalings = column_scalings(params)
-    cols = [
-        [a * c for c in gamma_eval(t, k).coords]
-        for a, t in zip(scalings, params)
-    ]
-    return LinearMap([[cols[j][i] for j in range(k + 1)] for i in range(k + 1)])
+    cols = [curve_powers(a, t, k) for a, t in zip(scalings, params)]
+    return LinearMap(
+        [[cols[j][i] for j in range(k + 1)] for i in range(k + 1)],
+        check=not all(map(is_exact, params)),
+    )
 
 
 def curve_fixing_map(k: int, delta, t_plus):
@@ -142,8 +167,17 @@ def curve_fixing_map(k: int, delta, t_plus):
 
 def _shaped_L(s, betas) -> LinearMap:
     """The shape every family's L has: row 0 = (0,..,0,s), row r has
-    betas[r-1] in column r-1 and s - betas[r-1] in the last column."""
+    betas[r-1] in column r-1 and s - betas[r-1] in the last column.
+
+    The only nonzero Leibniz term takes column k in row 0 and column r-1 in
+    row r, a (k+1)-cycle, so det L = (-1)^k * s * prod_r beta_r in any
+    commutative ring: k products decide singularity, with no elimination."""
     k = len(betas)
+    det = s
+    for b in betas:
+        det = det * b
+    if is_zero(det):
+        raise ValueError("singular matrix")
     zero = s * 0
     rows = [[zero] * k + [s]]
     for r, b in enumerate(betas):
@@ -151,7 +185,7 @@ def _shaped_L(s, betas) -> LinearMap:
         row[r] = b
         row[k] = s - b
         rows.append(row)
-    return LinearMap(rows)
+    return LinearMap(rows, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +266,11 @@ def tplus_biproj(k: int, n: int, delta: NumberFieldElement):
     t_plus = [powers[j] * t0_plus - step * geom[j] for j in range(k + 1)]
     t_minus = [delta * (tp - 2) - 1 for tp in t_plus]
     # published closed form, for comparison only
-    bracket = Fraction(k * (k + 1)) - delta * (delta + 1)
-    tail = (k - 2 * delta * delta - delta + 1) * (delta * dm1.inverse()).inverse()
-    closed = [
-        powers[j] * dinv * (powers[k + 1] - 1).inverse() * bracket - tail
-        for j in range(k + 1)
-    ]
+    scale = dinv * (powers[k + 1] - 1).inverse() * (
+        Fraction(k * (k + 1)) - delta * (delta + 1)
+    )
+    tail = (k - 2 * delta * delta - delta + 1) * dinv * dm1
+    closed = [powers[j] * scale - tail for j in range(k + 1)]
     matches = all(c == t for c, t in zip(closed, t_plus))
     return t_plus, t_minus, matches
 

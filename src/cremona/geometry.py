@@ -252,8 +252,17 @@ def gamma_eval(t: CurveParam, k: int):
         raise ValueError("k must be >= 2")
     if t is OO:
         return ProjectivePoint.standard_basis(k, k)
-    coords = [t ** 0] + [t ** i for i in range(1, k)] + [t ** (k + 1)]
-    return ProjectivePoint(coords)
+    return ProjectivePoint(curve_powers(t ** 0, t, k))
+
+
+def curve_powers(a, t, k: int) -> list:
+    """[a, a t, ..., a t^{k-1}, a t^{k+1}] by running products: k + 1
+    multiplications, no powering."""
+    coords = [a]
+    for _ in range(k - 1):
+        coords.append(coords[-1] * t)
+    coords.append(coords[-1] * t * t)
+    return coords
 
 
 def gamma1_eval(t: CurveParam, k: int) -> BiProjectivePoint:

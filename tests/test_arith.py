@@ -82,6 +82,33 @@ def test_inverse(a):
     assert a * a.inverse() == FIELD.one()
 
 
+def test_pow_matches_repeated_multiplication():
+    x = FIELD.element([Fraction(1, 2), 3, 0, -1])
+    x_inv = x.inverse()
+    for exp in range(-5, 41):
+        expected = FIELD.one()
+        for _ in range(abs(exp)):
+            expected = expected * (x if exp > 0 else x_inv)
+        assert x ** exp == expected, exp
+
+
+def test_pow_of_a_power_of_two_is_squarings_only(monkeypatch):
+    # x ** 2**m: m squarings, no product with 1 and no squaring past the top bit
+    calls = []
+    real = arith._convolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(arith, "_convolve", counting)
+    x = FIELD.gen() + 2
+    for m in range(7):
+        calls.clear()
+        x ** (2 ** m)
+        assert len(calls) == m, m
+
+
 def test_zero_divisor_reports_factor():
     # x^2 - 1 is reducible; x - 1 is a zero divisor there
     fld = NumberField(IntegerPolynomial([-1, 0, 1]))

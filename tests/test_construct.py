@@ -1,5 +1,6 @@
 """Closed-form construction of the Coxeter-case maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from cremona.arith import NumberField
 from cremona.construct import (
     ExceptionalPairError,
     RootOfUnityError,
+    _shaped_L,
     build_L_biproj,
     build_L_lines,
     build_L_pk,
     center_matrix,
+    column_scalings,
     construct_biproj,
     construct_lines,
     construct_pk,
@@ -133,8 +136,91 @@ def test_exceptional_pairs_refused():
 
 def test_determinants_nonzero():
     for c in (construct_pk(2, 8), construct_biproj(2, 5)):
-        for mat in c.L:
+        for mat in c.L + c.T_matrices + c.S_matrices:
             assert not mat.determinant().is_zero()
+
+
+def center_det(params):
+    """The closed form (prod a_j) * e_1(t) * prod_{i<j} (t_j - t_i)."""
+    det = sum(params[1:], params[0])
+    for a in column_scalings(params):
+        det = det * a
+    for i, ti in enumerate(params):
+        for tj in params[i + 1:]:
+            det = det * (tj - ti)
+    return det
+
+
+def test_center_matrix_determinant_closed_form():
+    # elimination (LinearMap.determinant) is the oracle
+    rng = random.Random(7)
+    for k in range(2, 7):
+        for _ in range(3):
+            params = []
+            while len(params) < k + 1:
+                t = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                if t not in params:
+                    params.append(t)
+            if sum(params) == 0:
+                continue
+            assert center_matrix(k, params).determinant() == center_det(params)
+    for c in (construct_pk(2, 8), construct_pk(3, 6),
+              construct_biproj(2, 5), construct_biproj(3, 4)):
+        param_sets = [c.t_plus, c.s_params]
+        if c.family == "biproj":
+            param_sets += [[t - 1 for t in ts] for ts in param_sets]
+            mats = [c.T_matrices[0], c.S_matrices[0], c.T_matrices[1], c.S_matrices[1]]
+        else:
+            mats = c.T_matrices + c.S_matrices
+        for mat, params in zip(mats, param_sets):
+            assert mat.determinant() == center_det(params)
+
+
+def test_shaped_L_determinant_closed_form():
+    for c in (construct_pk(2, 8), construct_pk(3, 6),
+              construct_biproj(2, 5), construct_biproj(3, 4),
+              construct_lines(2, 2, 2)):
+        k = c.k
+        for mat in c.L:
+            det = (-1) ** k * mat.matrix[0][k]
+            for r in range(1, k + 1):
+                det = det * mat.matrix[r][r - 1]
+            assert mat.determinant() == det
+
+
+def test_singular_construction_inputs_still_raise():
+    with pytest.raises(ZeroDivisionError):  # repeated parameter
+        center_matrix(2, [Fraction(1, 2), Fraction(3), Fraction(1, 2)])
+    fld, _ = delta_field("pk", 2, 8)
+    with pytest.raises(ZeroDivisionError):
+        center_matrix(2, [fld.gen(), fld.gen() + 1, fld.gen()])
+    with pytest.raises(ValueError, match="singular"):
+        _shaped_L(1, [Fraction(2), Fraction(0)])
+    with pytest.raises(ValueError, match="singular"):
+        _shaped_L(fld.one(), [fld.gen(), fld.zero()])
+
+
+def test_construction_inversion_budget(monkeypatch):
+    # T, S and L are certified without elimination: pk inverts 1 + k + 2(k+1)
+    # times, biproj at most 6k + 11 times
+    from cremona import arith
+
+    calls = []
+    real = arith.nf_invert
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(arith, "nf_invert", counting)
+    for k, n in ((2, 8), (3, 6), (4, 5)):
+        calls.clear()
+        construct_pk(k, n)
+        assert len(calls) <= 3 * (k + 1), (k, n, len(calls))
+    for k, n in ((2, 5), (3, 4), (3, 12)):
+        calls.clear()
+        construct_biproj(k, n)
+        assert len(calls) <= 6 * k + 11, (k, n, len(calls))
 
 
 # ---------------------------------------------------------------------------
