@@ -11,8 +11,9 @@ permutation sigma-hat * pi_0 ... pi_k and directly from that table
 (``geometric_pullback``), so the two can be cross-checked.
 
 Characteristic polynomials come from the Berkowitz algorithm (division-free,
-stays in integers), and spectral radii reuse the certified Sturm isolation
-from the spectra module.
+stays in integers).  It and the matrix products skip zero entries, since an
+action has a few nonzeros per row (60 of 1,225 entries at rank 35).
+Spectral radii reuse the certified Sturm isolation from the spectra module.
 """
 
 from __future__ import annotations
@@ -167,9 +168,19 @@ def reflection(alpha: Sequence[int], gram):
 
 
 def mat_mul(a, b):
-    """Product of matrices given as lists of rows."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    """Product of matrices given as lists of rows: each nonzero entry of a
+    row of ``a`` times the nonzero entries of the matching row of ``b``."""
+    width = len(b[0]) if b else 0
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, sparse_b):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):
@@ -242,26 +253,34 @@ def geometric_pullback(k: int, orbit: OrbitData, family: str = "pk"):
 
 
 def berkowitz_charpoly(matrix) -> IntegerPolynomial:
-    """Characteristic polynomial det(xI - A), division-free."""
-    n = len(matrix)
+    """Characteristic polynomial det(xI - A), division-free.
+
+    Step m borders the leading m x m block B with row R, column C and corner
+    a: the coefficients are multiplied by the Toeplitz matrix of
+    (1, -a, -RC, -RBC, ..., -RB^(m-1)C).  B is kept as sparse rows grown one
+    border at a time, and zero terms of the products are skipped.
+    """
     # coefficients highest degree first; char poly of the empty matrix is 1
     coeffs = [1]
-    for r in range(1, n + 1):
-        sub = [row[: r - 1] for row in matrix[: r - 1]]
-        row_r = matrix[r - 1][: r - 1]
-        col_r = [matrix[i][r - 1] for i in range(r - 1)]
-        a = matrix[r - 1][r - 1]
-        v = [1, -a]
-        w = col_r[:]
-        for _ in range(r - 1):
-            v.append(-sum(row_r[i] * w[i] for i in range(r - 1)))
-            w = [
-                sum(sub[i][j] * w[j] for j in range(r - 1)) for i in range(r - 1)
-            ]
-        coeffs = [
-            sum(v[i - j] * coeffs[j] for j in range(len(coeffs)) if 0 <= i - j < len(v))
-            for i in range(r + 1)
-        ]
+    block = []  # sparse rows of the leading m x m block
+    for m, row in enumerate(matrix):
+        border = [(j, x) for j, x in enumerate(row[:m]) if x]
+        w = [matrix[i][m] for i in range(m)]
+        v = [1, -row[m]]
+        for step in range(m):
+            v.append(-sum(x * w[j] for j, x in border))
+            if step < m - 1:
+                w = [sum(x * w[j] for j, x in b_row) for b_row in block]
+        new = [0] * (m + 2)
+        for i, vi in enumerate(v):
+            if vi:
+                for j, c in enumerate(coeffs[: m + 2 - i]):
+                    new[i + j] += vi * c
+        coeffs = new
+        for i, b_row in enumerate(block):
+            if matrix[i][m]:
+                b_row.append((m, matrix[i][m]))
+        block.append(border + ([(m, row[m])] if row[m] else []))
     return IntegerPolynomial(list(reversed(coeffs)))
 
 

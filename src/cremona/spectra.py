@@ -3,9 +3,10 @@ Salem root isolation.
 
 ``char_poly_pk`` builds (x^{n+k}-1)(x^2-1) - x(x^{k+1}-1)(x^{n-1}-1) for the
 projective-space family; ``char_poly_biproj`` builds the biprojective variant.
-``strip_cyclotomic`` removes every cyclotomic factor by exact trial division
-over the indices d with phi(d) <= deg, phi read from one sieve per process
-(``totients``), leaving a Salem core (or a constant for the exceptional
+``strip_cyclotomic`` removes every cyclotomic factor Phi_d with
+phi(d) <= deg: an exact certificate, the value at x = 2^16 modulo the
+integer Phi_d(2^16), rules out almost every d, and exact trial division
+confirms the rest, leaving a Salem core (or a constant for the exceptional
 parameter pairs); ``salem_factor`` is the one place that turns that core into
 the Salem factor every caller uses.
 Root isolation reports the interval that bisection of (1, B] ends in, in
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd
+from math import ceil, gcd, isqrt, perm
 from typing import Optional
 
 from .arith import DEFAULT_PRECISION_BITS, BigFloat
@@ -80,6 +81,22 @@ def char_poly_biproj(k: int, n: int) -> IntegerPolynomial:
     )
 
 
+def _mobius_divisors(d: int):
+    """(r, [(e, mu(r/e)) for every e | r]) for r the product of the primes
+    dividing d; then Phi_d(x) = prod over e | r of (x^(e d/r) - 1)^mu(r/e)."""
+    signed, radical, rest, f = [(1, 1)], 1, d, 2
+    while rest > 1:
+        if f * f > rest:
+            f = rest  # what is left is prime
+        if rest % f == 0:
+            signed = [(e, -mu) for e, mu in signed] + [(e * f, mu) for e, mu in signed]
+            radical *= f
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    return radical, signed
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntegerPolynomial:
     """The d-th cyclotomic polynomial.
@@ -94,21 +111,8 @@ def cyclotomic(d: int) -> IntegerPolynomial:
         raise ValueError("cyclotomic index must be positive")
     if d == 1:
         return _xn_minus_1(1)
-    primes, rest, f = [], d, 2
-    while f * f <= rest:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
-    signed = [(1, (-1) ** len(primes))]  # (e, mu(r/e)) for the e | r
-    radical, degree = 1, 1
-    for p in primes:
-        signed += [(e * p, -mu) for e, mu in signed]
-        radical *= p
-        degree *= p - 1
+    radical, signed = _mobius_divisors(d)
+    degree = sum(mu * e for e, mu in signed)  # phi(r)
     series = [1] + [0] * degree
     for e, mu in signed:
         if e > degree:
@@ -125,50 +129,87 @@ def cyclotomic(d: int) -> IntegerPolynomial:
     return IntegerPolynomial(coeffs)
 
 
-def totients(limit: int) -> list:
-    """phi(d) for 0 <= d <= limit (phi(0) = 0), by one sieve over the primes."""
-    phi = list(range(limit + 1))
-    for prime in range(2, limit + 1):
-        if phi[prime] == prime:  # untouched so far, so prime
-            for multiple in range(prime, limit + 1, prime):
-                phi[multiple] -= phi[multiple] // prime
-    return phi
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(degree: int) -> tuple:
+    """(d, phi(d)) for every d with phi(d) <= degree, ascending in d.
+
+    phi is multiplicative and phi(p^a) = p^(a-1) (p - 1) >= p - 1, so each
+    such d is a product of powers of primes p <= degree + 1.  The products
+    are enumerated depth first over ascending primes, and a branch ends
+    once its totient exceeds the degree, which a further factor cannot undo.
+    """
+    primes = [p for p in range(2, degree + 2)
+              if all(p % r for r in range(2, isqrt(p) + 1))]
+    found = []
+
+    def extend(d, phi, start):
+        found.append((d, phi))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            d_p, phi_p = d * p, phi * (p - 1)
+            if phi_p > degree:
+                break
+            while phi_p <= degree:
+                extend(d_p, phi_p, i + 1)
+                d_p, phi_p = d_p * p, phi_p * p
+
+    if degree > 0:
+        extend(1, 1, 0)
+    return tuple(sorted(found))
 
 
-_PHI = [0]  # phi(d) for d < len(_PHI), grown by _phi_table
+_POINT_BITS = 16  # the cyclotomic screen evaluates at the integer x = 2^16
 
 
-def _phi_table(limit: int) -> list:
-    """phi(d) for 0 <= d <= limit (at least), from one sieve per process;
-    a larger limit rebuilds it at no less than twice the old size, so a
-    sweep of growing degrees sieves O(1) times."""
-    global _PHI
-    if len(_PHI) <= limit:
-        _PHI = totients(max(limit, 2 * len(_PHI)))
-    return _PHI
+@lru_cache(maxsize=None)
+def _cyclotomic_value(d: int) -> int:
+    """Phi_d(2^_POINT_BITS), an integer of about _POINT_BITS * phi(d) bits,
+    from the Mobius product of the integers 2^(_POINT_BITS e d/r) - 1
+    (``_mobius_divisors``) without building Phi_d."""
+    radical, signed = _mobius_divisors(d)
+    bits = _POINT_BITS * (d // radical)
+    num = den = 1
+    for e, mu in signed:
+        if mu > 0:
+            num *= (1 << bits * e) - 1
+        else:
+            den *= (1 << bits * e) - 1
+    return num // den
 
 
 def strip_cyclotomic(p: IntegerPolynomial):
     """Split p = +-(core) * prod Phi_d^mult with a cyclotomic-free core.
 
-    Every index d with phi(d) <= deg p is tried (d <= 2 deg^2 suffices since
-    phi(d) >= sqrt(d/2)), with phi read from the process's sieve; division is
-    exact, so the factor list reconstructs the input exactly.
+    The candidates are the d with phi(d) <= deg p (``_cyclotomic_indices``),
+    and each is screened by an exact modular certificate before any
+    division.  Let a = 2^_POINT_BITS and q = Phi_d(a) (``_cyclotomic_value``),
+    so that a is a root of Phi_d modulo q.  If Phi_d^(m+1) divides the core,
+    it divides p, and every term of the m-th derivative p^(m) keeps a factor
+    Phi_d: p^(m) = Phi_d h with h in Z[x], so p^(m)(a) = q h(a) = 0 mod q.
+    A nonzero p^(m)(a) mod q therefore proves that the core has no further
+    factor Phi_d, and d is done.  The value is an exact integer sum over the
+    nonzero terms of p, with each power a^e reduced to a^(e mod d), since
+    q divides a^d - 1.  A zero value proves nothing: exact trial division
+    decides, so every reported factor is confirmed by division and the
+    factor list reconstructs the input exactly.
     """
     if p.is_zero():
         raise ValueError("cannot strip the zero polynomial")
     core = p
     degree = p.degree
+    terms = [(e, c) for e, c in enumerate(p.coeffs) if c]
     factors = []
-    limit = 2 * degree * degree
-    phi = _phi_table(limit)
-    for d in range(1, limit + 1):
+    for d, phi in _cyclotomic_indices(degree):
         if degree == 0:
             break
-        if phi[d] > degree:
+        if phi > degree:
             continue
+        q = _cyclotomic_value(d)
         mult = 0
-        while True:
+        # p^(mult)(a) = sum of c e!/(e - mult)! a^(e - mult); perm(e, mult)
+        # is 0 on the terms the derivative removes
+        while not sum(c * perm(e, mult) << _POINT_BITS * ((e - mult) % d)
+                      for e, c in terms) % q:
             quot = core.try_divide(cyclotomic(d))
             if quot is None:
                 break

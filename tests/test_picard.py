@@ -1,8 +1,10 @@
 """Picard lattice, Coxeter action, spectral and trace cross-checks."""
 
+import random
 from itertools import permutations
 
 import pytest
+import sympy
 
 from cremona.construct import construct_biproj, construct_pk
 from cremona.picard import (
@@ -203,3 +205,46 @@ def test_berkowitz_matches_known_charpoly():
     m = [[2, 1], [1, 2]]
     cp = berkowitz_charpoly(m)
     assert cp == IntegerPolynomial([3, -4, 1])
+
+
+def _dense_mat_mul(a, b):
+    """The dense product of lists of rows that ``mat_mul`` replaced."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _random_matrix(rng, rows, cols, density):
+    return [[rng.randint(-9, 9) if rng.random() < density else 0
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("density", [0.1, 0.4, 1.0], ids=["sparse", "mixed", "dense"])
+def test_berkowitz_matches_sympy_charpoly(density):
+    rng = random.Random(int(10 * density))
+    for n in list(range(9)) + [14]:
+        m = _random_matrix(rng, n, n, density)
+        expected = sympy.Matrix(n, n, [x for row in m for x in row]).charpoly()
+        assert list(reversed(berkowitz_charpoly(m).coeffs)) == expected.all_coeffs(), m
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 0), (0, 3, 2), (2, 0, 3), (1, 5, 1),
+                                   (4, 1, 4), (3, 4, 2), (7, 7, 7)])
+def test_mat_mul_matches_dense_formula(shape):
+    rows, inner, cols = shape
+    rng = random.Random(rows * 100 + inner * 10 + cols)
+    for density in (0.2, 1.0):
+        a = _random_matrix(rng, rows, inner, density)
+        b = _random_matrix(rng, inner, cols, density)
+        assert mat_mul(a, b) == _dense_mat_mul(a, b)
+
+
+@pytest.mark.parametrize("family, k, n", [("pk", 4, 30), ("biproj", 3, 20)])
+def test_congruence_of_the_coxeter_action(family, k, n):
+    orbit = OrbitData.coxeter(k, n)
+    if family == "pk":
+        m, lat = coxeter_action(k, orbit)
+    else:
+        m, lat = geometric_pullback(k, orbit, family)
+    gram = lat.gram()
+    assert congruence(m, gram) == _dense_mat_mul(transpose(m), _dense_mat_mul(gram, m))
+    assert congruence(m, gram) == gram

@@ -26,7 +26,7 @@ from cremona.spectra import (
     spectral_report,
     strip_cyclotomic,
     sturm_sequence,
-    totients,
+    _cyclotomic_indices,
     _squarefree_part,
 )
 
@@ -68,6 +68,7 @@ def test_cyclotomic_matches_sympy():
     for d in range(1, 1001):
         expected = sympy.cyclotomic_poly(d, X, polys=True).all_coeffs()
         assert list(cyclotomic(d).coeffs) == expected[::-1], d
+        assert spectra._cyclotomic_value(d) == cyclotomic(d)(2 ** 16), d
 
 
 def test_strip_reconstructs_input():
@@ -104,15 +105,18 @@ def test_count_real_roots_vs_sympy():
         assert got == expected
 
 
-def test_totients_match_sympy():
-    phi = totients(5000)
-    assert phi[1:] == [sympy.totient(d) for d in range(1, 5001)]
+def test_cyclotomic_indices_match_sympy_totients():
+    # phi(d) >= sqrt(d/2), so the d with phi(d) <= degree lie below 2 degree^2
+    phi = [0] + [int(sympy.totient(d)) for d in range(1, 2 * 50 ** 2 + 1)]
+    for degree in range(51):
+        expected = tuple((d, phi[d]) for d in range(1, 2 * degree ** 2 + 1)
+                         if phi[d] <= degree)
+        assert _cyclotomic_indices(degree) == expected, degree
 
 
-@pytest.mark.parametrize("poly", [char_poly_pk(10, 60), char_poly_biproj(5, 40)],
-                         ids=["pk-10-60", "biproj-5-40"])
-def test_strip_cyclotomic_matches_sympy_factorization(poly):
-    factors, core = strip_cyclotomic(poly)
+def _sympy_cyclotomic_split(poly):
+    """({Phi_d as a sympy expression: multiplicity}, the rest) from sympy's
+    factorization of ``poly``."""
     content, sympy_factors = sympy.factor_list(to_sympy(poly))
     cyclotomic_part = {}
     rest = content
@@ -121,6 +125,70 @@ def test_strip_cyclotomic_matches_sympy_factorization(poly):
             cyclotomic_part[sympy.expand(f)] = mult
         else:
             rest *= f ** mult
+    return cyclotomic_part, rest
+
+
+@pytest.mark.parametrize("planted, core", [
+    ({300: 1, 8: 3, 13: 2}, [10, -29, 7, -26]),
+    ({168: 1, 56: 1, 1: 3}, [-9, -6, -26, 39, -17, 4]),
+    ({216: 1, 6: 1, 30: 3}, [26, 28, 20, 3, -22, -15]),
+    ({150: 1, 20: 3, 2: 2}, [15, -37, 38, 5]),
+    ({210: 2, 4: 1}, [-29, 30, 14, -33, 32]),
+])
+def test_strip_finds_planted_cyclotomic_factors(planted, core):
+    # cores drawn at random with coefficients in [-40, 40]; sympy needs from
+    # 0.3 s to 30 s to factor such products, so these are fixed inputs
+    core = IntegerPolynomial(core)
+    assert not _sympy_cyclotomic_split(core)[0]
+    poly = core
+    for d, m in planted.items():
+        for _ in range(m):
+            poly = poly * cyclotomic(d)
+    factors, stripped = strip_cyclotomic(poly)
+    assert factors == sorted(planted.items())
+    assert stripped == core
+    cyclotomic_part, rest = _sympy_cyclotomic_split(poly)
+    assert cyclotomic_part == {to_sympy(cyclotomic(d)): m for d, m in factors}
+    assert sympy.expand(rest - to_sympy(stripped)) == 0
+
+
+def test_forced_false_positives_change_no_factor(monkeypatch):
+    # every integer is 0 mod 1: with that modulus every candidate d passes
+    # the screen, Phi_d divides or not, and trial division alone decides
+    polys = [char_poly_pk(3, 40), char_poly_biproj(4, 30), char_poly_pk(2, 8),
+             _product([1, 1], [1, 1], [1, 1, 1], [3, -7, 11, 0, 5])]
+    expected = [strip_cyclotomic(p) for p in polys]
+    tries = []
+    try_divide = IntegerPolynomial.try_divide
+    monkeypatch.setattr(IntegerPolynomial, "try_divide",
+                        lambda self, other: tries.append(other) or try_divide(self, other))
+    monkeypatch.setattr(spectra, "_cyclotomic_value", lambda d: 1)
+    assert [strip_cyclotomic(p) for p in polys] == expected
+    confirmed = sum(m for factors, _ in expected for _, m in factors)
+    assert len(tries) > 2 * confirmed
+
+
+def test_trial_divisions_stay_within_budget(monkeypatch):
+    # without the screen pk (10, 200) takes a trial division for each of the
+    # hundreds of d with phi(d) <= 212; with it each division finds a factor,
+    # the derivative screen stopping each d at its multiplicity, plus a
+    # slack of 2 for chance zeros
+    planted = _product([10, -29, 7, -26], *[cyclotomic(d).coeffs for d in (300, 8, 8, 8, 13, 13)])
+    try_divide = IntegerPolynomial.try_divide
+    for poly in (char_poly_pk(10, 200), char_poly_pk(3, 40), planted):
+        tries = []
+        monkeypatch.setattr(IntegerPolynomial, "try_divide",
+                            lambda self, other: tries.append(other) or try_divide(self, other))
+        factors, _ = strip_cyclotomic(poly)
+        monkeypatch.undo()
+        assert len(tries) <= sum(m for _, m in factors) + 2, factors
+
+
+@pytest.mark.parametrize("poly", [char_poly_pk(10, 60), char_poly_biproj(5, 40)],
+                         ids=["pk-10-60", "biproj-5-40"])
+def test_strip_cyclotomic_matches_sympy_factorization(poly):
+    factors, core = strip_cyclotomic(poly)
+    cyclotomic_part, rest = _sympy_cyclotomic_split(poly)
     assert cyclotomic_part == {to_sympy(cyclotomic(d)): m for d, m in factors}
     assert sympy.expand(rest - to_sympy(core)) == 0
 
