@@ -40,6 +40,7 @@ from .picard import (
     congruence,
     coxeter_action,
     preserves_form,
+    spectral_radius as lattice_radius,
     transpose,
     trace_compatibility,
 )
@@ -213,14 +214,11 @@ def _construction_payload(construction, precision_bits: int):
         payload["m"] = construction.m
     one = construction.field.one()
     checks = {}
-    ones = [one] * (construction.k + 1)
-    images = []
-    for mat in construction.L:
-        img = [
-            sum((row[j] * ones[j] for j in range(len(row))), construction.field.zero())
-            for row in mat.matrix
-        ]
-        images.append(img)
+    # L (1, .., 1) is the vector of row sums of L
+    images = [
+        [sum(row, construction.field.zero()) for row in mat.matrix]
+        for mat in construction.L
+    ]
     if construction.family == "pk":
         checks["fixes_ones"] = all(c == one for c in images[0])
     checks["row_sums"] = [
@@ -325,8 +323,6 @@ def cmd_picard(args) -> int:
     gram = lat.gram()
     roots = lat.roots()
     root_gram = congruence(transpose(roots), gram)
-    from .picard import spectral_radius as lattice_radius
-
     radius, cp, salem = lattice_radius(action, args.precision)
     kk, kc = canonical_pairings(k, orbit)
     payload = {
@@ -390,8 +386,6 @@ def cmd_report(args) -> int:
     if args.family == "pk":
         orbit = OrbitData.coxeter(args.k, args.n)
         action, lat = coxeter_action(args.k, orbit)
-        from .picard import spectral_radius as lattice_radius
-
         radius, cp, salem = lattice_radius(action, args.precision)
         bundle["picard"] = {
             "characteristic_polynomial": ser_poly(cp),

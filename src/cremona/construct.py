@@ -32,7 +32,6 @@ from .arith import (
     NumberField,
     NumberFieldElement,
     inverse,
-    is_exact,
     is_zero,
 )
 from .geometry import LinearMap, curve_powers
@@ -136,14 +135,10 @@ def center_matrix(k: int, params) -> LinearMap:
     e_1 * prod_{j != i} (t_j - t_i) for every i; for exact scalars
     ``inverse`` raises on a non-unit (``nf_invert`` certifies each inverse
     by an exact product), so e_1, every difference and every a_j are units,
-    det T is a unit and T is invertible with no elimination.  Float
-    parameters keep the elimination check."""
+    det T is a unit and T is invertible with no elimination."""
     scalings = column_scalings(params)
     cols = [curve_powers(a, t, k) for a, t in zip(scalings, params)]
-    return LinearMap(
-        [[cols[j][i] for j in range(k + 1)] for i in range(k + 1)],
-        check=not all(map(is_exact, params)),
-    )
+    return LinearMap([[cols[j][i] for j in range(k + 1)] for i in range(k + 1)])
 
 
 def curve_fixing_map(k: int, delta, t_plus):
@@ -185,14 +180,14 @@ def _shaped_L(s, betas) -> LinearMap:
         row[r] = b
         row[k] = s - b
         rows.append(row)
-    return LinearMap(rows, check=False)
+    return LinearMap(rows)
 
 
 # ---------------------------------------------------------------------------
 # projective-space family
 
 
-def tplus_pk(k: int, n: int, delta: NumberFieldElement):
+def tplus_pk(k: int, delta: NumberFieldElement):
     """t_j^+ = delta^j (k+1)/(k-1) (delta^2-1)/(delta(delta^{k+1}-1)) - 2/(k-1)."""
     base = (
         (delta * delta - 1)
@@ -203,7 +198,7 @@ def tplus_pk(k: int, n: int, delta: NumberFieldElement):
     return [delta ** j * base - shift for j in range(k + 1)]
 
 
-def build_L_pk(k: int, n: int, delta: NumberFieldElement) -> LinearMap:
+def build_L_pk(k: int, delta: NumberFieldElement) -> LinearMap:
     """Matrix of the conjugated map F = L o J: row 0 = (0,..,0,1),
     subdiagonal beta_i = (delta^i - 1) / (delta (delta^{k+1} - delta^i)),
     last column 1 - beta_i."""
@@ -217,9 +212,9 @@ def build_L_pk(k: int, n: int, delta: NumberFieldElement) -> LinearMap:
 def construct_pk(k: int, n: int) -> CoxeterConstruction:
     fld, rep = delta_field("pk", k, n)
     delta = fld.gen()
-    t_plus = tplus_pk(k, n, delta)
+    t_plus = tplus_pk(k, delta)
     T, S, tau, s_params = curve_fixing_map(k, delta, t_plus)
-    L = build_L_pk(k, n, delta)
+    L = build_L_pk(k, delta)
     notes = list(rep.notes)
     return CoxeterConstruction(
         family="pk",
@@ -241,7 +236,7 @@ def construct_pk(k: int, n: int) -> CoxeterConstruction:
 # biprojective family
 
 
-def tplus_biproj(k: int, n: int, delta: NumberFieldElement):
+def tplus_biproj(k: int, delta: NumberFieldElement):
     """Indeterminacy parameters for the biprojective family.
 
     The singleton orbits in the orbit data force t_j^- = t_{j+1}^+ for
@@ -275,7 +270,7 @@ def tplus_biproj(k: int, n: int, delta: NumberFieldElement):
     return t_plus, t_minus, matches
 
 
-def build_L_biproj(k: int, n: int, delta: NumberFieldElement):
+def build_L_biproj(k: int, delta: NumberFieldElement):
     """The pair (L1, L2): row 0 = (0,..,0,s_i), subdiagonal
     beta_j = (delta^j-1)(delta+1)/(delta^2(delta^{k+1}-delta^j)),
     last column s_i - beta_j; s_1 = 1, s_2 = (delta+1)^2/delta.
@@ -296,9 +291,9 @@ def build_L_biproj(k: int, n: int, delta: NumberFieldElement):
 def construct_biproj(k: int, n: int) -> CoxeterConstruction:
     fld, rep = delta_field("biproj", k, n)
     delta = fld.gen()
-    t_plus, t_minus, closed_ok = tplus_biproj(k, n, delta)
+    t_plus, t_minus, closed_ok = tplus_biproj(k, delta)
     tau = Fraction(k) + Fraction(k - 1) * delta
-    L1, L2 = build_L_biproj(k, n, delta)
+    L1, L2 = build_L_biproj(k, delta)
     # explicit center matrices for both factors of T and S
     T1 = center_matrix(k, t_plus)
     T2 = center_matrix(k, [t - 1 for t in t_plus])

@@ -15,7 +15,6 @@ codimension-two indeterminacy locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -128,37 +127,19 @@ class ProjectivePoint:
         return self if coords is self.coords else ProjectivePoint(coords)
 
 
-@dataclass(frozen=True)
-class BiProjectivePoint:
-    x: ProjectivePoint
-    y: ProjectivePoint
-
-    def __post_init__(self):
-        if self.x.dim != self.y.dim:
-            raise ValueError("factors must share the same dimension")
-
-    def eq(self, other: "BiProjectivePoint") -> bool:
-        return self.x.eq(other.x) and self.y.eq(other.y)
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.eq(other)
-
-
 class LinearMap:
-    """Invertible (k+1) x (k+1) matrix acting on projective points."""
+    """(k+1) x (k+1) matrix acting on projective points.  The constructor
+    does not test invertibility: ``construct`` certifies its matrices by
+    closed-form determinants, and ``inverse`` raises on a singular one."""
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, check: bool = True):
+    def __init__(self, matrix):
         rows = tuple(tuple(r) for r in matrix)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         self.matrix = rows
-        if check and is_zero(self.determinant()):
-            raise ValueError("singular matrix")
 
     @property
     def size(self) -> int:
@@ -166,10 +147,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, n: int, one=1) -> "LinearMap":
-        return cls(
-            [[one if i == j else one * 0 for j in range(n)] for i in range(n)],
-            check=False,
-        )
+        return cls([[one if i == j else one * 0 for j in range(n)] for i in range(n)])
 
     def determinant(self):
         """Gaussian elimination over the scalar field."""
@@ -211,7 +189,7 @@ class LinearMap:
                 if r != col and not is_zero(aug[r][col]):
                     f = aug[r][col]
                     aug[r] = [aug[r][j] - f * aug[col][j] for j in range(2 * n)]
-        return LinearMap([row[n:] for row in aug], check=False)
+        return LinearMap([row[n:] for row in aug])
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         n = self.size
@@ -222,8 +200,7 @@ class LinearMap:
                     for j in range(n)
                 ]
                 for i in range(n)
-            ],
-            check=False,
+            ]
         )
 
     def column(self, j: int) -> ProjectivePoint:
@@ -265,12 +242,10 @@ def curve_powers(a, t, k: int) -> list:
     return coords
 
 
-def gamma1_eval(t: CurveParam, k: int) -> BiProjectivePoint:
-    """Biprojective embedding t -> (gamma(t), gamma(t-1)); cusp at infinity."""
-    if t is OO:
-        cusp = ProjectivePoint.standard_basis(k, k)
-        return BiProjectivePoint(cusp, cusp)
-    return BiProjectivePoint(gamma_eval(t, k), gamma_eval(t - t ** 0 * 1, k))
+def curve_point(t: CurveParam, k: int, factors: int) -> list:
+    """The invariant curve in (P^k)^factors: factor i is gamma(t - i), so
+    t = oo is the cusp in every factor."""
+    return [gamma_eval(t if t is OO else t - i, k) for i in range(factors)]
 
 
 def param_recover(p: ProjectivePoint, k: int) -> CurveParam:
@@ -316,35 +291,21 @@ def apply_J(p: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint(out)
 
 
-def apply_J_multi(factors: Sequence[ProjectivePoint]):
-    """Multiprojective Cremona map (x, y1, .., y_{m-1}) -> (y1/x, .., 1/x)
-    in polynomial form. For m = 1 this is the standard involution.  The
+def apply_J_multi(factors: Sequence[ProjectivePoint]) -> list:
+    """The map J_m of (P^k)^m, (x, y1, .., y_{m-1}) -> (y1/x, .., 1/x), in
+    polynomial form: 1/x is ``apply_J(x)`` and y_i/x its coordinatewise
+    product with y_i.  For m = 1 this is the standard involution.  The
     factors are not normalized, as in ``apply_J``."""
-    x = factors[0]
-    n = len(x.coords)
-    rec = []
-    for i in range(n):
-        prod = None
-        for j in range(n):
-            if j != i:
-                prod = x.coords[j] if prod is None else prod * x.coords[j]
-        rec.append(prod)
+    x, *ys = factors
+    rec = apply_J(x)
     out = []
-    for y in factors[1:]:
-        comp = [y.coords[i] * rec[i] for i in range(n)]
+    for y in ys:
+        comp = [a * b for a, b in zip(y.coords, rec.coords)]
         if all(map(is_zero, comp)):
             raise IndeterminacyError("output factor degenerated to zero")
         out.append(ProjectivePoint(comp))
-    if all(map(is_zero, rec)):
-        raise IndeterminacyError("reciprocal factor degenerated to zero")
-    out.append(ProjectivePoint(rec))
+    out.append(rec)
     return out
-
-
-def apply_J_biproj(p: BiProjectivePoint) -> BiProjectivePoint:
-    """(x, y) -> (y/x, 1/x) in bihomogeneous polynomial form."""
-    first, second = apply_J_multi([p.x, p.y])
-    return BiProjectivePoint(first, second)
 
 
 # ---------------------------------------------------------------------------

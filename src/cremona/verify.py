@@ -16,19 +16,15 @@ from typing import Optional
 
 from .arith import BigFloat, close, embed, one_like
 from .geometry import (
-    BiProjectivePoint,
     IndeterminacyError,
     LinearMap,
     NotOnCurveError,
     OO,
     ProjectivePoint,
-    apply_J,
-    apply_J_biproj,
     apply_J_multi,
     apply_linear,
-    gamma1_eval,
-    gamma_eval,
     concurrent_line_membership,
+    curve_point,
     param_recover,
 )
 from .spectra import leading_salem_root
@@ -57,7 +53,7 @@ class OrbitCheckReport:
     n: int
     backend: str
     conditions: list = field(default_factory=list)
-    orbit_points: list = field(default_factory=list)  # (step, curve param or None)
+    orbit_points: list = field(default_factory=list)  # (step, [coords per factor])
     distinct: Optional[bool] = None
     curve_invariant: Optional[bool] = None
     multiplier_measured: object = None
@@ -77,7 +73,7 @@ class OrbitCheckReport:
 
 
 def embed_matrix(m: LinearMap, root: Optional[BigFloat]) -> LinearMap:
-    return LinearMap([[embed(c, root) for c in row] for row in m.matrix], check=False)
+    return LinearMap([[embed(c, root) for c in row] for row in m.matrix])
 
 
 def field_root(construction, precision_bits: int) -> BigFloat:
@@ -144,15 +140,32 @@ def _compare(points, targets):
 # orbit verification
 
 
-def _step_points(family, mats, point):
-    if family == "pk":
-        return [apply_linear(mats[0], apply_J(point[0]))]
-    img = apply_J_multi(point)
-    return [apply_linear(m, p) for m, p in zip(mats, img)]
+def _step_points(mats, point):
+    """One step of (M_0 x .. x M_{m-1}) o J_m on a point of (P^k)^m, given as
+    its list of factors; m = 1 is the projective family."""
+    return [apply_linear(m, q) for m, q in zip(mats, apply_J_multi(point))]
 
 
-def _near_indeterminacy(point) -> bool:
-    return len(point[0].zero_pattern()) >= 2
+def _walk(mats, steps, visit):
+    """The long orbit of F = (L_0 x .. x L_{m-1}) o J_m, whose point 0 is
+    the last columns of the L_i.  ``visit(i, point)`` sees points 0 ..
+    steps-1, each before it is stepped.
+
+    Returns (point, dead).  After ``steps`` steps dead is None and point is
+    the endpoint.  Otherwise dead is the index of the first point on the
+    indeterminacy locus: a point whose first factor has two zero
+    coordinates, or the point J_m fails to form from its predecessor; point
+    is then the last point formed."""
+    point = [m.column(m.size - 1) for m in mats]
+    for i in range(steps):
+        visit(i, point)
+        if len(point[0].zero_pattern()) >= 2:
+            return point, i
+        try:
+            point = _step_points(mats, point)
+        except IndeterminacyError:
+            return point, i + 1
+    return point, None
 
 
 def verify_orbit(
@@ -189,23 +202,14 @@ def verify_orbit(
         ConditionResult("singleton orbits close", ok_a, worst_a)
     )
     # (b)/(c): iterate the long orbit
+    def record(step, point):
+        if step:
+            report.orbit_points.append((step, [list(p.coords) for p in point]))
+
     e0 = [ProjectivePoint.standard_basis(0, k, one=one) for _ in mats]
-    point = [m.column(k) for m in mats]
-    ok_c = True
-    fail_step = None
-    for step in range(1, construction.n):
-        if _near_indeterminacy(point):
-            ok_c = False
-            fail_step = step - 1
-            break
-        try:
-            point = _step_points(family, mats, point)
-        except IndeterminacyError:
-            ok_c = False
-            fail_step = step
-            break
-        report.orbit_points.append((step, [list(p.coords) for p in point]))
-    if ok_c:
+    point, fail_step = _walk(mats, construction.n - 1, record)
+    if fail_step is None:
+        record(construction.n - 1, point)
         closed, res_b = _compare(point, e0)
         report.conditions.append(
             ConditionResult("long orbit closes at e0", closed, res_b)
@@ -261,19 +265,11 @@ class CurveReport:
 
 
 def apply_full_map(construction, point, backend="exact", precision_bits=256):
-    """F = S o J o T^{-1} in the original frame, for pk or biproj."""
+    """F = (S_0 x .. x S_{m-1}) o J_m o (T_0^{-1} x .. x T_{m-1}^{-1}) in
+    the original frame, on the list of factors of a point of (P^k)^m."""
     b = _prepare(construction, backend, precision_bits)
-    if construction.family == "pk":
-        pre = apply_linear(b.T_inv[0], point)
-        return apply_linear(b.S[0], apply_J(pre))
-    pre = BiProjectivePoint(
-        apply_linear(b.T_inv[0], point.x),
-        apply_linear(b.T_inv[1], point.y),
-    )
-    mid = apply_J_biproj(pre)
-    return BiProjectivePoint(
-        apply_linear(b.S[0], mid.x), apply_linear(b.S[1], mid.y)
-    )
+    pre = [apply_linear(t, p) for t, p in zip(b.T_inv, point)]
+    return _step_points(b.S, pre)
 
 
 def _sample_params(construction, samples: int, root):
@@ -294,16 +290,14 @@ def _sample_params(construction, samples: int, root):
 
 
 def _recover_param(construction, image):
+    """The parameter t with image = curve_point(t); raises NotOnCurveError
+    when a factor is off the curve or disagrees with the first."""
     k = construction.k
-    if construction.family == "pk":
-        return param_recover(image, k)
-    t = param_recover(image.x, k)
-    if t is OO:
-        if not image.y.eq(ProjectivePoint.standard_basis(k, k)):
-            raise NotOnCurveError(None, "second factor off the cusp")
-        return OO
-    if not image.y.eq(gamma_eval(t - t ** 0 * 1, k)):
-        raise NotOnCurveError(None, "second factor off the curve")
+    t = param_recover(image[0], k)
+    expected = curve_point(t, k, len(image))
+    for i in range(1, len(image)):
+        if not image[i].eq(expected[i]):
+            raise NotOnCurveError(None, f"factor {i} off the curve")
     return t
 
 
@@ -317,12 +311,12 @@ def verify_curve_invariance(
     cusp; the multiplier is measured as the slope of the affine parameter map
     and a measured slope of 1 flags a translation (conjugate to the plain
     involution) instead of passing."""
-    family = construction.family
     k = construction.k
     b = _prepare(construction, backend, precision_bits)
-    report = CurveReport(family=family, k=k, backend=b.label)
+    factors = len(b.T_inv)
+    report = CurveReport(family=construction.family, k=k, backend=b.label)
     for t in _sample_params(construction, samples, b.root):
-        p = gamma_eval(t, k) if family == "pk" else gamma1_eval(t, k)
+        p = curve_point(t, k, factors)
         img = apply_full_map(construction, p, backend, precision_bits)
         expected = b.delta * t + b.tau
         try:
@@ -332,11 +326,10 @@ def verify_curve_invariance(
             got, ok = None, False
         report.samples.append((t, got, expected, ok))
     # cusp: gamma(oo) must be fixed
-    cusp = (
-        gamma_eval(OO, k) if family == "pk" else gamma1_eval(OO, k)
-    )
     try:
-        cusp_img = apply_full_map(construction, cusp, backend, precision_bits)
+        cusp_img = apply_full_map(
+            construction, curve_point(OO, k, factors), backend, precision_bits
+        )
         got = _recover_param(construction, cusp_img)
         report.cusp_fixed = got is OO
     except (NotOnCurveError, IndeterminacyError):
@@ -414,30 +407,23 @@ def verify_lines_orbit(construction, backend: str = "exact",
         raise VerificationError("lines-family construction required")
     k, m, n = construction.k, construction.m, construction.n
     b = _prepare(construction, backend, precision_bits)
-    mats = b.L
     total = n * (k + 1)
     one = one_like(b.delta)
     e0 = [ProjectivePoint.standard_basis(0, k, one=one) for _ in range(m)]
-    point = [mat.column(k) for mat in mats]
     seq = []
-    on_union = True
-    failure = None
-    for step in range(total):
-        try:
-            matches = concurrent_line_membership(point[0], k)
-            seq.append(sorted(idx for idx, _ in matches))
-        except NotOnCurveError:
-            on_union = False
-            failure = f"left the line union at step {step}"
-            break
-        if _near_indeterminacy(point):
-            failure = f"premature indeterminacy at step {step}"
-            break
-        try:
-            point = _step_points("lines", mats, point)
-        except IndeterminacyError:
-            failure = f"premature indeterminacy at step {step + 1}"
-            break
+
+    def visit(step, point):
+        seq.append(sorted(j for j, _ in concurrent_line_membership(point[0], k)))
+
+    on_union, failure = True, None
+    try:
+        point, dead = _walk(b.L, total, visit)
+    except NotOnCurveError:
+        on_union = False
+        failure = f"left the line union at step {len(seq)}"
+    else:
+        if dead is not None:
+            failure = f"premature indeterminacy at step {dead}"
     closes = failure is None and _compare(point, e0)[0]
     # single-line steps must walk through the lines cyclically mod k+1
     single = [s[0] for s in seq if len(s) == 1]

@@ -208,6 +208,7 @@ def test_report_builds_the_lattice_action_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("k, n", [(2, 8), (4, 8)])
 def test_report_lattice_radius_compares_salem_factors(capsys, monkeypatch, k, n):
+    import cremona.cli
     import cremona.picard
     from cremona.polynomials import IntegerPolynomial
 
@@ -222,7 +223,7 @@ def test_report_lattice_radius_compares_salem_factors(capsys, monkeypatch, k, n)
         radius, cp, salem = radius_of(matrix, precision_bits)
         return radius, cp, salem * IntegerPolynomial([-1, 1])
 
-    monkeypatch.setattr(cremona.picard, "spectral_radius", other_salem)
+    monkeypatch.setattr(cremona.cli, "lattice_radius", other_salem)
     _, payload, _ = run_json(capsys, "report", "-k", str(k), "-n", str(n))
     assert payload["cross_checks"]["lattice_radius_matches_delta"] is False
 

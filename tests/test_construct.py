@@ -51,7 +51,7 @@ def proportional(a: LinearMap, b: LinearMap) -> bool:
 def test_tplus_pk_ratio_identity():
     fld, _ = delta_field("pk", 2, 8)
     delta = fld.gen()
-    t = tplus_pk(2, 8, delta)
+    t = tplus_pk(2, delta)
     shift = Fraction(2, 1)  # 2/(k-1) at k=2
     base = t[0] + shift
     for j, tj in enumerate(t):
@@ -62,7 +62,7 @@ def test_tplus_pk_sum_identity():
     for k, n in ((2, 8), (3, 6), (4, 5)):
         fld, _ = delta_field("pk", k, n)
         delta = fld.gen()
-        t = tplus_pk(k, n, delta)
+        t = tplus_pk(k, delta)
         shift = Fraction(2, k - 1)
         total = sum((tj + shift for tj in t), fld.zero())
         expected = (delta.inverse() + 1) * Fraction(k + 1, k - 1)
@@ -231,7 +231,7 @@ def test_tplus_biproj_sum_identities():
     for k, n in ((2, 5), (3, 4)):
         fld, _ = delta_field("biproj", k, n)
         delta = fld.gen()
-        t_plus, t_minus, _ = tplus_biproj(k, n, delta)
+        t_plus, t_minus, _ = tplus_biproj(k, delta)
         total_p = sum(t_plus[1:], t_plus[0])
         total_m = sum(t_minus[1:], t_minus[0])
         assert total_p == (delta.inverse() + 1) * Fraction(k + 1)
@@ -242,7 +242,7 @@ def test_tplus_biproj_sum_identities():
 
 def test_tplus_biproj_closed_form_mismatch_is_reported():
     fld, _ = delta_field("biproj", 2, 5)
-    _, _, matches = tplus_biproj(2, 5, fld.gen())
+    _, _, matches = tplus_biproj(2, fld.gen())
     assert not matches  # the published closed form does not reproduce the values
     c = construct_biproj(2, 5)
     assert any("closed form" in note for note in c.notes)

@@ -9,17 +9,15 @@ import pytest
 from cremona.arith import BigFloat
 from cremona.geometry import (
     OO,
-    BiProjectivePoint,
     IndeterminacyError,
     LinearMap,
     NotOnCurveError,
     ProjectivePoint,
     apply_J,
-    apply_J_biproj,
     apply_J_multi,
     apply_linear,
     concurrent_line_membership,
-    gamma1_eval,
+    curve_point,
     gamma_eval,
     param_recover,
 )
@@ -78,28 +76,30 @@ def test_j_multi_reduces_to_involution():
     assert img == apply_J(p)
 
 
-def test_j_biproj_roundtrip():
-    # (x, y) -> (1/y, x/y) reverses (x, y) -> (y/x, 1/x)
-    bp = BiProjectivePoint(P(2, 3, 5), P(1, 4, 9))
-    img = apply_J_biproj(bp)
-    second, first = apply_J_multi([img.y, img.x])
-    assert first == bp.x and second == bp.y
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_j_multi_roundtrip(m):
+    # J_m(x, y_1, .., y_{m-1}) = (u_1, .., u_{m-1}, v) with u_i = y_i/x and
+    # v = 1/x; then J_m(v, u_1, .., u_{m-1}) = (y_1, .., y_{m-1}, x), the
+    # input rotated by one
+    point = [P(2, 3, 5), P(1, 4, 9), P(7, 1, 2)][:m]
+    *us, v = apply_J_multi(point)
+    assert apply_J_multi([v, *us]) == point[1:] + point[:1]
 
 
 def test_j_biproj_contracts_to_diagonal_points():
     # {x_j = 0} in the first factor contracts to (e_j, e_j)
-    bp = BiProjectivePoint(P(3, 0, 5), P(1, 4, 9))
-    img = apply_J_biproj(bp)
+    img = apply_J_multi([P(3, 0, 5), P(1, 4, 9)])
     e1 = ProjectivePoint.standard_basis(1, 2)
-    assert img.x == e1 and img.y == e1
+    assert img == [e1, e1]
 
 
 def test_linear_map_inverse_and_column():
     m = LinearMap([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]])
     assert (m @ m.inverse()).matrix == LinearMap.identity(2).matrix
     assert m.column(1) == P(2, 1)
+    singular = LinearMap([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
     with pytest.raises(ValueError):
-        LinearMap([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+        singular.inverse()
 
 
 def test_integer_matrix_inverts_exactly():
@@ -134,10 +134,14 @@ def test_param_recover_rejects_off_curve():
         param_recover(P(1, 2, 5), 2)
 
 
-def test_gamma1_pairs_offset_parameters():
-    bp = gamma1_eval(Fraction(3), 2)
-    assert bp.x == gamma_eval(Fraction(3), 2)
-    assert bp.y == gamma_eval(Fraction(2), 2)
+def test_curve_point_offsets_parameters_and_shares_the_cusp():
+    assert curve_point(Fraction(3), 2, 3) == [
+        gamma_eval(Fraction(3), 2), gamma_eval(Fraction(2), 2),
+        gamma_eval(Fraction(1), 2),
+    ]
+    assert curve_point(Fraction(3), 2, 1) == [gamma_eval(Fraction(3), 2)]
+    cusp = ProjectivePoint.standard_basis(3, 3)
+    assert curve_point(OO, 3, 2) == [cusp, cusp]
 
 
 def test_concurrent_line_membership():

@@ -110,7 +110,8 @@ def test_normalized_orbit_is_the_unscaled_orbit():
 
 
 def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
-    # apply_linear normalizes each factor once; the involutions rescale nothing
+    # apply_linear normalizes each factor once; the involutions rescale
+    # nothing.  The orbit walk and the original-frame map share the step.
     from cremona import arith, verify
     from cremona.geometry import apply_J, apply_J_multi
 
@@ -123,19 +124,26 @@ def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
 
     per_step = []
 
-    def counting_step(family, mats, point):
+    def counting_step(mats, point):
         before = len(inversions)
-        out = real_step(family, mats, point)
-        per_step.append((len(inversions) - before, len(point)))
+        out = real_step(mats, point)
+        per_step.append((len(inversions) - before, len(point), mats))
         return out
 
     monkeypatch.setattr(arith, "nf_invert", counting_invert)
     monkeypatch.setattr(verify, "_step_points", counting_step)
-    for c in (construct_pk(2, 20), construct_biproj(3, 8)):
+    cases = [
+        (construct_pk(2, 20), verify_orbit, 19),
+        (construct_biproj(3, 8), verify_orbit, 7),
+        (construct_lines(2, 2, 2), verify_lines_orbit, 6),
+    ]
+    for c, check, steps in cases:
         per_step.clear()
-        assert verify_orbit(c, backend="exact").all_passed
-        assert len(per_step) == c.n - 1
-        assert all(count <= factors for count, factors in per_step), per_step
+        rep = check(c, backend="exact")
+        assert rep.all_passed
+        L = c.backends["exact", 256].L
+        assert sum(mats is L for *_, mats in per_step) == steps
+        assert all(count <= factors for count, factors, _ in per_step), per_step
     delta = construct_pk(2, 20).delta
     p = ProjectivePoint([delta, delta + 1, 2 * delta])
     inversions.clear()
@@ -162,7 +170,7 @@ def test_curve_invariance_fixed_point():
     from cremona.geometry import gamma_eval, param_recover
     from cremona.verify import apply_full_map
 
-    img = apply_full_map(c, gamma_eval(c.field.one(), 2))
+    (img,) = apply_full_map(c, [gamma_eval(c.field.one(), 2)])
     assert param_recover(img, 2) == c.field.one()
 
 
@@ -171,6 +179,27 @@ def test_curve_invariance_biproj():
     rep = verify_curve_invariance(c, samples=20, backend="exact")
     assert rep.all_passed
     assert rep.cusp_fixed
+
+
+def test_recover_param_refuses_second_factor_off_the_curve():
+    from cremona.geometry import NotOnCurveError, OO, curve_point, gamma_eval
+    from cremona.verify import _recover_param
+
+    c = construct_biproj(2, 5)
+    one = c.field.one()
+    t = Fraction(3) * one
+    on_curve, cusp = curve_point(t, 2, 2), curve_point(OO, 2, 2)
+    assert _recover_param(c, on_curve) == t
+    assert _recover_param(c, cusp) is OO
+    # the second factor must be gamma(t - 1): a point off the curve,
+    # gamma(t), gamma(t - 2) and the cusp are refused, and so is the
+    # curve's point paired with the cusp in the first factor
+    off = ProjectivePoint([one, 2 * one, 5 * one])
+    for second in (off, on_curve[0], gamma_eval(t - 2, 2), cusp[1]):
+        with pytest.raises(NotOnCurveError):
+            _recover_param(c, [on_curve[0], second])
+    with pytest.raises(NotOnCurveError):
+        _recover_param(c, [cusp[0], on_curve[1]])
 
 
 def test_translation_guard():
