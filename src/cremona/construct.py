@@ -101,13 +101,20 @@ class CoxeterConstruction:
 # the generic curve-fixing basic cremona map (any multiplier, any centers)
 
 
+def _parameter_sum(params):
+    """e_1 of the parameters; it must not vanish for the centers to be
+    independent."""
+    total = sum(params[1:], params[0])
+    if is_zero(total):
+        raise ValueError("parameter sum vanishes; centers are dependent")
+    return total
+
+
 def column_scalings(params):
     """Scalings a_i with M = [a_i * gamma(t_i)] satisfying M(1,..,1) = e_k:
     a_i = 1 / ((sum t_j) * prod_{j != i} (t_j - t_i)).  Each difference
     t_j - t_i is formed once, for i < j, and negated for j < i."""
-    total = sum(params[1:], params[0])
-    if is_zero(total):
-        raise ValueError("parameter sum vanishes; centers are dependent")
+    total = _parameter_sum(params)
     n = len(params)
     diffs = {(i, j): params[j] - params[i] for i in range(n) for j in range(i + 1, n)}
     out = []
@@ -120,10 +127,21 @@ def column_scalings(params):
     return out
 
 
-def center_matrix(k: int, params) -> LinearMap:
+def affine_scalings(scalings, params, image, lam):
+    """``column_scalings(image)`` for image_i = lam * params_i + c, from the
+    scalings of params: every difference image_j - image_i is lam times
+    params_j - params_i, so each scaling changes by the one factor
+    e_1(params) / (e_1(image) lam^k), one inversion for all k + 1."""
+    k = len(params) - 1
+    factor = _parameter_sum(params) * inverse(_parameter_sum(image) * lam ** k)
+    return [a * factor for a in scalings]
+
+
+def center_matrix(k: int, params, scalings=None) -> LinearMap:
     """Matrix with columns a_j * gamma(t_j), normalized to send (1,..,1) to
     the cusp e_k; column j is a_j, a_j t_j, .., a_j t_j^{k-1}, a_j t_j^{k+1}
-    by running products.
+    by running products.  The scalings a_j are ``column_scalings(params)``
+    unless given.
 
     Its determinant has the closed form
 
@@ -135,8 +153,13 @@ def center_matrix(k: int, params) -> LinearMap:
     e_1 * prod_{j != i} (t_j - t_i) for every i; for exact scalars
     ``inverse`` raises on a non-unit (``nf_invert`` certifies each inverse
     by an exact product), so e_1, every difference and every a_j are units,
-    det T is a unit and T is invertible with no elimination."""
-    scalings = column_scalings(params)
+    det T is a unit and T is invertible with no elimination.  Scalings from
+    ``affine_scalings`` keep the certificate: it inverts e_1(s) lam^k, so
+    e_1(s) and lam are units, every difference s_j - s_i = lam (t_j - t_i)
+    is a product of units, and so is every a(s)_j = a(t)_j e_1(t) /
+    (e_1(s) lam^k)."""
+    if scalings is None:
+        scalings = column_scalings(params)
     cols = [curve_powers(a, t, k) for a, t in zip(scalings, params)]
     return LinearMap([[cols[j][i] for j in range(k + 1)] for i in range(k + 1)])
 
@@ -146,7 +169,8 @@ def curve_fixing_map(k: int, delta, t_plus):
     with F(gamma(t)) = gamma(delta t + tau).
 
     Returns (T, S, tau, s_params) where s_params are the parameters of the
-    exceptional-image points S(e_j) = gamma(delta t_j^+ - 2 tau / (k-1)).
+    exceptional-image points S(e_j) = gamma(delta t_j^+ - 2 tau / (k-1)),
+    an affine image of t^+, so S takes its scalings from T's.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -155,8 +179,9 @@ def curve_fixing_map(k: int, delta, t_plus):
     total = sum(t_plus[1:], t_plus[0])
     tau = delta * total * Fraction(k - 1, k + 1)
     s_params = [delta * t - tau * Fraction(2, k - 1) for t in t_plus]
-    T = center_matrix(k, t_plus)
-    S = center_matrix(k, s_params)
+    scalings = column_scalings(t_plus)
+    T = center_matrix(k, t_plus, scalings)
+    S = center_matrix(k, s_params, affine_scalings(scalings, t_plus, s_params, delta))
     return T, S, tau, s_params
 
 
@@ -294,11 +319,17 @@ def construct_biproj(k: int, n: int) -> CoxeterConstruction:
     t_plus, t_minus, closed_ok = tplus_biproj(k, delta)
     tau = Fraction(k) + Fraction(k - 1) * delta
     L1, L2 = build_L_biproj(k, delta)
-    # explicit center matrices for both factors of T and S
-    T1 = center_matrix(k, t_plus)
-    T2 = center_matrix(k, [t - 1 for t in t_plus])
-    S1 = center_matrix(k, t_minus)
-    S2 = center_matrix(k, [t - 1 for t in t_minus])
+    # explicit center matrices for both factors of T and S; every
+    # parameter set is an affine image of t^+, with slope 1 or delta
+    scalings = column_scalings(t_plus)
+
+    def shared(params, lam):
+        return center_matrix(k, params, affine_scalings(scalings, t_plus, params, lam))
+
+    T1 = center_matrix(k, t_plus, scalings)
+    T2 = shared([t - 1 for t in t_plus], 1)
+    S1 = shared(t_minus, delta)
+    S2 = shared([t - 1 for t in t_minus], delta)
     notes = list(rep.notes)
     if not closed_ok:
         notes.append(

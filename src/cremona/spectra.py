@@ -10,14 +10,17 @@ confirms the rest, leaving a Salem core (or a constant for the exceptional
 parameter pairs); ``salem_factor`` is the one place that turns that core into
 the Salem factor every caller uses.
 Root isolation reports the interval that bisection of (1, B] ends in, in
-three phases: Sturm counts isolate the largest root; fixed-point Newton
-steps then guess the dyadic cell of the final width that holds it, which is
-accepted only on an exact certificate, the signs of the squarefree
-polynomial at the cell's two ends; if no candidate cell is certified,
-bisection on that sign finishes.  Every decision is exact, so each reported
-root carries a certified isolating interval.  The Sturm chain is the
-pseudo-remainder chain of the polynomial itself, rebuilt from its
-squarefree part only when it has a repeated factor.
+three phases.  Descartes' rule of signs on p(x + 1) isolates the largest
+root when it proves that (1, B] holds none or exactly one root, as it does
+for every Salem core of the sweep ranges; Sturm counts isolate it
+otherwise.  Fixed-point Newton steps then guess the dyadic cell of the
+final width that holds it, which is accepted only on an exact certificate,
+the signs of the squarefree polynomial at the cell's two ends; if no
+candidate cell is certified, bisection on that sign finishes.  Every
+decision is exact, so each reported root carries a certified isolating
+interval.  The Sturm chain is the pseudo-remainder chain of the polynomial
+itself, rebuilt from its squarefree part only when it has a repeated
+factor.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import ceil, gcd, isqrt, perm
 from typing import Optional
 
@@ -177,6 +181,15 @@ def _cyclotomic_value(d: int) -> int:
     return num // den
 
 
+def _derivative_at_point(coeffs, m: int) -> int:
+    """p^(m)(2^_POINT_BITS) = sum of c_e e!/(e - m)! 2^(_POINT_BITS (e - m))
+    for p = sum c_e x^e, an exact integer by Horner's rule in shifts."""
+    acc = 0
+    for e in range(len(coeffs) - 1, m - 1, -1):
+        acc = (acc << _POINT_BITS) + coeffs[e] * perm(e, m)
+    return acc
+
+
 def strip_cyclotomic(p: IntegerPolynomial):
     """Split p = +-(core) * prod Phi_d^mult with a cyclotomic-free core.
 
@@ -187,17 +200,17 @@ def strip_cyclotomic(p: IntegerPolynomial):
     it divides p, and every term of the m-th derivative p^(m) keeps a factor
     Phi_d: p^(m) = Phi_d h with h in Z[x], so p^(m)(a) = q h(a) = 0 mod q.
     A nonzero p^(m)(a) mod q therefore proves that the core has no further
-    factor Phi_d, and d is done.  The value is an exact integer sum over the
-    nonzero terms of p, with each power a^e reduced to a^(e mod d), since
-    q divides a^d - 1.  A zero value proves nothing: exact trial division
-    decides, so every reported factor is confirmed by division and the
-    factor list reconstructs the input exactly.
+    factor Phi_d, and d is done.  Each value p^(m)(a) is one exact integer,
+    computed when some d first needs it and reduced modulo every q after.
+    A zero residue proves nothing: exact trial division decides, so every
+    reported factor is confirmed by division and the factor list
+    reconstructs the input exactly.
     """
     if p.is_zero():
         raise ValueError("cannot strip the zero polynomial")
     core = p
     degree = p.degree
-    terms = [(e, c) for e, c in enumerate(p.coeffs) if c]
+    values = []  # p^(m)(a) for m = 0, 1, ..., each once
     factors = []
     for d, phi in _cyclotomic_indices(degree):
         if degree == 0:
@@ -206,10 +219,11 @@ def strip_cyclotomic(p: IntegerPolynomial):
             continue
         q = _cyclotomic_value(d)
         mult = 0
-        # p^(mult)(a) = sum of c e!/(e - mult)! a^(e - mult); perm(e, mult)
-        # is 0 on the terms the derivative removes
-        while not sum(c * perm(e, mult) << _POINT_BITS * ((e - mult) % d)
-                      for e, c in terms) % q:
+        while True:
+            if mult == len(values):
+                values.append(_derivative_at_point(p.coeffs, mult))
+            if values[mult] % q:
+                break
             quot = core.try_divide(cyclotomic(d))
             if quot is None:
                 break
@@ -230,7 +244,7 @@ def salem_factor(p: IntegerPolynomial):
 
 
 # ---------------------------------------------------------------------------
-# Sturm-sequence root isolation
+# root isolation: Descartes' rule of signs, Sturm sequences as the fallback
 
 
 def _squarefree_part(p: IntegerPolynomial) -> IntegerPolynomial:
@@ -395,16 +409,35 @@ def _certified_cell(squarefree, lo: Fraction, width: Fraction, guess: Fraction,
     return None
 
 
+def sign_variations_above_one(p: IntegerPolynomial) -> int:
+    """Sign variations V of the coefficients of p(x + 1).
+
+    By Descartes' rule of signs V bounds the number of roots of p in
+    (1, oo), counted with multiplicity, and exceeds it by an even number:
+    V = 0 proves there is none and V = 1 that there is exactly one, and
+    that it is simple.  The Taylor shift is d passes of running sums over
+    the coefficients, leading one first, O(d^2) integer additions."""
+    shifted = list(reversed(p.coeffs))
+    for end in range(len(shifted), 1, -1):
+        shifted[:end] = accumulate(shifted[:end])
+    signs = [c > 0 for c in shifted if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def leading_salem_root(
     core: IntegerPolynomial, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Optional[IsolatedRoot]:
     """Certified isolating interval for the largest real root > 1, if any.
 
     The interval is the one bisection of (1, B] down to a width below
-    2^-precision_bits ends in, found in three phases.  Sturm counts isolate
-    the largest root: the half (mid, hi] is kept while it holds a root,
-    until (lo, hi] holds exactly one.  The halvings left to make are then
-    counted, and the dyadic cells of (lo, hi] of the final width are
+    2^-precision_bits ends in, found in three phases.  First the largest
+    root is isolated.  Descartes' rule on core(x + 1)
+    (``sign_variations_above_one``) settles the common cases at once: no
+    sign variation proves that (1, B] holds no root, and one variation that
+    it holds exactly one, simple root.  Any other count decides nothing,
+    and Sturm counts take over: the half (mid, hi] is kept while it holds a
+    root, until (lo, hi] holds exactly one.  The halvings left to make are
+    then counted, and the dyadic cells of (lo, hi] of the final width are
     indexed: a few sign bisections and fixed-point Newton steps guess the
     root, and the cell holding the guess (or a neighbour) is accepted on an
     exact certificate, the signs of the squarefree polynomial at its two
@@ -415,23 +448,34 @@ def leading_salem_root(
     """
     if core.degree < 1:
         return None
-    chain = sturm_sequence(core)
     lo, hi = Fraction(1), root_bound(core)
-    v_lo, v_hi = _sign_changes(chain, lo), _sign_changes(chain, hi)
-    if v_lo == v_hi:
+    variations = sign_variations_above_one(core)
+    if variations == 0:
         return None
-    # a rational root at mid needs no care: Sturm counts on the half-open
-    # (mid, hi] stay exact, and a largest root at mid stays in (lo, mid]
-    while v_lo - v_hi > 1:
-        mid = (lo + hi) / 2
-        v_mid = _sign_changes(chain, mid)
-        if v_mid - v_hi >= 1:
-            lo, v_lo = mid, v_mid
-        else:
-            hi, v_hi = mid, v_mid
+    if variations == 1:
+        # the core's repeated factors have no root in (1, B] and none at 1
+        # that its squarefree part lacks, so on [1, B] the core's signs are
+        # the squarefree part's up to one constant sign: they make the same
+        # decisions
+        squarefree = core
+    else:
+        chain = sturm_sequence(core)
+        v_lo, v_hi = _sign_changes(chain, lo), _sign_changes(chain, hi)
+        if v_lo == v_hi:
+            return None
+        # a rational root at mid needs no care: Sturm counts on the
+        # half-open (mid, hi] stay exact, and a largest root at mid stays
+        # in (lo, mid]
+        while v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = _sign_changes(chain, mid)
+            if v_mid - v_hi >= 1:
+                lo, v_lo = mid, v_mid
+            else:
+                hi, v_hi = mid, v_mid
+        squarefree = chain[0]
     # one simple root in (lo, hi], which bisection would halve `halvings`
     # more times: by sign down to 2^-24, then to the certified cell
-    squarefree = chain[0]
     halvings = _halvings(hi - lo, precision_bits)
     if halvings:
         coarse = min(halvings, _halvings(hi - lo, 24))

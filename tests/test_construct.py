@@ -10,6 +10,7 @@ from cremona.construct import (
     ExceptionalPairError,
     RootOfUnityError,
     _shaped_L,
+    affine_scalings,
     build_L_biproj,
     build_L_lines,
     build_L_pk,
@@ -176,6 +177,30 @@ def test_center_matrix_determinant_closed_form():
             assert mat.determinant() == center_det(params)
 
 
+def test_affine_scalings_match_column_scalings():
+    # the shared scalings are the ones each parameter set would get alone
+    rng = random.Random(11)
+    for k in range(2, 6):
+        params = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(k + 1)]
+        if len(set(params)) <= k or sum(params) == 0:
+            continue
+        for lam, c in ((Fraction(1), Fraction(-1)), (Fraction(-3, 2), Fraction(5))):
+            image = [lam * t + c for t in params]
+            if sum(image) == 0:
+                continue
+            assert affine_scalings(column_scalings(params), params, image, lam) == (
+                column_scalings(image))
+    for c in (construct_pk(2, 8), construct_pk(3, 6),
+              construct_biproj(2, 5), construct_biproj(3, 4)):
+        mats = c.T_matrices + c.S_matrices
+        param_sets = [c.t_plus, c.s_params]
+        if c.family == "biproj":
+            param_sets = [c.t_plus, [t - 1 for t in c.t_plus],
+                          c.s_params, [t - 1 for t in c.s_params]]
+        for mat, params in zip(mats, param_sets):
+            assert mat.matrix == center_matrix(c.k, params).matrix
+
+
 def test_shaped_L_determinant_closed_form():
     for c in (construct_pk(2, 8), construct_pk(3, 6),
               construct_biproj(2, 5), construct_biproj(3, 4),
@@ -201,8 +226,9 @@ def test_singular_construction_inputs_still_raise():
 
 
 def test_construction_inversion_budget(monkeypatch):
-    # T, S and L are certified without elimination: pk inverts 1 + k + 2(k+1)
-    # times, biproj at most 6k + 11 times
+    # T, S and L are certified without elimination, and every center
+    # matrix after the first takes its scalings from it by one inversion:
+    # pk inverts 1 + k + (k+1) + 1 times, biproj 4 + (k+1) + (k+1) + 3
     from cremona import arith
 
     calls = []
@@ -216,11 +242,11 @@ def test_construction_inversion_budget(monkeypatch):
     for k, n in ((2, 8), (3, 6), (4, 5)):
         calls.clear()
         construct_pk(k, n)
-        assert len(calls) <= 3 * (k + 1), (k, n, len(calls))
+        assert len(calls) <= 2 * k + 3, (k, n, len(calls))
     for k, n in ((2, 5), (3, 4), (3, 12)):
         calls.clear()
         construct_biproj(k, n)
-        assert len(calls) <= 6 * k + 11, (k, n, len(calls))
+        assert len(calls) <= 2 * k + 9, (k, n, len(calls))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from cremona.spectra import (
     leading_salem_root,
     root_bound,
     salem_factor,
+    sign_variations_above_one,
     spectral_report,
     strip_cyclotomic,
     sturm_sequence,
@@ -459,3 +460,74 @@ def test_cell_certificate_matches_sign_bisection(root_factor, factors):
         iso = leading_salem_root(poly, bits)
         assert (iso.low, iso.high) == (expected.low, expected.high), bits
         assert iso.value.value == expected.value.value
+
+
+# ---------------------------------------------------------------------------
+# Descartes' rule on p(x + 1): the certificate that replaces the Sturm chain
+
+
+def test_sweep_cores_need_no_sturm_chain(monkeypatch):
+    # one sign variation of core(x + 1) proves the one root above 1, so no
+    # Salem core of the sweep range builds a Sturm chain
+    def refuse(p):
+        raise AssertionError("one sign variation needs no Sturm chain")
+
+    monkeypatch.setattr(spectra, "sturm_sequence", refuse)
+    for family in ("pk", "biproj"):
+        for k in range(2, 11):
+            for n in range(1, 61):
+                core = _core(family, k, n)
+                if core is None:
+                    continue
+                assert sign_variations_above_one(core) == 1, (family, k, n)
+                assert leading_salem_root(core, 64) is not None, (family, k, n)
+
+
+def test_sign_variations_count_the_shifted_coefficients():
+    # (x-2)(2x^2-3x+3) = 2x^3-7x^2+9x-6 and at x+1: 2x^3-x^2+x-2
+    assert sign_variations_above_one(_product([-2, 1], [3, -3, 2])) == 3
+    assert sign_variations_above_one(LEHMER) == 1
+    assert sign_variations_above_one(cyclotomic(12)) == 0
+    assert sign_variations_above_one(IntegerPolynomial([-1, 1])) == 0  # root 1
+
+
+FALLBACK_INPUTS = [
+    # one root above 1, but the complex pair 3/4 +- i sqrt(15)/4 adds two
+    # sign variations
+    pytest.param(_product([-2, 1], [3, -3, 2]), id="(x-2)(2x^2-3x+3)"),
+] + [p for p in ORACLE_INPUTS if p.id in (
+    "(x-4)(x^2-24)", "(x^2-8)(x^2-9)", "(2^100x-2^100-1)(2^100x-2^100-2)")]
+
+
+@pytest.mark.parametrize("core", [p.values[0] for p in FALLBACK_INPUTS],
+                         ids=[p.id for p in FALLBACK_INPUTS])
+def test_undecided_variations_fall_back_to_sturm(core, monkeypatch):
+    assert sign_variations_above_one(core) >= 2
+    chains = []
+    monkeypatch.setattr(spectra, "sturm_sequence",
+                        lambda p: chains.append(p) or sturm_sequence(p))
+    expected = all_chain_bisection(core, ALL_BITS)
+    for bits in ALL_BITS:
+        iso = leading_salem_root(core, bits)
+        assert (iso.low, iso.high) == expected[bits], bits
+    assert len(chains) == len(ALL_BITS)
+
+
+@given(st.lists(st.one_of(linear, quadratic, above_one), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_sign_variations_bound_the_sturm_count(factors):
+    poly = _product(*factors)
+    variations = sign_variations_above_one(poly)
+    count = count_real_roots(poly, Fraction(1), root_bound(poly))
+    assert variations >= count
+    if _squarefree_part(poly).degree == poly.degree:
+        # a repeated root counts once here but twice for Descartes
+        assert (variations - count) % 2 == 0
+    if variations <= 1:
+        # the interval Sturm counts isolate, when Descartes' rule is ignored
+        with mock.patch.object(spectra, "sign_variations_above_one", lambda p: 2):
+            expected = leading_salem_root(poly, 64)
+        iso = leading_salem_root(poly, 64)
+        assert (iso is None) == (expected is None) == (variations == 0)
+        if iso is not None:
+            assert (iso.low, iso.high) == (expected.low, expected.high)
