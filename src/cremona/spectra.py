@@ -12,8 +12,8 @@ the Salem factor every caller uses.
 Root isolation reports the interval that bisection of (1, B] ends in, in
 three phases.  Descartes' rule of signs on p(x + 1) isolates the largest
 root when it proves that (1, B] holds none or exactly one root, as it does
-for every Salem core of the sweep ranges; Sturm counts isolate it
-otherwise.  Fixed-point Newton steps then guess the dyadic cell of the
+for every pk and biproj Salem core with k <= 10 and n <= 200; Sturm counts
+isolate it otherwise.  Fixed-point Newton steps then guess the dyadic cell of the
 final width that holds it, which is accepted only on an exact certificate,
 the signs of the squarefree polynomial at the cell's two ends; if no
 candidate cell is certified, bisection on that sign finishes.  Every
