@@ -66,7 +66,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .polynomials import IntegerPolynomial, rat_gcd_monic
+from .polynomials import IntegerPolynomial
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -456,7 +456,7 @@ def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
     returned only when candidate * num = 1 holds exactly modulo S: that
     product is the certificate, so no bound on the inverse's height is
     needed, and a failed one lifts further.  If every fixed prime fails,
-    gcd(num, S) is computed over Q: a nonconstant gcd is raised as a
+    gcd(num, S) is computed in Z[x]: a nonconstant gcd is raised as a
     ``ZeroDivisorError`` (it certifies that S is reducible), a constant one
     means the primes were unlucky and further primes are drawn."""
     if a.is_zero():
@@ -468,9 +468,10 @@ def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
     modulus = field.modulus.coeffs
     for tried, p in enumerate(_primes()):
         if tried == len(_PRIMES):
-            factor = rat_gcd_monic(a.residue, field.modulus.to_rational())
-            if len(factor) > 1:
-                raise ZeroDivisorError(factor)
+            # a primitive factor of the monic S leads with 1, so it is monic
+            factor = IntegerPolynomial(num).gcd(field.modulus)
+            if factor.degree > 0:
+                raise ZeroDivisorError(factor.to_rational())
         u = _inverse_mod_p(num, modulus, p)
         if u is not None:
             break

@@ -402,6 +402,12 @@ def lines_alpha_field(k: int, m: int, n: int):
 
 
 def construct_lines(k: int, m: int, n: int, alpha=None) -> CoxeterConstruction:
+    # refused before the Coxeter element, which is periodic for some of
+    # these and would be reported as a root-of-unity multiplier
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     radius = None
     if alpha is None:
         fld, radius = lines_alpha_field(k, m, n)

@@ -13,7 +13,8 @@ permutation sigma-hat * pi_0 ... pi_k and directly from that table
 Characteristic polynomials come from the Berkowitz algorithm (division-free,
 stays in integers).  It and the matrix products skip zero entries, since an
 action has a few nonzeros per row (60 of 1,225 entries at rank 35).
-Spectral radii reuse the certified Sturm isolation from the spectra module.
+Spectral radii reuse the certified root isolation of the spectra module,
+by Descartes' rule of signs.
 """
 
 from __future__ import annotations

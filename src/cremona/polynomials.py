@@ -1,15 +1,16 @@
-"""Dense univariate polynomials with exact coefficients.
+"""Dense univariate polynomials with exact integer coefficients.
 
 Coefficient lists are indexed by degree (coeffs[i] is the coefficient of x^i).
 ``IntegerPolynomial`` is the workhorse for characteristic polynomials and
-cyclotomic factors; the rational-coefficient helpers give the squarefree part
-of a characteristic polynomial and the factor a number-field zero divisor
-shares with its modulus.
+cyclotomic factors; its ``gcd`` in Z[x] gives the squarefree part of a
+characteristic polynomial and the factor a number-field zero divisor shares
+with its modulus.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -145,12 +146,38 @@ class IntegerPolynomial:
         return self.coeffs == self.coeffs[::-1] and not self.is_zero()
 
     def content(self) -> int:
-        from math import gcd
-
         g = 0
         for c in self.coeffs:
             g = gcd(g, c)
         return g
+
+    def primitive(self) -> "IntegerPolynomial":
+        """The polynomial divided by its content and made to lead with a
+        positive coefficient; the zero polynomial stays zero."""
+        g = self.content()
+        if self.leading() < 0:
+            g = -g
+        if g in (0, 1):
+            return self
+        return IntegerPolynomial([c // g for c in self.coeffs])
+
+    def gcd(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
+        """Greatest common divisor in Z[x], with a positive leading coefficient.
+
+        The gcd of the contents times the last nonzero term of the primitive
+        pseudo-remainder sequence of the primitive parts: a remainder of
+        a lead(b)^(deg a - deg b + 1) by b lies in Z[x], and dividing each by
+        its content keeps the coefficients from growing.  By Gauss's lemma
+        the gcd of primitive polynomials is primitive, so no content is lost.
+        """
+        a, b = self.primitive(), other.primitive()
+        if a.degree < b.degree:
+            a, b = b, a
+        while not b.is_zero():
+            scaled = a * abs(b.leading()) ** (a.degree - b.degree + 1)
+            _, rem = scaled.divmod_exact(b)
+            a, b = b, rem.primitive()
+        return a * gcd(self.content(), other.content())
 
     def to_rational(self) -> tuple:
         return tuple(Fraction(c) for c in self.coeffs)
@@ -175,51 +202,3 @@ class IntegerPolynomial:
                 parts.append(f"{sign}{mag}{xs}")
         s = "".join(parts)
         return s[1:] if s.startswith("+") else s
-
-
-# ---------------------------------------------------------------------------
-# rational-coefficient helpers (tuples of Fraction, index = degree)
-
-RatCoeffs = tuple
-
-
-def rat_scale(a: RatCoeffs, s: Fraction) -> RatCoeffs:
-    if s == 0:
-        return ()
-    return tuple(c * s for c in a)
-
-
-def rat_divmod(a: RatCoeffs, b: RatCoeffs):
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(rem) - 1 < db:
-        return (), trim(rem)
-    quot = [Fraction(0)] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i] == 0:
-            continue
-        q = rem[i] / lead
-        quot[i - db] = q
-        for j, c in enumerate(b):
-            rem[i - db + j] -= q * c
-    return trim(quot), trim(rem)
-
-
-def rat_gcd_monic(a: RatCoeffs, b: RatCoeffs) -> RatCoeffs:
-    """Monic gcd in Q[x] by the Euclidean algorithm."""
-    while b:
-        _, r = rat_divmod(a, b)
-        a, b = b, r
-    if a:
-        a = rat_scale(a, 1 / a[-1])
-    return a
-
-
-def rat_eval(a: RatCoeffs, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc

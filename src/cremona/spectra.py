@@ -10,17 +10,17 @@ confirms the rest, leaving a Salem core (or a constant for the exceptional
 parameter pairs); ``salem_factor`` is the one place that turns that core into
 the Salem factor every caller uses.
 Root isolation reports the interval that bisection of (1, B] ends in, in
-three phases.  Descartes' rule of signs on p(x + 1) isolates the largest
-root when it proves that (1, B] holds none or exactly one root, as it does
-for every pk and biproj Salem core with k <= 10 and n <= 200; Sturm counts
-isolate it otherwise.  Fixed-point Newton steps then guess the dyadic cell of the
-final width that holds it, which is accepted only on an exact certificate,
-the signs of the squarefree polynomial at the cell's two ends; if no
-candidate cell is certified, bisection on that sign finishes.  Every
-decision is exact, so each reported root carries a certified isolating
-interval.  The Sturm chain is the pseudo-remainder chain of the polynomial
-itself, rebuilt from its squarefree part only when it has a repeated
-factor.
+three phases, all by Descartes' rule of signs and exact signs.  The sign
+variations of p(x + 1) isolate the largest root when they prove that
+(1, B] holds none or exactly one root, as they do for every pk and biproj
+Salem core with k <= 10 and n <= 200; otherwise Descartes' rule on the
+dyadic cells of (1, B] isolates it from the squarefree part (p divided by
+its gcd with p').  Fixed-point Newton steps then guess the dyadic cell of
+the final width that holds it, which is accepted only on an exact
+certificate, the signs of the squarefree polynomial at the cell's two
+ends; if no candidate cell is certified, bisection on that sign finishes.
+Every decision is exact, so each reported root carries a certified
+isolating interval.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import ceil, gcd, isqrt, perm
+from math import ceil, isqrt, perm
 from typing import Optional
 
 from .arith import DEFAULT_PRECISION_BITS, BigFloat
@@ -244,75 +244,17 @@ def salem_factor(p: IntegerPolynomial):
 
 
 # ---------------------------------------------------------------------------
-# root isolation: Descartes' rule of signs, Sturm sequences as the fallback
+# root isolation: Descartes' rule of signs, on p(x + 1) and on dyadic cells
 
 
 def _squarefree_part(p: IntegerPolynomial) -> IntegerPolynomial:
-    """p / gcd(p, p') with integer coefficients (content-normalized)."""
-    from .polynomials import rat_divmod, rat_gcd_monic
-
-    if p.degree < 1:
+    """p / gcd(p, p'), primitive with a positive leading coefficient; p
+    itself when it is squarefree."""
+    g = p.gcd(p.derivative())
+    if g.degree < 1:
         return p
-    g = rat_gcd_monic(p.to_rational(), p.derivative().to_rational())
-    if len(g) - 1 < 1:
-        return p
-    quot, _ = rat_divmod(p.to_rational(), g)
-    denom = 1
-    for c in quot:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in quot]
-    out = IntegerPolynomial(ints)
-    cont = out.content()
-    if cont > 1:
-        out = IntegerPolynomial([c // cont for c in out.coeffs])
-    if out.leading() < 0:
-        out = -out
-    return out
-
-
-def _prs_chain(p: IntegerPolynomial):
-    """Primitive-part pseudo-remainder chain p, p', -prem, ... down to the
-    last nonzero remainder, which is gcd(p, p') up to a scalar."""
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        a, b = chain[-2], chain[-1]
-        # pseudo-remainder keeps everything in Z[x]
-        lead = b.leading()
-        shift = a.degree - b.degree + 1
-        scaled = a * abs(lead) ** shift  # positive scaling keeps signs intact
-        res = scaled.divmod_exact(b)
-        assert res is not None
-        _, rem = res
-        if rem.is_zero():
-            break
-        g = rem.content()
-        rem = IntegerPolynomial([-c // g for c in rem.coeffs])
-        chain.append(rem)
-    return chain
-
-
-def sturm_sequence(p: IntegerPolynomial):
-    """Primitive-part Sturm chain of the squarefree part of p.
-
-    The chain of p itself is built first; only when it ends in a non-constant
-    gcd(p, p') (a repeated factor) is it rebuilt from ``_squarefree_part``.
-    """
-    chain = _prs_chain(p)
-    if chain[-1].degree > 0:
-        chain = _prs_chain(_squarefree_part(p))
-    return chain
-
-
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = [q.sign_at(x) for q in chain]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: IntegerPolynomial, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    chain = sturm_sequence(p)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    quot, _ = p.divmod_exact(g)
+    return quot.primitive()
 
 
 def root_bound(p: IntegerPolynomial) -> Fraction:
@@ -409,19 +351,65 @@ def _certified_cell(squarefree, lo: Fraction, width: Fraction, guess: Fraction,
     return None
 
 
+def _shift_by_one(coeffs) -> list:
+    """The coefficients of p(x + 1) from those of p, both leading one
+    first: d passes of running sums, O(d^2) integer additions."""
+    shifted = list(coeffs)
+    for end in range(len(shifted), 1, -1):
+        shifted[:end] = accumulate(shifted[:end])
+    return shifted
+
+
+def _variations(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def sign_variations_above_one(p: IntegerPolynomial) -> int:
     """Sign variations V of the coefficients of p(x + 1).
 
     By Descartes' rule of signs V bounds the number of roots of p in
     (1, oo), counted with multiplicity, and exceeds it by an even number:
     V = 0 proves there is none and V = 1 that there is exactly one, and
-    that it is simple.  The Taylor shift is d passes of running sums over
-    the coefficients, leading one first, O(d^2) integer additions."""
-    shifted = list(reversed(p.coeffs))
-    for end in range(len(shifted), 1, -1):
-        shifted[:end] = accumulate(shifted[:end])
-    signs = [c > 0 for c in shifted if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    that it is simple."""
+    return _variations(_shift_by_one(p.coeffs[::-1]))
+
+
+def _isolate_largest(p: IntegerPolynomial, bound: Fraction):
+    """The cell (lo, hi] of the dyadic subdivision of (1, bound] that holds
+    the largest root of the squarefree p and no other root, or None when
+    (1, bound] holds no root.
+
+    Collins and Akritas' bisection by Descartes' rule of signs.  A cell of
+    width w carries an integer polynomial q(y) whose roots in (0, 1) are
+    p's roots in the open cell, p(lo + w y) up to a positive factor (the
+    lists hold coefficients leading one first).  Its halves carry
+    2^d q(y / 2) and that polynomial shifted by 1, and the sign variations
+    of the reversed q shifted by 1 bound its roots in (0, 1) as
+    ``sign_variations_above_one`` bounds them in (1, oo).  The right half
+    is searched first, so the first root met is the largest.  q(1) = 0 puts
+    it at the cell's right end, and the cell holds it alone once its open
+    interior counts 0; otherwise it holds it alone when the interior counts
+    1.  Squarefree p ends the search: a small enough cell counts its roots
+    exactly."""
+    width = bound - 1
+    num, den = width.numerator, width.denominator
+    d = p.degree
+    shifted = _shift_by_one(p.coeffs[::-1])  # p(1 + x)
+    q = [c * num ** (d - j) * den ** j for j, c in enumerate(shifted)]
+    cells = [(0, 0, q)]  # (depth, index, q): lo = 1 + index width / 2^depth
+    while cells:
+        depth, index, q = cells.pop()
+        at_end = not sum(q)  # q(1) = 0
+        count = _variations(_shift_by_one(q[::-1]))
+        if count == (0 if at_end else 1):
+            step = width / (1 << depth)
+            return 1 + index * step, 1 + (index + 1) * step
+        if count:
+            half = [c << j for j, c in enumerate(q)]
+            cells.append((depth + 1, 2 * index, half))
+            cells.append((depth + 1, 2 * index + 1, _shift_by_one(half)))
+    return None
 
 
 def leading_salem_root(
@@ -429,21 +417,25 @@ def leading_salem_root(
 ) -> Optional[IsolatedRoot]:
     """Certified isolating interval for the largest real root > 1, if any.
 
-    The interval is the one bisection of (1, B] down to a width below
-    2^-precision_bits ends in, found in three phases.  First the largest
-    root is isolated.  Descartes' rule on core(x + 1)
-    (``sign_variations_above_one``) settles the common cases at once: no
-    sign variation proves that (1, B] holds no root, and one variation that
-    it holds exactly one, simple root.  Any other count decides nothing,
-    and Sturm counts take over: the half (mid, hi] is kept while it holds a
-    root, until (lo, hi] holds exactly one.  The halvings left to make are
-    then counted, and the dyadic cells of (lo, hi] of the final width are
-    indexed: a few sign bisections and fixed-point Newton steps guess the
-    root, and the cell holding the guess (or a neighbour) is accepted on an
-    exact certificate, the signs of the squarefree polynomial at its two
-    ends.  Should no candidate be certified, bisection on that sign
-    finishes the job.  Floats only propose a cell; every decision is exact,
-    and the interval is the one Sturm counts at every step would give.
+    The interval is the cell of the bisection of (1, B] that holds the
+    largest root: the first one narrower than 2^-precision_bits that lies
+    in a cell Descartes' rule proves to hold that root alone.  On every
+    input tested it is the cell that Sturm counts at every step give; it
+    can only be deeper, where complex roots near the real axis keep
+    Descartes' rule undecided below that width.  It is found in three
+    phases.  First the largest root is isolated.  Descartes' rule on
+    core(x + 1) (``sign_variations_above_one``) settles the common cases at
+    once: no sign variation proves that (1, B] holds no root, and one
+    variation that it holds exactly one, simple root.  Any other count
+    decides nothing, and ``_isolate_largest`` subdivides (1, B] by
+    Descartes' rule on the squarefree part until one cell holds the largest
+    root alone.  The halvings left to make are then counted, and the dyadic
+    cells of (lo, hi] of the final width are indexed: a few sign bisections
+    and fixed-point Newton steps guess the root, and the cell holding the
+    guess (or a neighbour) is accepted on an exact certificate, the signs
+    of the squarefree polynomial at its two ends.  Should no candidate be
+    certified, bisection on that sign finishes the job.  Floats only
+    propose a cell; every decision is exact.
     Returns None when the core has no real root exceeding 1.
     """
     if core.degree < 1:
@@ -459,21 +451,11 @@ def leading_salem_root(
         # decisions
         squarefree = core
     else:
-        chain = sturm_sequence(core)
-        v_lo, v_hi = _sign_changes(chain, lo), _sign_changes(chain, hi)
-        if v_lo == v_hi:
+        squarefree = _squarefree_part(core)
+        cell = _isolate_largest(squarefree, hi)
+        if cell is None:
             return None
-        # a rational root at mid needs no care: Sturm counts on the
-        # half-open (mid, hi] stay exact, and a largest root at mid stays
-        # in (lo, mid]
-        while v_lo - v_hi > 1:
-            mid = (lo + hi) / 2
-            v_mid = _sign_changes(chain, mid)
-            if v_mid - v_hi >= 1:
-                lo, v_lo = mid, v_mid
-            else:
-                hi, v_hi = mid, v_mid
-        squarefree = chain[0]
+        lo, hi = cell
     # one simple root in (lo, hi], which bisection would halve `halvings`
     # more times: by sign down to 2^-24, then to the certified cell
     halvings = _halvings(hi - lo, precision_bits)

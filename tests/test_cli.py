@@ -129,6 +129,25 @@ def test_lines_n1_exceptional_exit_3(capsys):
     assert code == EXIT_EXCEPTIONAL
 
 
+@pytest.mark.parametrize("command", ["construct", "verify"])
+@pytest.mark.parametrize("k, m, message", [
+    ("2", "0", "m must be >= 1, got 0"),
+    ("2", "-1", "m must be >= 1, got -1"),
+    ("1", "2", "k must be >= 2, got 1"),
+    ("0", "3", "k must be >= 2, got 0"),
+], ids=["m0", "m-1", "k1", "k0"])
+def test_lines_parameters_out_of_range_exit_2(capsys, command, k, m, message):
+    # m = 0, (k, m) = (1, 2) and k = 0 once reached a periodic Coxeter
+    # element, T(1, 3, 6), T(3, 2, 4) and T(4, 1, 4), and were reported as
+    # a root-of-unity multiplier (exit 3)
+    code, out, err = run(
+        capsys, command, "--family", "lines", "-k", k, "-m", m, "-n", "2"
+    )
+    assert code == EXIT_INVALID
+    assert not out
+    assert message in err
+
+
 def test_picard_report(capsys):
     code, payload, _ = run_json(capsys, "picard", "-k", "2", "-n", "8")
     assert code == EXIT_OK

@@ -1,18 +1,12 @@
-"""Integer and rational polynomial arithmetic."""
+"""Integer polynomial arithmetic, cross-checked against sympy."""
 
 from fractions import Fraction
 
-import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremona.polynomials import (
-    IntegerPolynomial,
-    rat_divmod,
-    rat_eval,
-    rat_gcd_monic,
-    trim,
-)
+from cremona.polynomials import IntegerPolynomial
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=6).map(
     IntegerPolynomial
@@ -93,30 +87,44 @@ def test_sign_at_is_zero_at_rational_roots(cofactor, num, log_den):
     assert p.sign_at(root) == 0
 
 
-def _rp(*coeffs):
-    return trim([Fraction(c) for c in coeffs])
-
-
-def test_rat_divmod_reconstruction():
-    a = _rp(1, 0, -3, 1)
-    b = _rp(-1, 1)
-    q, r = rat_divmod(a, b)
-    assert len(r) < len(b)
-    # q b + r = a at more points than its degree, so as polynomials
-    for x in map(Fraction, range(-2, 3)):
-        assert rat_eval(q, x) * rat_eval(b, x) + rat_eval(r, x) == rat_eval(a, x)
-
-
-def test_rat_gcd_coprime_is_one():
-    g = rat_gcd_monic(_rp(-2, 0, 1), _rp(-1, 1))
-    assert g == _rp(1)
-
-
-def test_rat_eval():
-    assert rat_eval(_rp(1, 2, 1), Fraction(2)) == 9
-
-
 def test_divmod_exact_rejects_inexact():
     a = IntegerPolynomial([1, 1])
     b = IntegerPolynomial([0, 2])
     assert a.divmod_exact(b) is None or a.try_divide(b) is None
+
+
+X = sympy.symbols("x")
+
+
+def _sympy_gcd(a, b):
+    expr = sympy.gcd(sum(c * X ** i for i, c in enumerate(a.coeffs)),
+                     sum(c * X ** i for i, c in enumerate(b.coeffs)))
+    return IntegerPolynomial(reversed(sympy.Poly(expr, X).all_coeffs()))
+
+
+@given(
+    st.lists(st.integers(-30, 30), max_size=4).map(IntegerPolynomial),
+    small_polys,
+    small_polys,
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_gcd_matches_sympy(common, a, b, sa, sb):
+    # a planted common factor, each side times a scalar of either sign;
+    # a, b and common may be constant, coprime or zero
+    x, y = a * common * sa, b * common * sb
+    g = x.gcd(y)
+    assert g == _sympy_gcd(x, y)
+    assert g == y.gcd(x)
+    if not g.is_zero():
+        assert g.leading() > 0
+        assert x.try_divide(g) is not None and y.try_divide(g) is not None
+
+
+def test_gcd_of_coprime_and_constant_inputs():
+    x2 = IntegerPolynomial([-2, 0, 1])
+    assert x2.gcd(IntegerPolynomial([-1, 1])) == IntegerPolynomial.one()
+    assert IntegerPolynomial([6, 0, -12]).gcd(IntegerPolynomial([4])) == IntegerPolynomial([2])
+    assert (-x2).gcd(IntegerPolynomial([])) == x2
+    assert IntegerPolynomial([]).gcd(IntegerPolynomial([])).is_zero()

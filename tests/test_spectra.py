@@ -16,7 +16,6 @@ from cremona.spectra import (
     GAMMA_PK_FINITE,
     char_poly_biproj,
     char_poly_pk,
-    count_real_roots,
     cyclotomic,
     gamma_biproj_lists,
     gamma_pk_lists,
@@ -26,8 +25,8 @@ from cremona.spectra import (
     sign_variations_above_one,
     spectral_report,
     strip_cyclotomic,
-    sturm_sequence,
     _cyclotomic_indices,
+    _isolate_largest,
     _squarefree_part,
 )
 
@@ -201,15 +200,22 @@ def test_strip_cyclotomic_matches_sympy_factorization(poly):
 ])
 def test_count_real_roots_of_repeated_factors(factors, monkeypatch):
     poly = _product(*factors)
-    calls = []
-    squarefree = spectra._squarefree_part
-    monkeypatch.setattr(spectra, "_squarefree_part",
-                        lambda p: calls.append(p) or squarefree(p))
     roots = sympy.real_roots(to_sympy(poly))
     for lo, hi in ((-10, 10), (1, 10), (2, 3), (-2, 2)):
         expected = len({r for r in roots if lo < r <= hi})
         assert count_real_roots(poly, Fraction(lo), Fraction(hi)) == expected
-    assert calls, "a repeated factor takes the squarefree fallback"
+    squarefree = _squarefree_part(poly)
+    assert sympy.expand(to_sympy(squarefree) - sympy.sqf_part(to_sympy(poly))) == 0
+    # the Salem root isolates on the squarefree part whenever Descartes'
+    # rule on poly(x + 1) leaves it undecided
+    calls = []
+    monkeypatch.setattr(spectra, "_squarefree_part",
+                        lambda p: calls.append(p) or _squarefree_part(p))
+    expected = all_chain_bisection(poly, ALL_BITS)
+    for bits in ALL_BITS:
+        iso = leading_salem_root(poly, bits)
+        assert (iso.low, iso.high) == expected[bits], bits
+    assert bool(calls) == (sign_variations_above_one(poly) >= 2)
 
 
 def test_squarefree_chain_skips_the_fallback(monkeypatch):
@@ -217,15 +223,24 @@ def test_squarefree_chain_skips_the_fallback(monkeypatch):
         raise AssertionError("squarefree input needs no gcd")
 
     monkeypatch.setattr(spectra, "_squarefree_part", refuse)
-    assert sturm_sequence(LEHMER)[0] == LEHMER
+    # three sign variations at x + 1, one root above 1
+    core = _product([-2, 1], [3, -3, 2])
+    lo, hi = _isolate_largest(core, root_bound(core))
+    assert lo < 2 <= hi and count_real_roots(core, lo, hi) == 1
     assert leading_salem_root(_core("pk", 3, 20), 64) is not None
 
 
-def test_sturm_chain_endpoints():
-    chain = sturm_sequence(LEHMER)
-    assert chain[0] == LEHMER
-    assert chain[1] == LEHMER.derivative()
-    assert chain[-1].degree <= 0 or not chain[-1].is_zero()
+def test_largest_root_at_a_cell_end():
+    # (x - 3)(x - 4), B = 13: the cells (1, 4] and (5/2, 4] end at the root
+    # 4 but hold 3 too, and (13/4, 4] holds it alone
+    core = _product([-3, 1], [-4, 1])
+    assert sign_variations_above_one(core) == 2
+    assert _isolate_largest(core, root_bound(core)) == (Fraction(13, 4), Fraction(4))
+    expected = all_chain_bisection(core, ALL_BITS)
+    for bits in ALL_BITS:
+        iso = leading_salem_root(core, bits)
+        assert (iso.low, iso.high) == expected[bits], bits
+        assert iso.high == 4
 
 
 def test_leading_salem_root_certificate():
@@ -327,6 +342,13 @@ def _old_sign_changes(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def count_real_roots(p, lo, hi):
+    """Number of distinct real roots in the half-open interval (lo, hi],
+    from the Sturm chain of the squarefree part."""
+    chain = _old_sturm_chain(p)
+    return _old_sign_changes(chain, lo) - _old_sign_changes(chain, hi)
+
+
 def all_chain_bisection(core, precisions):
     """{bits: (low, high)}, every step deciding by Sturm counts over the
     whole chain.  The counts at lo and hi are carried along rather than
@@ -377,13 +399,13 @@ ORACLE_INPUTS = (
     + [
         pytest.param(_product([-4, 1], [-24, 0, 1]), ALL_BITS,
                      id="(x-4)(x^2-24)"),
-        # two roots above 1 a quarter apart: Sturm counts must split them
+        # two roots above 1 a quarter apart: isolation must split them
         pytest.param(_product([-8, 0, 1], [-9, 0, 1]), ALL_BITS,
                      id="(x^2-8)(x^2-9)"),
         # B = 3, so the first midpoint is the root 2
         pytest.param(_product([-2, 1], [1, 0, 1]), ALL_BITS,
                      id="(x-2)(x^2+1)"),
-        # roots 1 + 2^-100 and 1 + 2^-99: the Sturm phase alone ends below
+        # roots 1 + 2^-100 and 1 + 2^-99: isolation alone ends below
         # 2^-64, so no sign halving is left at 64 bits
         pytest.param(_product([-(2 ** 100 + 1), 2 ** 100],
                               [-(2 ** 100 + 2), 2 ** 100]), ALL_BITS,
@@ -463,16 +485,17 @@ def test_cell_certificate_matches_sign_bisection(root_factor, factors):
 
 
 # ---------------------------------------------------------------------------
-# Descartes' rule on p(x + 1): the certificate that replaces the Sturm chain
+# Descartes' rule: on p(x + 1), and on the dyadic cells of (1, B] when that
+# leaves the count undecided
 
 
 def test_sweep_cores_need_no_sturm_chain(monkeypatch):
     # one sign variation of core(x + 1) proves the one root above 1, so no
-    # Salem core of the sweep range builds a Sturm chain
-    def refuse(p):
-        raise AssertionError("one sign variation needs no Sturm chain")
+    # Salem core of the sweep range needs a subdivision
+    def refuse(*args):
+        raise AssertionError("one sign variation needs no subdivision")
 
-    monkeypatch.setattr(spectra, "sturm_sequence", refuse)
+    monkeypatch.setattr(spectra, "_isolate_largest", refuse)
     for family in ("pk", "biproj"):
         for k in range(2, 11):
             for n in range(1, 61):
@@ -503,14 +526,14 @@ FALLBACK_INPUTS = [
                          ids=[p.id for p in FALLBACK_INPUTS])
 def test_undecided_variations_fall_back_to_sturm(core, monkeypatch):
     assert sign_variations_above_one(core) >= 2
-    chains = []
-    monkeypatch.setattr(spectra, "sturm_sequence",
-                        lambda p: chains.append(p) or sturm_sequence(p))
+    calls = []
+    monkeypatch.setattr(spectra, "_isolate_largest",
+                        lambda *args: calls.append(args) or _isolate_largest(*args))
     expected = all_chain_bisection(core, ALL_BITS)
     for bits in ALL_BITS:
         iso = leading_salem_root(core, bits)
         assert (iso.low, iso.high) == expected[bits], bits
-    assert len(chains) == len(ALL_BITS)
+    assert len(calls) == len(ALL_BITS)
 
 
 @given(st.lists(st.one_of(linear, quadratic, above_one), min_size=1, max_size=5))
@@ -524,7 +547,8 @@ def test_sign_variations_bound_the_sturm_count(factors):
         # a repeated root counts once here but twice for Descartes
         assert (variations - count) % 2 == 0
     if variations <= 1:
-        # the interval Sturm counts isolate, when Descartes' rule is ignored
+        # the interval Descartes subdivision isolates, when the count at
+        # x + 1 is ignored
         with mock.patch.object(spectra, "sign_variations_above_one", lambda p: 2):
             expected = leading_salem_root(poly, 64)
         iso = leading_salem_root(poly, 64)
