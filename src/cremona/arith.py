@@ -83,6 +83,9 @@ class ZeroDivisorError(ArithmeticError_):
         self.factor = factor
         super().__init__(f"zero divisor modulo reducible modulus; factor {factor}")
 
+    def __reduce__(self):
+        return type(self), (self.factor,)
+
 
 class InconsistentEmbeddingError(ArithmeticError_):
     pass

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -156,13 +156,9 @@ def _degree_payload(rep):
 def cmd_degree(args) -> int:
     if args.sweep:
         cells = _sweep_cells(args.sweep)
-        with ProcessPoolExecutor() as pool:
-            reports = list(
-                pool.map(
-                    _degree_cell,
-                    [(args.family, k, n, args.precision) for k, n in cells],
-                )
-            )
+        reports = _run_cells(
+            [(args.family, k, n, args.precision) for k, n in cells]
+        )
         emit(
             {
                 "schema": SCHEMA_VERSION,
@@ -180,6 +176,75 @@ def cmd_degree(args) -> int:
 def _degree_cell(job):
     family, k, n, precision = job
     return _degree_payload(spectral_report(family, k, n, precision))
+
+
+def _run_cells(jobs):
+    """``_degree_cell`` of every job, in job order, on forked workers.
+
+    Worker i of w = min(cpu_count, len(jobs)) takes the interleaved share
+    ``jobs[i::w]``, so the cost that grows with k and n is spread evenly, and
+    sends back one pickled reply through its own pipe (see ``_sweep_worker``).
+    The parent runs no cell: it reads every pipe to the end and reaps every
+    worker before it raises anything.  It re-raises the exception of the
+    first failing job, as a serial loop would, and reports a worker that
+    ended without a reply.  Where ``os.fork`` does not exist the jobs run in
+    this process.
+    """
+    if not hasattr(os, "fork"):
+        return [_degree_cell(job) for job in jobs]
+    w = min(os.cpu_count() or 1, len(jobs))
+    workers, replies = [], []
+    try:
+        for i in range(w):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _sweep_worker(jobs, i, w, write_fd)
+            os.close(write_fd)
+            workers.append((pid, read_fd))
+    finally:
+        for pid, read_fd in workers:
+            with open(read_fd, "rb") as fh:
+                data = fh.read()
+            replies.append((pid, data, os.waitpid(pid, 0)[1]))
+    payloads, errors = [None] * len(jobs), []
+    for i, (pid, data, status) in enumerate(replies):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError(
+                f"sweep worker {pid} ended with exit code {code} "
+                "before sending its cells"
+            )
+        tag, value = pickle.loads(data)
+        if tag == "error":
+            errors.append(value)
+        else:
+            payloads[i::w] = value
+    if errors:
+        raise min(errors)[1]  # job indices are distinct
+    return payloads
+
+
+def _sweep_worker(jobs, start, step, write_fd):
+    """The body of a forked sweep worker for ``jobs[start::step]``.  It
+    pickles ``("ok", payloads)``, or ``("error", (index, exception))`` for
+    the first job that raised, to ``write_fd``, and leaves only by
+    ``os._exit``: with code 0 once the reply is written."""
+    code = 1
+    try:
+        payloads = []
+        try:
+            for index in range(start, len(jobs), step):
+                payloads.append(_degree_cell(jobs[index]))
+            reply = ("ok", payloads)
+        except Exception as exc:
+            reply = ("error", (index, exc))
+        with open(write_fd, "wb") as fh:
+            pickle.dump(reply, fh)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _sweep_cells(spec_pair):
@@ -454,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=2,
         metavar=("KRANGE", "NRANGE"),
         default=None,
-        help="evaluate a kmin..kmax nmin..nmax grid in parallel",
+        help="evaluate a kmin..kmax nmin..nmax grid on forked workers "
+        "(in this process where os.fork does not exist)",
     )
     command("construct", cmd_construct, "build the map data", every)
     p_verify = command(

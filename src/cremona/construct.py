@@ -50,6 +50,9 @@ class ExceptionalPairError(Exception):
             "multiplier is a root of unity (no Salem factor)"
         )
 
+    def __reduce__(self):
+        return type(self), (self.family, self.k, self.n)
+
 
 class RootOfUnityError(Exception):
     pass

@@ -45,6 +45,9 @@ class NotOnCurveError(GeometryError):
         self.index = index
         super().__init__(message or f"coordinate {index} violates the curve equations")
 
+    def __reduce__(self):
+        return type(self), (self.index, str(self))
+
 
 class _Infinity:
     """Distinguished curve parameter for the cusp; never enters arithmetic."""

@@ -1,9 +1,20 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
+import importlib
+import inspect
 import json
+import os
+import pickle
+import pkgutil
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import cremona
+from cremona import cli
+from cremona.arith import ArithmeticError_, InconsistentEmbeddingError, ZeroDivisorError
 from cremona.cli import (
     EXIT_EXCEPTIONAL,
     EXIT_INVALID,
@@ -11,6 +22,10 @@ from cremona.cli import (
     EXIT_VERIFY,
     main,
 )
+from cremona.construct import ExceptionalPairError, RootOfUnityError
+from cremona.geometry import GeometryError, IndeterminacyError, NotOnCurveError
+from cremona.picard import LatticeError
+from cremona.verify import PrecisionExhaustedError, VerificationError
 
 
 def run(capsys, *argv):
@@ -276,6 +291,136 @@ def test_sweep_merged_in_order(capsys):
     assert code == EXIT_OK
     cells = [(c["k"], c["n"]) for c in payload["cells"]]
     assert cells == [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)]
+
+
+def sweep_stdout(family, cells):
+    """What ``degree --sweep`` prints: the serial payload of every cell."""
+    payload = {
+        "schema": 1,
+        "command": "degree-sweep",
+        "family": family,
+        "cells": [cli._degree_cell((family, k, n, 256)) for k, n in cells],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("family", ["pk", "biproj"])
+def test_sweep_on_workers_prints_the_serial_payloads(capsys, monkeypatch, family, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out, err = run(
+        capsys, "degree", "--family", family, "--sweep", "2..3", "4..6",
+        "--precision", "256",
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out == sweep_stdout(family, [(k, n) for k in (2, 3) for n in (4, 5, 6)])
+
+
+def test_sweep_without_fork_runs_in_process(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    code, out, _ = run(
+        capsys, "degree", "--family", "pk", "--sweep", "2..3", "4..6",
+        "--precision", "256",
+    )
+    assert code == EXIT_OK
+    assert out == sweep_stdout("pk", [(k, n) for k in (2, 3) for n in (4, 5, 6)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("ranges, message", [
+    (("1..2", "5..6"), "k must be >= 2, got 1"),
+    (("2..3", "0..2"), "n must be >= 1, got 0"),
+])
+def test_sweep_worker_error_exit_2(capsys, monkeypatch, cpus, ranges, message):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out, err = run(capsys, "degree", "--sweep", *ranges)
+    assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message}\n")
+
+
+def test_sweep_raises_the_first_failing_cell(capsys, monkeypatch):
+    # on two workers (2,5) is the second worker's first cell and (3,5) the
+    # first worker's last; a serial loop meets (2,5) first
+    serial = cli._degree_cell
+
+    def cell(job):
+        if job[2] == 5:
+            raise ValueError(f"cell ({job[1]},{job[2]})")
+        return serial(job)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_degree_cell", cell)
+    code, _, err = run(capsys, "degree", "--sweep", "2..3", "4..6")
+    assert (code, err) == (EXIT_INVALID, "invalid input: cell (2,5)\n")
+
+
+def test_sweep_worker_that_dies_is_reported_and_reaped(monkeypatch):
+    serial = cli._degree_cell
+
+    def cell(job):
+        if job[1:3] == (2, 5):
+            os._exit(3)
+        return serial(job)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_degree_cell", cell)
+    with pytest.raises(RuntimeError, match="exit code 3 before sending its cells"):
+        main(["degree", "--sweep", "2..3", "4..6"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_starts_without_a_process_pool():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = (
+        "import sys, cremona.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
+
+
+EXCEPTIONS = [
+    ExceptionalPairError("pk", 2, 7),
+    RootOfUnityError("alpha must not be a root of unity"),
+    LatticeError("k must be >= 2"),
+    VerificationError("lines-family construction required"),
+    PrecisionExhaustedError("coordinates collapsed"),
+    GeometryError("degenerate"),
+    IndeterminacyError("output factor degenerated to zero"),
+    NotOnCurveError(3),
+    NotOnCurveError(None, "factor 1 off the curve"),
+    ArithmeticError_("no inverse"),
+    ZeroDivisorError((Fraction(-1), Fraction(0), Fraction(1))),
+    InconsistentEmbeddingError("root does not match"),
+]
+
+
+def test_exceptions_cover_the_package():
+    defined = set()
+    for info in pkgutil.iter_modules(cremona.__path__):
+        module = importlib.import_module(f"cremona.{info.name}")
+        defined |= {
+            obj for obj in vars(module).values()
+            if inspect.isclass(obj) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        }
+    assert defined == {type(exc) for exc in EXCEPTIONS}
+
+
+@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda e: type(e).__name__)
+def test_exceptions_survive_pickling(exc):
+    # a sweep worker's exception reaches the parent pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert back.args == exc.args
+    assert vars(back) == vars(exc)
 
 
 def test_out_file(tmp_path, capsys):
