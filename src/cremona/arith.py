@@ -66,7 +66,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .polynomials import IntegerPolynomial
+from .polynomials import IntegerPolynomial, _convolve
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -292,19 +292,6 @@ class NumberFieldElement:
 
     def __repr__(self):
         return f"NFE({list(self.residue)} mod {self.modulus})"
-
-
-def _convolve(a, b, out=None, scale=1) -> list:
-    """The coefficients of a(x) b(x), each times ``scale``, added into
-    ``out`` (a new list when None); a and b are nonempty."""
-    if out is None:
-        out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            ai *= scale
-            for j, bj in enumerate(b, i):
-                out[j] += ai * bj
-    return out
 
 
 def dot(row, vec):

@@ -167,6 +167,22 @@ def center_matrix(k: int, params, scalings=None) -> LinearMap:
     return LinearMap([[cols[j][i] for j in range(k + 1)] for i in range(k + 1)])
 
 
+def center_matrices(k: int, delta, t_plus, s_params, factors: int):
+    """The center matrices of every factor i < ``factors``: T_i on the
+    parameters t^+ - i and S_i on s - i.  Each parameter set is an affine
+    image of t^+, with slope 1 for T_i and delta for S_i, so all take their
+    scalings from those of t^+ (``affine_scalings``)."""
+    scalings = column_scalings(t_plus)
+    T, S = [], []
+    for i in range(factors):
+        t_i = [t - i for t in t_plus]
+        s_i = [s - i for s in s_params]
+        t_scalings = affine_scalings(scalings, t_plus, t_i, 1) if i else scalings
+        T.append(center_matrix(k, t_i, t_scalings))
+        S.append(center_matrix(k, s_i, affine_scalings(scalings, t_plus, s_i, delta)))
+    return T, S
+
+
 def curve_fixing_map(k: int, delta, t_plus):
     """Basic cremona map S o J o T^{-1} properly fixing the standard curve
     with F(gamma(t)) = gamma(delta t + tau).
@@ -182,9 +198,7 @@ def curve_fixing_map(k: int, delta, t_plus):
     total = sum(t_plus[1:], t_plus[0])
     tau = delta * total * Fraction(k - 1, k + 1)
     s_params = [delta * t - tau * Fraction(2, k - 1) for t in t_plus]
-    scalings = column_scalings(t_plus)
-    T = center_matrix(k, t_plus, scalings)
-    S = center_matrix(k, s_params, affine_scalings(scalings, t_plus, s_params, delta))
+    (T,), (S,) = center_matrices(k, delta, t_plus, s_params, 1)
     return T, S, tau, s_params
 
 
@@ -322,17 +336,7 @@ def construct_biproj(k: int, n: int) -> CoxeterConstruction:
     t_plus, t_minus, closed_ok = tplus_biproj(k, delta)
     tau = Fraction(k) + Fraction(k - 1) * delta
     L1, L2 = build_L_biproj(k, delta)
-    # explicit center matrices for both factors of T and S; every
-    # parameter set is an affine image of t^+, with slope 1 or delta
-    scalings = column_scalings(t_plus)
-
-    def shared(params, lam):
-        return center_matrix(k, params, affine_scalings(scalings, t_plus, params, lam))
-
-    T1 = center_matrix(k, t_plus, scalings)
-    T2 = shared([t - 1 for t in t_plus], 1)
-    S1 = shared(t_minus, delta)
-    S2 = shared([t - 1 for t in t_minus], delta)
+    T_matrices, S_matrices = center_matrices(k, delta, t_plus, t_minus, 2)
     notes = list(rep.notes)
     if not closed_ok:
         notes.append(
@@ -348,8 +352,8 @@ def construct_biproj(k: int, n: int) -> CoxeterConstruction:
         t_plus=t_plus,
         tau=tau,
         L=[L1, L2],
-        T_matrices=[T1, T2],
-        S_matrices=[S1, S2],
+        T_matrices=T_matrices,
+        S_matrices=S_matrices,
         s_params=t_minus,
         notes=notes,
     ).keep_root(rep.delta.value if rep.delta else None)

@@ -16,6 +16,7 @@ codimension-two indeterminacy locus.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence, Union
 
 from .arith import (
@@ -78,13 +79,11 @@ class ProjectivePoint:
         coords = tuple(coords)
         if not coords:
             raise ValueError("empty coordinate vector")
-        if all(map(is_zero, coords)):
+        # exactly zero: a float image under J, a product of k coordinates,
+        # can be nonzero and still below the threshold of ``is_zero``
+        if all(c == 0 for c in coords):
             raise ValueError("all coordinates zero")
         self.coords = coords
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
 
     @classmethod
     def standard_basis(cls, j: int, k: int, one=1) -> "ProjectivePoint":
@@ -110,9 +109,6 @@ class ProjectivePoint:
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.eq(other)
-
-    def __hash__(self):
-        raise TypeError("projective points are not hashable")
 
     def __repr__(self):
         return "[" + " : ".join(repr(c) for c in self.coords) + "]"
@@ -152,59 +148,45 @@ class LinearMap:
     def identity(cls, n: int, one=1) -> "LinearMap":
         return cls([[one if i == j else one * 0 for j in range(n)] for i in range(n)])
 
-    def determinant(self):
-        """Gaussian elimination over the scalar field."""
-        n = self.size
-        m = [list(r) for r in self.matrix]
-        det = one_like(m[0][0])
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not is_zero(m[r][col])), None)
-            if piv is None:
-                return det * 0
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            pval = m[col][col]
-            det = det * pval
-            inv = inverse(pval)
-            for r in range(col + 1, n):
-                f = m[r][col] * inv
-                if is_zero(f):
-                    continue
-                m[r] = [m[r][j] - f * m[col][j] for j in range(n)]
-        return det
-
-    def inverse(self) -> "LinearMap":
+    def _gauss_jordan(self):
+        """One Gauss–Jordan pass on [M | I]: the pivots, each negated when
+        its column needed a row swap, and the rows of M^-1.  When a column
+        has no pivot the pass stops with a zero pivot and no rows."""
         n = self.size
         one = one_like(self.matrix[0][0])
         aug = [
             list(row) + [one if i == j else one * 0 for j in range(n)]
             for i, row in enumerate(self.matrix)
         ]
+        pivots = []
         for col in range(n):
             piv = next((r for r in range(col, n) if not is_zero(aug[r][col])), None)
             if piv is None:
-                raise ValueError("singular matrix")
+                return pivots + [one * 0], None
             aug[col], aug[piv] = aug[piv], aug[col]
-            inv = inverse(aug[col][col])
+            pval = aug[col][col]
+            pivots.append(pval if piv == col else -pval)
+            inv = inverse(pval)
             aug[col] = [c * inv for c in aug[col]]
             for r in range(n):
                 if r != col and not is_zero(aug[r][col]):
                     f = aug[r][col]
                     aug[r] = [aug[r][j] - f * aug[col][j] for j in range(2 * n)]
-        return LinearMap([row[n:] for row in aug])
+        return pivots, [row[n:] for row in aug]
+
+    def determinant(self):
+        """The product of the signed Gauss–Jordan pivots."""
+        return prod(self._gauss_jordan()[0], start=one_like(self.matrix[0][0]))
+
+    def inverse(self) -> "LinearMap":
+        rows = self._gauss_jordan()[1]
+        if rows is None:
+            raise ValueError("singular matrix")
+        return LinearMap(rows)
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        n = self.size
-        return LinearMap(
-            [
-                [
-                    sum((self.matrix[i][l] * other.matrix[l][j] for l in range(n)))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
+        cols = list(zip(*other.matrix))
+        return LinearMap([[dot(row, col) for col in cols] for row in self.matrix])
 
     def column(self, j: int) -> ProjectivePoint:
         return ProjectivePoint([row[j] for row in self.matrix])

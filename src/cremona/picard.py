@@ -364,10 +364,6 @@ class TraceReport:
     checked: list  # (description, passed)
     salem_divides: bool
 
-    @property
-    def all_passed(self) -> bool:
-        return self.salem_divides and all(ok for _, ok in self.checked)
-
 
 def class_traces(construction, lat: PicardLattice):
     """u-parameter traces of the basis classes of ``lat``, u = t - 1.
@@ -384,10 +380,9 @@ def class_traces(construction, lat: PicardLattice):
     return traces
 
 
-def trace_compatibility(
-    construction, sample_classes=None, *, action=None, charpoly=None
-) -> TraceReport:
-    """Check tr(F* D) = delta tr(D) for degree-zero classes D.
+def trace_compatibility(construction, *, action=None, charpoly=None) -> TraceReport:
+    """Check tr(F* D) = delta tr(D) for the degree-zero classes D of
+    ``default_trace_classes``.
 
     The trace functional is linear over the basis traces; degree zero means
     D.C = 0, which makes the trace independent of translation normalization.
@@ -402,10 +397,8 @@ def trace_compatibility(
     m, lat = action
     traces = class_traces(construction, lat)
     degs = lat.curve_degrees()
-    if sample_classes is None:
-        sample_classes = default_trace_classes(lat)
     checked = []
-    for desc, vec in sample_classes:
+    for desc, vec in default_trace_classes(lat):
         if sum(c * d for c, d in zip(vec, degs)) != 0:
             checked.append((desc + " (not degree zero)", False))
             continue

@@ -4,7 +4,9 @@ Coefficient lists are indexed by degree (coeffs[i] is the coefficient of x^i).
 ``IntegerPolynomial`` is the workhorse for characteristic polynomials and
 cyclotomic factors; its ``gcd`` in Z[x] gives the squarefree part of a
 characteristic polynomial and the factor a number-field zero divisor shares
-with its modulus.
+with its modulus.  ``_convolve`` is the one schoolbook product kernel: the
+polynomial product here and the number-field product in ``arith`` both
+call it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,19 @@ def trim(coeffs: Sequence) -> tuple:
     while n > 0 and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def _convolve(a, b, out=None, scale=1) -> list:
+    """The coefficients of a(x) b(x), each times ``scale``, added into
+    ``out`` (a new list when None); a and b are nonempty."""
+    if out is None:
+        out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            ai *= scale
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
 
 
 class IntegerPolynomial:
@@ -78,12 +93,7 @@ class IntegerPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntegerPolynomial([])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntegerPolynomial(out)
+        return IntegerPolynomial(_convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -184,21 +194,3 @@ class IntegerPolynomial:
 
     def __repr__(self):
         return f"IntegerPolynomial({list(self.coeffs)})"
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(f"{c:+d}")
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                sign = "+" if c > 0 else "-"
-                xs = "x" if i == 1 else f"x^{i}"
-                parts.append(f"{sign}{mag}{xs}")
-        s = "".join(parts)
-        return s[1:] if s.startswith("+") else s

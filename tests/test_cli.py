@@ -111,6 +111,18 @@ def test_float_and_exact_decimals_agree(capsys, family, k, n):
     assert decimals["float"][0]
 
 
+def test_float_verify_of_tiny_images(capsys):
+    # at (12, 30) J maps normalized points to images whose every coordinate
+    # lies below the float zero threshold at 256 bits; the point is still
+    # nonzero and the orbit closes with the exact multiplier
+    code, payload, err = run_json(
+        capsys, "verify", "-k", "12", "-n", "30", "--backend", "float"
+    )
+    assert code == EXIT_OK, err
+    _, degree, _ = run_json(capsys, "degree", "-k", "12", "-n", "30")
+    assert payload["multiplier"] == degree["delta"]["decimal"]
+
+
 def test_verify_lines(capsys):
     code, payload, _ = run_json(
         capsys, "verify", "--family", "lines", "-k", "2", "-m", "2", "-n", "2"

@@ -38,6 +38,13 @@ def test_zero_vector_rejected():
         ProjectivePoint([0, 0, 0])
     with pytest.raises(ValueError):
         ProjectivePoint([])
+    with pytest.raises(ValueError):
+        ProjectivePoint([BigFloat(0, 256)] * 3)
+    # nonzero, though below the float zero threshold: the image of a
+    # normalized point under J can be this small (mpf exponents are unbounded)
+    tiny = BigFloat(1, 256) / 2 ** 300
+    point = ProjectivePoint([tiny, tiny * 3, -tiny])
+    assert point == ProjectivePoint([BigFloat(1, 256), BigFloat(3, 256), BigFloat(-1, 256)])
 
 
 def test_float_point_equality():
