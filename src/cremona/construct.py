@@ -12,8 +12,9 @@ and S is a center matrix, whose determinant is (prod a_j) e_1(t) times the
 Vandermonde determinant of its parameters, and every L has the determinant
 (-1)^k s prod beta_r of its shape.  The field inversions that build the
 column scalings a_j certify the first to be a unit (see ``center_matrix``),
-and k products decide the second (see ``_shaped_L``).  ``verify`` still
-inverts T by elimination, so curve invariance checks T independently.
+and k products decide the second (see ``_shaped_L``).  ``verify`` never
+inverts T: it takes the closed-form preimage of a curve point and certifies
+it by the product with T, so curve invariance still checks T independently.
 
 The biprojective family follows the recurrence system for t_j^- (the printed
 closed form for t_j^+ is evaluated alongside and any mismatch is recorded,

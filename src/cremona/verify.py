@@ -6,6 +6,13 @@ t -> delta t + tau is computed separately and used only as an independent
 cross-check.  On the exact backend every comparison is an identity in
 Q(delta); the float backend re-runs the same iteration after embedding delta
 as a certified numerical root of the modulus.
+
+Curve invariance is checked in the original frame F = S o J o T^{-1} without
+inverting T: the preimage of gamma(x) under a center matrix has a closed
+form with no division, it is certified by the product T u being
+proportional to gamma(x), and the image S J(u) is compared with
+gamma(delta x + tau) by cross-multiplication.  Only a sample that fails is
+normalized, to report the parameter its image actually has.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import BigFloat, close, embed, one_like
+from .arith import BigFloat, close, dot, embed, one_like
 from .geometry import (
     IndeterminacyError,
     LinearMap,
@@ -95,8 +102,9 @@ class Backend:
     label: str
     root: Optional[BigFloat]  # None on the exact backend
     L: list
-    T_inv: list
+    T: list
     S: list
+    centers: list  # per factor i, the parameters t^+ - i of T_i
     delta: object
     tau: object
 
@@ -113,12 +121,16 @@ def _prepare(construction, backend: str, precision_bits: int) -> Backend:
             label = f"float({precision_bits})"
         else:
             raise ValueError(f"unknown backend {backend!r}")
+        t_plus = [embed(t, root) for t in construction.t_plus]
         construction.backends[key] = Backend(
             label=label,
             root=root,
             L=[embed_matrix(m, root) for m in construction.L],
-            T_inv=[embed_matrix(m, root).inverse() for m in construction.T_matrices],
+            T=[embed_matrix(m, root) for m in construction.T_matrices],
             S=[embed_matrix(m, root) for m in construction.S_matrices],
+            centers=[
+                [t - i for t in t_plus] for i in range(len(construction.T_matrices))
+            ],
             delta=embed(construction.delta, root),
             tau=embed(construction.tau, root),
         )
@@ -264,12 +276,49 @@ class CurveReport:
         )
 
 
-def apply_full_map(construction, point, backend="exact", precision_bits=256):
-    """F = (S_0 x .. x S_{m-1}) o J_m o (T_0^{-1} x .. x T_{m-1}^{-1}) in
-    the original frame, on the list of factors of a point of (P^k)^m."""
-    b = _prepare(construction, backend, precision_bits)
-    pre = [apply_linear(t, p) for t, p in zip(b.T_inv, point)]
-    return _step_points(b.S, pre)
+def _preimage(params, x) -> list:
+    """T^{-1} gamma(x) up to scale for T the center matrix of ``params``
+    (``construct.center_matrix``): coordinate j is
+
+        u_j = (x + E - t_j) * prod_{i != j} (x - t_i),   E = sum of the t_i,
+
+    and T^{-1} gamma(x) = (-1)^k u exactly.  The column scalings
+    a_j = 1 / (E prod_{i != j} (t_i - t_j)) cancel the denominators of the
+    coefficients of gamma(x) in the basis gamma(t_j), so u needs no
+    inversion; the products over i != j are prefix times suffix products.
+    The callers certify u by T u, and never assume it."""
+    gaps = [x - t for t in params]
+    shift = x + sum(params[1:], params[0])
+    prefix = [gaps[0]]  # prefix[j] = prod_{i <= j} gaps[i]
+    for g in gaps[1:-1]:
+        prefix.append(prefix[-1] * g)
+    others = [None] * len(gaps)  # others[j] = prod_{i != j} gaps[i]
+    others[-1] = prefix[-1]
+    suffix = gaps[-1]  # prod_{i > j} gaps[i]
+    for j in range(len(gaps) - 2, 0, -1):
+        others[j] = prefix[j - 1] * suffix
+        suffix = suffix * gaps[j]
+    others[0] = suffix
+    return [(shift - t) * o for t, o in zip(params, others)]
+
+
+def _product(m: LinearMap, p: ProjectivePoint) -> ProjectivePoint:
+    """m p as it comes; ``apply_linear`` would normalize it."""
+    return ProjectivePoint([dot(row, p.coords) for row in m.matrix])
+
+
+def _certified_image(b: Backend, point, preimage):
+    """(S_0 x .. x S_{m-1}) o J_m of ``preimage``, unnormalized, once every
+    T_i u_i is certified proportional to factor i of ``point``; None when
+    one is not, since u is then no preimage of the point."""
+    for t_mat, u, p in zip(b.T, preimage, point):
+        if not _product(t_mat, u).eq(p):
+            return None
+    return [_product(s, q) for s, q in zip(b.S, apply_J_multi(preimage))]
+
+
+def _matches(image, target) -> bool:
+    return image is not None and all(p.eq(q) for p, q in zip(image, target))
 
 
 def _sample_params(construction, samples: int, root):
@@ -301,6 +350,17 @@ def _recover_param(construction, image):
     return t
 
 
+def _image_param(construction, image):
+    """The parameter a failing sample's image actually has: None when the
+    preimage was not certified or the image is off the curve."""
+    if image is None:
+        return None
+    try:
+        return _recover_param(construction, [p.normalized() for p in image])
+    except NotOnCurveError:
+        return None
+
+
 def verify_curve_invariance(
     construction,
     samples: int = 20,
@@ -308,32 +368,33 @@ def verify_curve_invariance(
     precision_bits: int = 256,
 ) -> CurveReport:
     """F(gamma(t)) = gamma(delta t + tau) on sampled parameters, plus the
-    cusp; the multiplier is measured as the slope of the affine parameter map
-    and a measured slope of 1 flags a translation (conjugate to the plain
+    cusp, for F = (S_0 x ..) o J_m o (T_0^{-1} x ..) with no inversion of T.
+
+    Factor i of gamma(t) is gamma(t - i), and its preimage under T_i is the
+    closed form ``_preimage`` on the parameters t^+ - i at x = t - i (at
+    the cusp, (1, .., 1)).  That preimage is certified by T_i u being
+    proportional to gamma(t - i), then S_i J_m(u) is compared with
+    gamma(s - i), s = delta t + tau, by cross-multiplication.  A match
+    proves that the image's parameter x_1 / x_0 is s, which is recorded;
+    only a failing sample is normalized and its parameter recovered.  The
+    multiplier is measured as the slope of the affine parameter map, and a
+    measured slope of 1 flags a translation (conjugate to the plain
     involution) instead of passing."""
     k = construction.k
     b = _prepare(construction, backend, precision_bits)
-    factors = len(b.T_inv)
+    factors = len(b.T)
     report = CurveReport(family=construction.family, k=k, backend=b.label)
     for t in _sample_params(construction, samples, b.root):
-        p = curve_point(t, k, factors)
-        img = apply_full_map(construction, p, backend, precision_bits)
+        u = [ProjectivePoint(_preimage(c, t - i)) for i, c in enumerate(b.centers)]
+        img = _certified_image(b, curve_point(t, k, factors), u)
         expected = b.delta * t + b.tau
-        try:
-            got = _recover_param(construction, img)
-            ok = got is not OO and close(got, expected)
-        except NotOnCurveError:
-            got, ok = None, False
+        ok = _matches(img, curve_point(expected, k, factors))
+        got = expected if ok else _image_param(construction, img)
         report.samples.append((t, got, expected, ok))
-    # cusp: gamma(oo) must be fixed
-    try:
-        cusp_img = apply_full_map(
-            construction, curve_point(OO, k, factors), backend, precision_bits
-        )
-        got = _recover_param(construction, cusp_img)
-        report.cusp_fixed = got is OO
-    except (NotOnCurveError, IndeterminacyError):
-        report.cusp_fixed = False
+    # cusp: gamma(oo) must be fixed; T_i sends (1, .., 1) to it
+    cusp = curve_point(OO, k, factors)
+    ones = ProjectivePoint([one_like(b.delta)] * (k + 1))
+    report.cusp_fixed = _matches(_certified_image(b, cusp, [ones] * factors), cusp)
     # measured multiplier: slope through the first two good samples
     good = [
         (t, g) for (t, g, _, ok) in report.samples if ok and g is not None

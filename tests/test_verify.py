@@ -111,7 +111,7 @@ def test_normalized_orbit_is_the_unscaled_orbit():
 
 def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
     # apply_linear normalizes each factor once; the involutions rescale
-    # nothing.  The orbit walk and the original-frame map share the step.
+    # nothing.  The orbit walks of every family share the step.
     from cremona import arith, verify
     from cremona.geometry import apply_J, apply_J_multi
 
@@ -166,12 +166,118 @@ def test_curve_invariance_pk_20_samples():
 
 
 def test_curve_invariance_fixed_point():
-    c = construct_pk(2, 8)
-    from cremona.geometry import gamma_eval, param_recover
-    from cremona.verify import apply_full_map
+    # t = 1 is the fixed point of t -> delta t + tau at pk (2, 8)
+    from cremona.geometry import curve_point, param_recover
+    from cremona.verify import _certified_image, _prepare, _preimage
 
-    (img,) = apply_full_map(c, [gamma_eval(c.field.one(), 2)])
-    assert param_recover(img, 2) == c.field.one()
+    c = construct_pk(2, 8)
+    one = c.field.one()
+    b = _prepare(c, "exact", 256)
+    u = ProjectivePoint(_preimage(b.centers[0], one))
+    (img,) = _certified_image(b, curve_point(one, 2, 1), [u])
+    assert param_recover(img, 2) == one
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_closed_form_preimage_is_the_inverse(k):
+    # T^{-1} gamma(x) = (-1)^k u, with Gauss-Jordan's inverse as the oracle
+    import random
+
+    from cremona.construct import center_matrix
+    from cremona.geometry import gamma_eval
+    from cremona.verify import _preimage
+
+    rng = random.Random(k)
+    pool = sorted({Fraction(a, b) for a in range(-40, 41) for b in range(1, 10)})
+    for _ in range(4):
+        *params, x = rng.sample(pool, k + 2)
+        if sum(params) == 0:
+            continue
+        inv = center_matrix(k, params).inverse()
+        pre = [sum(r * g for r, g in zip(row, gamma_eval(x, k).coords))
+               for row in inv.matrix]
+        assert pre == [(-1) ** k * c for c in _preimage(params, x)]
+
+
+@pytest.mark.parametrize("build, k, n", [
+    (construct_pk, 2, 8), (construct_pk, 4, 8),
+    (construct_biproj, 2, 5), (construct_biproj, 3, 8),
+])
+def test_closed_form_preimage_of_the_construction(build, k, n):
+    # every factor i: T_i on t^+ - i at x = t - i, and the cusp's preimage
+    # (1, .., 1)
+    from cremona.geometry import apply_linear, gamma_eval
+    from cremona.verify import _preimage
+
+    c = build(k, n)
+    one = c.field.one()
+    for i, T in enumerate(c.T_matrices):
+        inv = T.inverse()
+        params = [t - i for t in c.t_plus]
+        for t in (Fraction(3, 7), Fraction(-5, 2)):
+            x = t * one - i
+            expected = apply_linear(inv, gamma_eval(x, k))
+            assert ProjectivePoint(_preimage(params, x)).eq(expected)
+        cusp = apply_linear(inv, ProjectivePoint.standard_basis(k, k, one=one))
+        assert cusp.eq(ProjectivePoint([one] * (k + 1)))
+
+
+@pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
+                                          (construct_biproj, 3, 8)])
+def test_curve_invariance_inverts_nothing(monkeypatch, build, k, n):
+    # the preimage has a closed form and the image is compared by
+    # cross-multiplication: the only inversion left is the slope's division
+    # by a rational, and no backend inverts T
+    from cremona import arith
+
+    c = build(k, n)
+    inversions = []
+    real_invert = arith.nf_invert
+
+    def counting_invert(a):
+        inversions.append(a)
+        return real_invert(a)
+
+    def no_elimination(self):
+        raise AssertionError("T inverted by elimination")
+
+    monkeypatch.setattr(arith, "nf_invert", counting_invert)
+    monkeypatch.setattr(LinearMap, "inverse", no_elimination)
+    rep = verify_curve_invariance(c, backend="exact")
+    assert rep.all_passed and rep.cusp_fixed
+    assert rep.multiplier_measured == c.delta
+    assert not [a for a in inversions if not a.is_rational()]
+    assert verify_curve_invariance(c, samples=3, backend="float").all_passed
+
+
+@pytest.mark.parametrize("which", ["T_matrices", "S_matrices"])
+def test_perturbed_center_matrix_fails_curve_invariance(which):
+    # the closed-form preimage does not read T, so only the certificate
+    # T u ~ gamma(x) can catch a wrong T: every sample and the cusp must fail
+    c = construct_pk(2, 8)
+    rows = [list(r) for r in getattr(c, which)[0].matrix]
+    rows[1][0] = rows[1][0] + Fraction(1, 5)
+    mats = {"T_matrices": c.T_matrices, "S_matrices": c.S_matrices}
+    mats[which] = [LinearMap(rows)]
+    broken = CoxeterConstruction(
+        family="pk",
+        k=c.k,
+        n=c.n,
+        field=c.field,
+        delta=c.delta,
+        t_plus=c.t_plus,
+        tau=c.tau,
+        L=c.L,
+        s_params=c.s_params,
+        **mats,
+    )
+    rep = verify_curve_invariance(broken, samples=5, backend="exact")
+    assert not rep.all_passed
+    assert not any(ok for *_, ok in rep.samples)
+    assert rep.cusp_fixed is False
+    assert rep.multiplier_measured is None
+    if which == "T_matrices":  # no certified preimage, so no image parameter
+        assert all(got is None for _, got, _, _ in rep.samples)
 
 
 def test_curve_invariance_biproj():
