@@ -195,13 +195,18 @@ class LinearMap:
         return f"LinearMap({[list(r) for r in self.matrix]})"
 
 
+def linear_product(m: LinearMap, p: ProjectivePoint) -> ProjectivePoint:
+    """The image m p as it comes, each coordinate summed with ``dot``."""
+    if m.size != len(p.coords):
+        raise ValueError("dimension mismatch")
+    return ProjectivePoint([dot(row, p.coords) for row in m.matrix])
+
+
 def apply_linear(m: LinearMap, p: ProjectivePoint) -> ProjectivePoint:
     """The image m p, normalized (``ProjectivePoint.normalized``): the one
     rescaling of a map step, since ``apply_J`` and ``apply_J_multi`` leave
     their images as they come."""
-    if m.size != len(p.coords):
-        raise ValueError("dimension mismatch")
-    return ProjectivePoint([dot(row, p.coords) for row in m.matrix]).normalized()
+    return linear_product(m, p).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,25 @@ def test_perturbed_center_matrix_fails_curve_invariance(which):
         assert all(got is None for _, got, _, _ in rep.samples)
 
 
+def test_float_curve_samples_pass_on_their_own_parameter(monkeypatch):
+    # a float image is compared relative to its largest coordinate, so at
+    # 64 bits it still matches gamma(s) when s is off by 2^-30 relative;
+    # the sample must pass on the parameter recovered from the image
+    from cremona.arith import BigFloat, close
+    from cremona.verify import _prepare
+
+    c = construct_biproj(3, 8)
+    b = _prepare(c, "float", 64)
+    rep = verify_curve_invariance(c, samples=3, backend="float", precision_bits=64)
+    assert rep.all_passed
+    assert all(got is not s for _, got, s, _ in rep.samples)
+    assert close(rep.multiplier_measured, b.delta)
+    monkeypatch.setattr(b, "tau", b.tau + BigFloat(2.0 ** -30, 64) * b.tau)
+    rep = verify_curve_invariance(c, samples=3, backend="float", precision_bits=64)
+    assert not any(ok for *_, ok in rep.samples)
+    assert all(got is not None for _, got, _, _ in rep.samples)
+
+
 def test_curve_invariance_biproj():
     c = construct_biproj(2, 5)
     rep = verify_curve_invariance(c, samples=20, backend="exact")
