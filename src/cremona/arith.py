@@ -8,12 +8,12 @@ Multiplication is an integer convolution followed by reduction modulo S,
 which needs no division because S is monic; addition cross-multiplies the
 denominators, and ``dot`` sums a row of products over one denominator with
 one reduction.  Inversion is p-adic: the numerator is inverted modulo
-(S, p) for a 62-bit prime p, the inverse is lifted by Newton's iteration
-modulo p^2, p^4, ... and rationally reconstructed, and a candidate is
-accepted only when its product with the element is exactly 1, which
-certifies it; intermediate values stay near the size of the inverse.  A
-numerator that shares a factor with the modulus is surfaced as a
-``ZeroDivisorError`` carrying that factor, since it certifies that the
+(S, p) for a 62-bit prime p and rationally reconstructed, the inverse being
+lifted by Newton's iteration modulo p^2, p^4, ... until that succeeds, and
+a candidate is accepted only when its product with the element is exactly
+1, which certifies it; intermediate values stay near the size of the
+inverse.  A numerator that shares a factor with the modulus is surfaced as
+a ``ZeroDivisorError`` carrying that factor, since it certifies that the
 claimed Salem factor is reducible.
 
 Heights are controlled where orbits are iterated: ``normalize`` scales an
@@ -440,15 +440,16 @@ def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
 
     The numerator is inverted modulo (S, p) by Euclid over F_p, for the
     first prime p of a fixed sequence that does not divide its resultant
-    with S; Newton's iteration u <- u (2 - num u) lifts the inverse modulo
-    p^2, p^4, ...; after each lift the coefficients are rationally
-    reconstructed over a running common denominator.  A candidate is
-    returned only when candidate * num = 1 holds exactly modulo S: that
-    product is the certificate, so no bound on the inverse's height is
-    needed, and a failed one lifts further.  If every fixed prime fails,
-    gcd(num, S) is computed in Z[x]: a nonconstant gcd is raised as a
-    ``ZeroDivisorError`` (it certifies that S is reducible), a constant one
-    means the primes were unlucky and further primes are drawn."""
+    with S; its coefficients are rationally reconstructed over a running
+    common denominator, and while that fails Newton's iteration
+    u <- u (2 - num u) lifts the inverse modulo p^2, p^4, ... and
+    reconstruction is tried again, so a small inverse needs no lift.  A
+    candidate is returned only when candidate * num = 1 holds exactly
+    modulo S: that product is the certificate, so no bound on the inverse's
+    height is needed, and a failed one lifts further.  If every fixed prime
+    fails, gcd(num, S) is computed in Z[x]: a nonconstant gcd is raised as
+    a ``ZeroDivisorError`` (it certifies that S is reducible), a constant
+    one means the primes were unlucky and further primes are drawn."""
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero in number field")
     field, num, den = a.field, a.num, a.den
@@ -469,6 +470,11 @@ def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
     u += [0] * (d - len(u))
     m = p
     while True:
+        found = _reconstruct(u, m)
+        if found is not None:
+            nums, inv_den = found
+            if field._reduce(_convolve(num, nums)) == [inv_den] + [0] * (d - 1):
+                return field._element([den * c for c in nums], inv_den)
         # num u = 1 - m h modulo S with h integral, and u (1 + m h) inverts
         # num modulo m^2
         e = field._reduce(_convolve(num, u))
@@ -477,11 +483,6 @@ def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
         uh = field._reduce(_convolve(u, h))
         u = [c + m * (x % m) for c, x in zip(u, uh)]
         m *= m
-        found = _reconstruct(u, m)
-        if found is not None:
-            nums, inv_den = found
-            if field._reduce(_convolve(num, nums)) == [inv_den] + [0] * (d - 1):
-                return field._element([den * c for c in nums], inv_den)
 
 
 # mpmath's raw kernels act on (sign, mantissa, exponent, bit count) tuples
@@ -742,12 +743,16 @@ def inverse(x):
 def embed(x, root: BigFloat | None):
     """x as a scalar of the backend that ``root`` stands for: x itself when
     root is None (the exact backend), else x evaluated at the numerical
-    root of its field's modulus."""
+    root of its field's modulus, and a BigFloat rounded to the root's
+    precision."""
     if root is None:
         return x
     if isinstance(x, NumberFieldElement):
         return nf_embed(x, root)
-    return BigFloat(x, root.precision_bits)
+    prec = root.precision_bits
+    if isinstance(x, BigFloat):
+        return _bigfloat(mpf_pos(x.value._mpf_, prec, _RND), prec)
+    return BigFloat(x, prec)
 
 
 def _precision(xs) -> int:

@@ -4,17 +4,21 @@ For the projective family the multiplier delta lives in Q(delta) =
 Q[x]/(S(x)) with S the Salem factor of the characteristic polynomial; the
 indeterminacy parameters t_j^+, the translation tau and the matrix L (the map
 is F = L o J after conjugating away T) are all exact elements of that field.
-Explicit S and T matrices are kept as well so the un-conjugated map
-F = S o J o T^{-1}, which fixes the standard curve, can be verified directly.
+The center matrices T and S of the un-conjugated map F = S o J o T^{-1},
+which fixes the standard curve, are fixed by t^+ and the parameters s of
+S; a construction keeps those parameters and not the matrices, and
+``verify`` builds T and S (``center_matrices``) in the backend it checks
+the curve in.
 
 No matrix is checked for singularity by elimination over Q(delta): every T
 and S is a center matrix, whose determinant is (prod a_j) e_1(t) times the
 Vandermonde determinant of its parameters, and every L has the determinant
 (-1)^k s prod beta_r of its shape.  The field inversions that build the
-column scalings a_j certify the first to be a unit (see ``center_matrix``),
-and k products decide the second (see ``_shaped_L``).  ``verify`` never
-inverts T: it takes the closed-form preimage of a curve point and certifies
-it by the product with T, so curve invariance still checks T independently.
+column scalings a_j certify the first to be a unit when T and S are built
+(see ``center_matrix``), and k products decide the second (see
+``_shaped_L``).  ``verify`` never inverts T: it takes the closed-form
+preimage of a curve point and certifies it by the product with T, so curve
+invariance still checks T independently.
 
 The biprojective family follows the recurrence system for t_j^- (the printed
 closed form for t_j^+ is evaluated alongside and any mismatch is recorded,
@@ -79,6 +83,9 @@ class CoxeterConstruction:
     t_plus: list
     tau: NumberFieldElement
     L: list  # one LinearMap (pk), two (biproj), m (lines)
+    # explicit center matrices, for a construction built by hand; the
+    # families leave them empty, and verify builds T_i and S_i from t_plus
+    # and s_params in its backend
     T_matrices: list = field(default_factory=list)
     S_matrices: list = field(default_factory=list)
     s_params: list = field(default_factory=list)  # parameters of S(e_j)
@@ -184,21 +191,29 @@ def center_matrices(k: int, delta, t_plus, s_params, factors: int):
     return T, S
 
 
-def curve_fixing_map(k: int, delta, t_plus):
-    """Basic cremona map S o J o T^{-1} properly fixing the standard curve
-    with F(gamma(t)) = gamma(delta t + tau).
-
-    Returns (T, S, tau, s_params) where s_params are the parameters of the
-    exceptional-image points S(e_j) = gamma(delta t_j^+ - 2 tau / (k-1)),
-    an affine image of t^+, so S takes its scalings from T's.
-    """
+def curve_translation(k: int, delta, t_plus):
+    """(tau, s_params) of the basic cremona map with multiplier delta and
+    indeterminacy parameters t^+ that properly fixes the standard curve with
+    F(gamma(t)) = gamma(delta t + tau): s_params are the parameters of the
+    exceptional-image points S(e_j) = gamma(delta t_j^+ - 2 tau / (k-1))."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if len(t_plus) != k + 1:
         raise ValueError("need k+1 indeterminacy parameters")
     total = sum(t_plus[1:], t_plus[0])
     tau = delta * total * Fraction(k - 1, k + 1)
-    s_params = [delta * t - tau * Fraction(2, k - 1) for t in t_plus]
+    return tau, [delta * t - tau * Fraction(2, k - 1) for t in t_plus]
+
+
+def curve_fixing_map(k: int, delta, t_plus):
+    """Basic cremona map S o J o T^{-1} properly fixing the standard curve
+    with F(gamma(t)) = gamma(delta t + tau).
+
+    Returns (T, S, tau, s_params) with tau and s_params from
+    ``curve_translation``; s_params is an affine image of t^+, so S takes
+    its scalings from T's.
+    """
+    tau, s_params = curve_translation(k, delta, t_plus)
     (T,), (S,) = center_matrices(k, delta, t_plus, s_params, 1)
     return T, S, tau, s_params
 
@@ -256,7 +271,7 @@ def construct_pk(k: int, n: int) -> CoxeterConstruction:
     fld, rep = delta_field("pk", k, n)
     delta = fld.gen()
     t_plus = tplus_pk(k, delta)
-    T, S, tau, s_params = curve_fixing_map(k, delta, t_plus)
+    tau, s_params = curve_translation(k, delta, t_plus)
     L = build_L_pk(k, delta)
     notes = list(rep.notes)
     return CoxeterConstruction(
@@ -268,8 +283,6 @@ def construct_pk(k: int, n: int) -> CoxeterConstruction:
         t_plus=t_plus,
         tau=tau,
         L=[L],
-        T_matrices=[T],
-        S_matrices=[S],
         s_params=s_params,
         notes=notes,
     ).keep_root(rep.delta.value if rep.delta else None)
@@ -337,7 +350,6 @@ def construct_biproj(k: int, n: int) -> CoxeterConstruction:
     t_plus, t_minus, closed_ok = tplus_biproj(k, delta)
     tau = Fraction(k) + Fraction(k - 1) * delta
     L1, L2 = build_L_biproj(k, delta)
-    T_matrices, S_matrices = center_matrices(k, delta, t_plus, t_minus, 2)
     notes = list(rep.notes)
     if not closed_ok:
         notes.append(
@@ -353,8 +365,6 @@ def construct_biproj(k: int, n: int) -> CoxeterConstruction:
         t_plus=t_plus,
         tau=tau,
         L=[L1, L2],
-        T_matrices=T_matrices,
-        S_matrices=S_matrices,
         s_params=t_minus,
         notes=notes,
     ).keep_root(rep.delta.value if rep.delta else None)

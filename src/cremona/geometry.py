@@ -27,6 +27,7 @@ from .arith import (
     dot,
     gap,
     inverse,
+    is_exact,
     is_zero,
     normalize,
     one_like,
@@ -92,11 +93,14 @@ class ProjectivePoint:
         return cls(coords)
 
     def distance(self, other: "ProjectivePoint"):
-        """Scale-free distance as a scalar: the largest entry gap
-        (``arith.gap``) between the aligned coordinate vectors, the better of
-        the two sign choices.  Exact points are 0 apart when equal and 1
-        otherwise."""
+        """Scale-free distance as a scalar.  Exact vectors are aligned to
+        agree entry by entry exactly when the points are equal, so exact
+        points are 0 apart when equal and 1 otherwise; float points are the
+        largest entry gap (``arith.gap``) between the aligned vectors, the
+        better of the two sign choices."""
         a, b = align(self.coords, other.coords)
+        if all(map(is_exact, a + b)):
+            return int(a != b)
         return min(max(map(gap, a, b)), max(gap(x, -y) for x, y in zip(a, b)))
 
     def eq(self, other: "ProjectivePoint") -> bool:

@@ -7,6 +7,13 @@ cross-check.  On the exact backend every comparison is an identity in
 Q(delta); the float backend re-runs the same iteration after embedding delta
 as a certified numerical root of the modulus.
 
+The center matrices T and S are built here, in the backend that checks
+them, from the construction's delta, t^+ and s: exactly on the exact
+backend, and on the float backend at p bits with the root at p + 64 bits,
+every entry then rounded to p bits.  So the float backend makes no field
+inversion for them, and no entry loses bits to cancellation, as the
+embedding of an exact entry with large coefficients at p bits would.
+
 Curve invariance is checked in the original frame F = S o J o T^{-1} without
 inverting T: the preimage of gamma(x) under a center matrix has a closed
 form with no division, it is certified by the product T u being
@@ -25,6 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import BigFloat, close, embed, one_like
+from .construct import center_matrices
 from .geometry import (
     IndeterminacyError,
     LinearMap,
@@ -113,9 +121,35 @@ class Backend:
     tau: object
 
 
+# extra bits at which float center matrices are built before they are
+# rounded to the backend's precision
+GUARD_BITS = 64
+
+
+def _center_matrices(construction, root: Optional[BigFloat]):
+    """(T, S), the center matrices of every factor in the backend of
+    ``root``.  Explicit matrices are embedded; otherwise they are built by
+    ``center_matrices`` from delta, t^+ and s: exactly, or with delta's root
+    at GUARD_BITS more bits and every entry rounded to the root's precision.
+    The lines family has none."""
+    c = construction
+    if c.T_matrices:
+        mats = c.T_matrices, c.S_matrices
+    elif c.family == "lines":
+        return [], []
+    else:
+        fine = None if root is None else field_root(
+            c, root.precision_bits + GUARD_BITS)
+        mats = center_matrices(
+            c.k, embed(c.delta, fine), [embed(t, fine) for t in c.t_plus],
+            [embed(s, fine) for s in c.s_params], len(c.L))
+    return tuple([embed_matrix(m, root) for m in ms] for ms in mats)
+
+
 def _prepare(construction, backend: str, precision_bits: int) -> Backend:
     """The construction in the requested backend, built once per backend and
-    precision and kept on the construction."""
+    precision and kept on the construction.  The center matrices are built
+    here (``_center_matrices``), not by the construction."""
     key = (backend, precision_bits)
     if key not in construction.backends:
         if backend == "exact":
@@ -126,15 +160,14 @@ def _prepare(construction, backend: str, precision_bits: int) -> Backend:
         else:
             raise ValueError(f"unknown backend {backend!r}")
         t_plus = [embed(t, root) for t in construction.t_plus]
+        T, S = _center_matrices(construction, root)
         construction.backends[key] = Backend(
             label=label,
             root=root,
             L=[embed_matrix(m, root) for m in construction.L],
-            T=[embed_matrix(m, root) for m in construction.T_matrices],
-            S=[embed_matrix(m, root) for m in construction.S_matrices],
-            centers=[
-                [t - i for t in t_plus] for i in range(len(construction.T_matrices))
-            ],
+            T=T,
+            S=S,
+            centers=[[t - i for t in t_plus] for i in range(len(T))],
             delta=embed(construction.delta, root),
             tau=embed(construction.tau, root),
         )

@@ -109,6 +109,30 @@ def test_pow_of_a_power_of_two_is_squarings_only(monkeypatch):
         assert len(calls) == m, m
 
 
+def test_small_inverse_is_reconstructed_before_any_lift(monkeypatch):
+    # an inverse within Wang's bound modulo the first prime is reconstructed
+    # there: its one product is the certificate.  A tall inverse still
+    # lifts, and is still certified.
+    calls = []
+    real = arith._convolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(arith, "_convolve", counting)
+    for small in (FIELD.gen() + 2, FIELD.element([Fraction(1, 2), 3, 0, -1])):
+        calls.clear()
+        inv = small.inverse()
+        assert len(calls) == 1
+        assert small * inv == FIELD.one()
+    tall = FIELD.element([10 ** 12, 3, 7 ** 15])
+    calls.clear()
+    inv = tall.inverse()
+    assert len(calls) > 1
+    assert tall * inv == FIELD.one()
+
+
 def test_zero_divisor_reports_factor():
     # x^2 - 1 is reducible; x - 1 is a zero divisor there
     fld = NumberField(IntegerPolynomial([-1, 0, 1]))

@@ -15,6 +15,7 @@ from cremona.construct import (
     build_L_lines,
     build_L_pk,
     center_matrix,
+    center_matrices,
     column_scalings,
     construct_biproj,
     construct_lines,
@@ -43,6 +44,12 @@ def scaled_identity(m: LinearMap):
 
 def proportional(a: LinearMap, b: LinearMap) -> bool:
     return scaled_identity(a.inverse() @ b) is not None
+
+
+def centers(c):
+    """(T, S), the exact center matrices of every factor, built from the
+    construction's parameters as verify builds them."""
+    return center_matrices(c.k, c.delta, c.t_plus, c.s_params, len(c.L))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +122,8 @@ def test_beta_entry_value():
 def test_L_equals_Tinv_S_projectively():
     for k, n in ((2, 8), (3, 6)):
         c = construct_pk(k, n)
-        assert proportional(c.T_matrices[0].inverse() @ c.S_matrices[0], c.L[0])
+        T, S = centers(c)
+        assert proportional(T[0].inverse() @ S[0], c.L[0])
 
 
 def test_center_matrix_sends_ones_to_cusp():
@@ -123,8 +131,9 @@ def test_center_matrix_sends_ones_to_cusp():
     one = c.field.one()
     ones = ProjectivePoint([one] * 3)
     cusp = ProjectivePoint.standard_basis(2, 2, one=one)
-    assert apply_linear(c.T_matrices[0], ones) == cusp
-    assert apply_linear(c.S_matrices[0], ones) == cusp
+    T, S = centers(c)
+    assert apply_linear(T[0], ones) == cusp
+    assert apply_linear(S[0], ones) == cusp
 
 
 def test_exceptional_pairs_refused():
@@ -137,7 +146,8 @@ def test_exceptional_pairs_refused():
 
 def test_determinants_nonzero():
     for c in (construct_pk(2, 8), construct_biproj(2, 5)):
-        for mat in c.L + c.T_matrices + c.S_matrices:
+        T, S = centers(c)
+        for mat in c.L + T + S:
             assert not mat.determinant().is_zero()
 
 
@@ -168,11 +178,12 @@ def test_center_matrix_determinant_closed_form():
     for c in (construct_pk(2, 8), construct_pk(3, 6),
               construct_biproj(2, 5), construct_biproj(3, 4)):
         param_sets = [c.t_plus, c.s_params]
+        T, S = centers(c)
         if c.family == "biproj":
             param_sets += [[t - 1 for t in ts] for ts in param_sets]
-            mats = [c.T_matrices[0], c.S_matrices[0], c.T_matrices[1], c.S_matrices[1]]
+            mats = [T[0], S[0], T[1], S[1]]
         else:
-            mats = c.T_matrices + c.S_matrices
+            mats = T + S
         for mat, params in zip(mats, param_sets):
             assert mat.determinant() == center_det(params)
 
@@ -192,7 +203,8 @@ def test_affine_scalings_match_column_scalings():
                 column_scalings(image))
     for c in (construct_pk(2, 8), construct_pk(3, 6),
               construct_biproj(2, 5), construct_biproj(3, 4)):
-        mats = c.T_matrices + c.S_matrices
+        T, S = centers(c)
+        mats = T + S
         param_sets = [c.t_plus, c.s_params]
         if c.family == "biproj":
             param_sets = [c.t_plus, [t - 1 for t in c.t_plus],
@@ -226,9 +238,9 @@ def test_singular_construction_inputs_still_raise():
 
 
 def test_construction_inversion_budget(monkeypatch):
-    # T, S and L are certified without elimination, and every center
-    # matrix after the first takes its scalings from it by one inversion:
-    # pk inverts 1 + k + (k+1) + 1 times, biproj 4 + (k+1) + (k+1) + 3
+    # the families build no center matrix, and L is certified without
+    # elimination: pk inverts 1 + k times (t^+ and the betas), biproj
+    # 4 + (k + 1) (t^+, the betas and s_2)
     from cremona import arith
 
     calls = []
@@ -242,11 +254,26 @@ def test_construction_inversion_budget(monkeypatch):
     for k, n in ((2, 8), (3, 6), (4, 5)):
         calls.clear()
         construct_pk(k, n)
-        assert len(calls) <= 2 * k + 3, (k, n, len(calls))
+        assert len(calls) <= k + 1, (k, n, len(calls))
     for k, n in ((2, 5), (3, 4), (3, 12)):
         calls.clear()
         construct_biproj(k, n)
-        assert len(calls) <= 2 * k + 9, (k, n, len(calls))
+        assert len(calls) <= k + 5, (k, n, len(calls))
+
+
+def test_families_build_no_center_matrices(monkeypatch):
+    # T and S are built by verify, in its backend; the construction keeps
+    # only their parameters
+    from cremona import construct
+
+    def refuse(*args):
+        raise AssertionError("center matrix built by the construction")
+
+    monkeypatch.setattr(construct, "column_scalings", refuse)
+    monkeypatch.setattr(construct, "center_matrices", refuse)
+    for c in (construct_pk(2, 8), construct_pk(4, 8), construct_biproj(3, 8)):
+        assert c.T_matrices == [] and c.S_matrices == []
+        assert len(c.s_params) == c.k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +330,10 @@ def test_biproj_L_fixes_ones():
 
 def test_biproj_L_equals_Tinv_S():
     c = construct_biproj(2, 5)
+    T, S = centers(c)
     for i in range(2):
         assert proportional(
-            c.T_matrices[i].inverse() @ c.S_matrices[i], c.L[i]
+            T[i].inverse() @ S[i], c.L[i]
         )
 
 

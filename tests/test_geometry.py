@@ -33,6 +33,16 @@ def test_point_equality_up_to_scale():
     assert P(1, 0, 0) == ProjectivePoint.standard_basis(0, 2)
 
 
+def test_exact_distance_is_zero_or_one():
+    # aligned exact vectors agree entry by entry exactly when the points are
+    # equal, a negative scale included
+    assert P(1, 2, 3).distance(P(-2, -4, -6)) == 0
+    assert P(0, -1, 5).distance(P(0, 3, -15)) == 0
+    assert P(1, 2, 3).distance(P(-1, -2, 3)) == 1
+    assert P(1, 2, 3).distance(P(1, 2, 4)) == 1
+    assert P(0, 1, 0).distance(P(1, 0, 0)) == 1
+
+
 def test_zero_vector_rejected():
     with pytest.raises(ValueError):
         ProjectivePoint([0, 0, 0])

@@ -7,6 +7,7 @@ import pytest
 from cremona.arith import NumberField
 from cremona.construct import (
     CoxeterConstruction,
+    center_matrices,
     construct_biproj,
     construct_lines,
     construct_pk,
@@ -22,6 +23,12 @@ from cremona.verify import (
     verify_lines_orbit,
     verify_orbit,
 )
+
+
+def centers(c):
+    """(T, S), the exact center matrices of every factor, built from the
+    construction's parameters."""
+    return center_matrices(c.k, c.delta, c.t_plus, c.s_params, len(c.L))
 
 
 def test_pk_2_8_exact_all_pass():
@@ -211,7 +218,7 @@ def test_closed_form_preimage_of_the_construction(build, k, n):
 
     c = build(k, n)
     one = c.field.one()
-    for i, T in enumerate(c.T_matrices):
+    for i, T in enumerate(centers(c)[0]):
         inv = T.inverse()
         params = [t - i for t in c.t_plus]
         for t in (Fraction(3, 7), Fraction(-5, 2)):
@@ -229,8 +236,10 @@ def test_curve_invariance_inverts_nothing(monkeypatch, build, k, n):
     # cross-multiplication: the only inversion left is the slope's division
     # by a rational, and no backend inverts T
     from cremona import arith
+    from cremona.verify import _prepare
 
     c = build(k, n)
+    _prepare(c, "exact", 256)  # builds T and S, inverting their scalings
     inversions = []
     real_invert = arith.nf_invert
 
@@ -250,14 +259,66 @@ def test_curve_invariance_inverts_nothing(monkeypatch, build, k, n):
     assert verify_curve_invariance(c, samples=3, backend="float").all_passed
 
 
+@pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
+                                          (construct_biproj, 3, 8)])
+def test_exact_backend_builds_the_center_matrices(build, k, n):
+    # the construction keeps no T or S; the exact backend builds them from
+    # the same parameters, entry for entry
+    from cremona.verify import _prepare
+
+    c = build(k, n)
+    assert c.T_matrices == [] and c.S_matrices == []
+    b = _prepare(c, "exact", 256)
+    T, S = centers(c)
+    assert len(b.T) == len(b.S) == len(c.L)
+    assert [m.matrix for m in b.T] == [m.matrix for m in T]
+    assert [m.matrix for m in b.S] == [m.matrix for m in S]
+
+
+@pytest.mark.parametrize("precision", [64, 256])
+@pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
+                                          (construct_biproj, 3, 8)])
+def test_float_center_matrices_are_near_exact(monkeypatch, build, k, n, precision):
+    # built at 64 guard bits and rounded, every entry is within 2^-(p-8)
+    # relative of the exact entry; the exact matrices are embedded with
+    # 128 more bits, since at p bits the embedding of an entry with a
+    # large numerator loses bits to cancellation.  No field inversion.
+    from cremona import arith
+    from cremona.verify import _prepare, embed_matrix, field_root
+
+    c = build(k, n)
+    inversions = []
+    monkeypatch.setattr(arith, "nf_invert", inversions.append)
+    b = _prepare(c, "float", precision)
+    assert not inversions
+    monkeypatch.undo()
+    fine = field_root(c, precision + 128)
+    T, S = centers(c)
+    for got, exact in zip(b.T + b.S, T + S):
+        for row, exact_row in zip(got.matrix, embed_matrix(exact, fine).matrix):
+            for x, e in zip(row, exact_row):
+                assert x.precision_bits == precision
+                assert abs(x - e) <= abs(e) * 2.0 ** -(precision - 8)
+
+
+def test_float_verify_pk_9_10_at_64_bits(capsys):
+    # without guard bits, float center matrices built at 64 bits fail the
+    # curve check here
+    from cremona.cli import main
+
+    assert main(["verify", "-k", "9", "-n", "10", "--backend", "float",
+                 "--precision", "64"]) == 0
+    assert '"curve_invariant": true' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("which", ["T_matrices", "S_matrices"])
 def test_perturbed_center_matrix_fails_curve_invariance(which):
     # the closed-form preimage does not read T, so only the certificate
     # T u ~ gamma(x) can catch a wrong T: every sample and the cusp must fail
     c = construct_pk(2, 8)
-    rows = [list(r) for r in getattr(c, which)[0].matrix]
+    mats = dict(zip(("T_matrices", "S_matrices"), centers(c)))
+    rows = [list(r) for r in mats[which][0].matrix]
     rows[1][0] = rows[1][0] + Fraction(1, 5)
-    mats = {"T_matrices": c.T_matrices, "S_matrices": c.S_matrices}
     mats[which] = [LinearMap(rows)]
     broken = CoxeterConstruction(
         family="pk",
