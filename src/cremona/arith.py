@@ -197,7 +197,7 @@ class NumberFieldElement:
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed number fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -714,7 +714,8 @@ def nf_embed(a: NumberFieldElement, root: BigFloat) -> BigFloat:
 
 
 def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, NumberFieldElement))
+    # field elements first: they skip Fraction's ABCMeta instance check
+    return isinstance(x, NumberFieldElement) or isinstance(x, (int, Fraction))
 
 
 def is_zero(x) -> bool:

@@ -258,30 +258,37 @@ def berkowitz_charpoly(matrix) -> IntegerPolynomial:
 
     Step m borders the leading m x m block B with row R, column C and corner
     a: the coefficients are multiplied by the Toeplitz matrix of
-    (1, -a, -RC, -RBC, ..., -RB^(m-1)C).  B is kept as sparse rows grown one
-    border at a time, and zero terms of the products are skipped.
+    (1, -a, -RC, -RBC, ..., -RB^(m-1)C).  B is kept as one flat list of its
+    nonzero (row, col, value) entries, grown one border at a time, so each
+    product w <- Bw is one pass over that list; once w = B^s C is zero, the
+    terms left are zero and are not formed.
     """
     # coefficients highest degree first; char poly of the empty matrix is 1
     coeffs = [1]
-    block = []  # sparse rows of the leading m x m block
+    entries = []  # nonzero (row, col, value) of the leading m x m block
     for m, row in enumerate(matrix):
         border = [(j, x) for j, x in enumerate(row[:m]) if x]
-        w = [matrix[i][m] for i in range(m)]
+        w = column = [matrix[i][m] for i in range(m)]
         v = [1, -row[m]]
         for step in range(m):
+            if not any(w):
+                break  # B^s C = 0 for this s and every larger one
             v.append(-sum(x * w[j] for j, x in border))
             if step < m - 1:
-                w = [sum(x * w[j] for j, x in b_row) for b_row in block]
+                product = [0] * m
+                for i, j, x in entries:
+                    product[i] += x * w[j]
+                w = product
         new = [0] * (m + 2)
         for i, vi in enumerate(v):
             if vi:
                 for j, c in enumerate(coeffs[: m + 2 - i]):
                     new[i + j] += vi * c
         coeffs = new
-        for i, b_row in enumerate(block):
-            if matrix[i][m]:
-                b_row.append((m, matrix[i][m]))
-        block.append(border + ([(m, row[m])] if row[m] else []))
+        entries += [(i, m, x) for i, x in enumerate(column) if x]
+        entries += [(m, j, x) for j, x in border]
+        if row[m]:
+            entries.append((m, m, row[m]))
     return IntegerPolynomial(list(reversed(coeffs)))
 
 

@@ -137,15 +137,23 @@ class IntegerPolynomial:
         """Sign of the value at a rational point, computed in integers.
 
         Homogeneous Horner: sum c_i p^i q^(n-1-i) has the sign of the value
-        at p/q, and the power of q is carried along instead of recomputed.
+        at p/q, and the power of q is carried along instead of recomputed;
+        when q = 2^m, as at every certificate point of a monic core, its
+        powers are shifts.
         """
         p, q = x.numerator, x.denominator
         coeffs = self.coeffs
         acc = coeffs[-1] if coeffs else 0
-        q_pow = 1
-        for c in reversed(coeffs[:-1]):
-            q_pow *= q
-            acc = acc * p + c * q_pow
+        if q & (q - 1):
+            q_pow = 1
+            for c in reversed(coeffs[:-1]):
+                q_pow *= q
+                acc = acc * p + c * q_pow
+        else:
+            m, shift = q.bit_length() - 1, 0
+            for c in reversed(coeffs[:-1]):
+                shift += m
+                acc = acc * p + (c << shift)
         return (acc > 0) - (acc < 0)
 
     def derivative(self) -> "IntegerPolynomial":

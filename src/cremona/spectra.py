@@ -15,10 +15,11 @@ variations of p(x + 1) isolate the largest root when they prove that
 (1, B] holds none or exactly one root, as they do for every pk and biproj
 Salem core with k <= 10 and n <= 200; otherwise Descartes' rule on the
 dyadic cells of (1, B] isolates it from the squarefree part (p divided by
-its gcd with p').  Fixed-point Newton steps then guess the dyadic cell of
-the final width that holds it, which is accepted only on an exact
-certificate, the signs of the squarefree polynomial at the cell's two
-ends; if no candidate cell is certified, bisection on that sign finishes.
+its gcd with p').  A sign bisection in doubles and fixed-point Newton steps
+then guess the dyadic cell of the final width that holds it, which is
+accepted only on an exact certificate, the signs of the squarefree
+polynomial at the cell's two ends; if no candidate cell is certified, the
+exact sequence of sign bisection, Newton and certificate finishes.
 Every decision is exact, so each reported root carries a certified
 isolating interval.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import ceil, isqrt, perm
+from math import ceil, isfinite, isqrt, perm
 from typing import Optional
 
 from .arith import DEFAULT_PRECISION_BITS, BigFloat
@@ -351,6 +352,58 @@ def _certified_cell(squarefree, lo: Fraction, width: Fraction, guess: Fraction,
     return None
 
 
+def _float_guess(coeffs, lo: Fraction, hi: Fraction):
+    """A point near the one simple root in (lo, hi], 1 <= lo, by the
+    halvings of ``_sign_bisect`` in doubles until they stop moving; None
+    when a coefficient or an end of the interval is not a finite double.
+    The sign of p(x) for x >= 1 is that of the reversed polynomial
+    sum c_i y^(d - i) at y = 1/x, which is p(x) / x^d and stays within
+    sum |c_i|, so its Horner sums cannot overflow.  A guess only: rounding
+    can flip a sign near the root, and the caller trusts no cell without an
+    exact certificate."""
+    try:
+        floats = [float(c) for c in coeffs]
+        a, b = float(lo), float(hi)
+    except OverflowError:
+        return None
+    if not isfinite(sum(map(abs, floats))):
+        return None
+
+    def sign(x):
+        y, acc = 1 / x, 0.0
+        for c in floats:
+            acc = acc * y + c
+        return (acc > 0) - (acc < 0)
+
+    s_b = sign(b)
+    mid = (a + b) / 2
+    while a < mid < b:
+        s_mid = sign(mid)
+        if s_mid != 0 and (s_b == 0 or s_mid != s_b):
+            a = mid
+        else:
+            b, s_b = mid, s_mid
+        mid = (a + b) / 2
+    return Fraction(mid)
+
+
+def _bisect_to_cell(squarefree, lo: Fraction, hi: Fraction, halvings: int,
+                    bits: int):
+    """The cell of ``halvings`` more halvings of (lo, hi] that holds its one
+    simple root, by exact steps only: sign bisection down to 2^-24, a Newton
+    guess from there on the same cell certificate, and sign bisection for
+    the rest if no candidate cell is certified."""
+    coarse = min(halvings, _halvings(hi - lo, 24))
+    lo, hi, s_hi = _sign_bisect(squarefree, lo, hi, squarefree.sign_at(hi), coarse)
+    halvings -= coarse
+    if not halvings:
+        return lo, hi
+    guess = _newton(squarefree.coeffs, (lo + hi) / 2, bits)
+    cell = _certified_cell(squarefree, lo, (hi - lo) / (1 << halvings),
+                           guess, 1 << halvings)
+    return cell or _sign_bisect(squarefree, lo, hi, s_hi, halvings)[:2]
+
+
 def _shift_by_one(coeffs) -> list:
     """The coefficients of p(x + 1) from those of p, both leading one
     first: d passes of running sums, O(d^2) integer additions."""
@@ -430,12 +483,16 @@ def leading_salem_root(
     decides nothing, and ``_isolate_largest`` subdivides (1, B] by
     Descartes' rule on the squarefree part until one cell holds the largest
     root alone.  The halvings left to make are then counted, and the dyadic
-    cells of (lo, hi] of the final width are indexed: a few sign bisections
-    and fixed-point Newton steps guess the root, and the cell holding the
-    guess (or a neighbour) is accepted on an exact certificate, the signs
-    of the squarefree polynomial at its two ends.  Should no candidate be
-    certified, bisection on that sign finishes the job.  Floats only
-    propose a cell; every decision is exact.
+    cells of (lo, hi] of the final width are indexed.  A sign bisection in
+    doubles (``_float_guess``) and fixed-point Newton steps guess the root,
+    and the cell holding the guess (or a neighbour) is accepted on an exact
+    certificate, the signs of the squarefree polynomial at its two ends; the
+    cell's index is computed from the guess, so the cells are never listed.
+    When the coefficients are not finite doubles, or no candidate is
+    certified, the exact sequence runs instead (``_bisect_to_cell``): sign
+    bisection to 2^-24, Newton from there on the same certificate, and
+    sign bisection for whatever is left.  Floats only propose a cell; every
+    decision is exact.
     Returns None when the core has no real root exceeding 1.
     """
     if core.degree < 1:
@@ -457,20 +514,16 @@ def leading_salem_root(
             return None
         lo, hi = cell
     # one simple root in (lo, hi], which bisection would halve `halvings`
-    # more times: by sign down to 2^-24, then to the certified cell
+    # more times: the cell of that final width holding a guess from doubles
+    # is tried first, and the exact sequence runs when it is not certified
     halvings = _halvings(hi - lo, precision_bits)
     if halvings:
-        coarse = min(halvings, _halvings(hi - lo, 24))
-        lo, hi, s_hi = _sign_bisect(squarefree, lo, hi, squarefree.sign_at(hi), coarse)
-        halvings -= coarse
-        if halvings:
-            guess = _newton(squarefree.coeffs, (lo + hi) / 2, precision_bits)
-            cell = _certified_cell(squarefree, lo, (hi - lo) / (1 << halvings),
-                                   guess, 1 << halvings)
-            if cell is None:
-                lo, hi, _ = _sign_bisect(squarefree, lo, hi, s_hi, halvings)
-            else:
-                lo, hi = cell
+        guess = _float_guess(squarefree.coeffs, lo, hi)
+        cell = None if guess is None else _certified_cell(
+            squarefree, lo, (hi - lo) / (1 << halvings),
+            _newton(squarefree.coeffs, guess, precision_bits), 1 << halvings)
+        lo, hi = cell or _bisect_to_cell(squarefree, lo, hi, halvings,
+                                         precision_bits)
     import mpmath
 
     with mpmath.workprec(precision_bits + 16):

@@ -248,3 +248,16 @@ def test_congruence_of_the_coxeter_action(family, k, n):
     gram = lat.gram()
     assert congruence(m, gram) == _dense_mat_mul(transpose(m), _dense_mat_mul(gram, m))
     assert congruence(m, gram) == gram
+
+
+def test_berkowitz_matches_sympy_on_permutation_actions():
+    # a permutation with one dense row, as a Coxeter action is: B^s C
+    # vanishes after a few s at most steps, and the terms left are zero
+    rng = random.Random(7)
+    for n in (5, 9, 16, 25):
+        image = list(range(n))
+        rng.shuffle(image)
+        m = [[int(j == image[i]) for j in range(n)] for i in range(n)]
+        m[rng.randrange(n)] = [rng.randint(-3, 3) for _ in range(n)]
+        expected = sympy.Matrix(m).charpoly()
+        assert list(reversed(berkowitz_charpoly(m).coeffs)) == expected.all_coeffs(), m

@@ -128,3 +128,42 @@ def test_gcd_of_coprime_and_constant_inputs():
     assert IntegerPolynomial([6, 0, -12]).gcd(IntegerPolynomial([4])) == IntegerPolynomial([2])
     assert (-x2).gcd(IntegerPolynomial([])) == x2
     assert IntegerPolynomial([]).gcd(IntegerPolynomial([])).is_zero()
+
+
+@given(
+    st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12).map(IntegerPolynomial),
+    st.integers(-2 ** 1200, 2 ** 1200),
+    st.integers(0, 1100),
+)
+@settings(max_examples=300, deadline=None)
+def test_sign_at_dyadic_points(p, num, log_den):
+    # a power-of-two denominator takes the shift branch
+    x = Fraction(num, 2 ** log_den)
+    value = p(x)
+    assert p.sign_at(x) == (value > 0) - (value < 0)
+
+
+@given(
+    st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=8).map(IntegerPolynomial),
+    st.integers(-2 ** 1100, 2 ** 1100).map(lambda a: 2 * a + 1),
+    st.integers(0, 1100),
+    st.integers(-3, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_sign_at_dyadic_roots(cofactor, odd, log_den, offset):
+    # (2^m x - a) times a cofactor is zero at a / 2^m, and its sign at
+    # dyadic neighbours one unit of 2^-(m + 1) away is the exact one
+    root = Fraction(odd, 2 ** log_den)
+    p = cofactor * IntegerPolynomial([-root.numerator, root.denominator])
+    assert p.sign_at(root) == 0
+    x = root + Fraction(offset, 2 ** (log_den + 1))
+    value = p(x)
+    assert p.sign_at(x) == (value > 0) - (value < 0)
+
+
+def test_sign_at_half_of_a_dyadic_root():
+    p = IntegerPolynomial([-1, 2]) * IntegerPolynomial([5, -3, 0, 7])
+    assert p.sign_at(Fraction(1, 2)) == 0
+    assert p.sign_at(Fraction(1, 4)) == -1
+    assert p.sign_at(Fraction(3, 4)) == 1
+    assert p.sign_at(Fraction(-1, 2 ** 1100)) == -1

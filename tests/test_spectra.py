@@ -555,3 +555,70 @@ def test_sign_variations_bound_the_sturm_count(factors):
         assert (iso is None) == (expected is None) == (variations == 0)
         if iso is not None:
             assert (iso.low, iso.high) == (expected.low, expected.high)
+
+
+# ---------------------------------------------------------------------------
+# the guess in doubles: a certified cell without exact bisection, and the
+# exact sequence whenever the guess is missing or wrong
+
+
+def test_sweep_cores_isolate_delta_without_exact_bisection(monkeypatch):
+    # the cell holding the Newton refinement of the guess in doubles is
+    # certified at once: its two ends are the only exact signs taken
+    def refuse(*args):
+        raise AssertionError("the guessed cell was not certified")
+
+    points = []
+    sign_at = IntegerPolynomial.sign_at
+    monkeypatch.setattr(spectra, "_sign_bisect", refuse)
+    monkeypatch.setattr(IntegerPolynomial, "sign_at",
+                        lambda self, x: points.append(x) or sign_at(self, x))
+    for family in ("pk", "biproj"):
+        for k in range(2, 11):
+            for n in range(1, 61):
+                core = _core(family, k, n)
+                if core is None:
+                    continue
+                points.clear()
+                iso = leading_salem_root(core)
+                assert sorted(points) == [iso.low, iso.high], (family, k, n)
+
+
+# sqrt 7 is the root above 1; the leading coefficient is no finite double
+OVERFLOW_CORE = _product([-7, 0, 1], [1, 0, 2 ** 1100])
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_coefficients_beyond_doubles_fall_back_to_bisection(bits, monkeypatch):
+    core = OVERFLOW_CORE
+    assert spectra._float_guess(core.coeffs, Fraction(1), root_bound(core)) is None
+    fallbacks = []
+    bisect = spectra._sign_bisect
+    monkeypatch.setattr(spectra, "_sign_bisect",
+                        lambda *args: fallbacks.append(args[-1]) or bisect(*args))
+    iso = leading_salem_root(core, bits)
+    assert (iso.low, iso.high) == all_chain_bisection(core, (bits,))[bits]
+    assert fallbacks
+
+
+@pytest.mark.parametrize("point", [
+    lambda lo, hi: lo, lambda lo, hi: hi, lambda lo, hi: Fraction(0),
+], ids=["lo", "hi", "zero"])
+@pytest.mark.parametrize("core, bits", [(LEHMER, 256), (("pk", 3, 20), 64),
+                                        (("biproj", 2, 25), 512)],
+                         ids=["lehmer-256", "pk-3-20-64", "biproj-2-25-512"])
+def test_wrong_float_guess_falls_back_to_bisection(core, bits, point, monkeypatch):
+    if isinstance(core, tuple):
+        core = _core(*core)
+    expected = all_chain_bisection(core, (bits,))[bits]
+    fallbacks = []
+    bisect = spectra._sign_bisect
+    monkeypatch.setattr(spectra, "_float_guess",
+                        lambda coeffs, lo, hi: point(lo, hi))
+    monkeypatch.setattr(spectra, "_sign_bisect",
+                        lambda *args: fallbacks.append(args[-1]) or bisect(*args))
+    iso = leading_salem_root(core, bits)
+    assert (iso.low, iso.high) == expected
+    # Newton from these points stays far from the root within its few
+    # steps, so no cell of the first try is certified
+    assert fallbacks
