@@ -285,9 +285,10 @@ def _halvings(width: Fraction, bits: int) -> int:
     return m if den << m > scaled else m + 1
 
 
-def _sign_bisect(squarefree, lo, hi, s_hi, steps):
+def _sign_bisect(squarefree, lo, hi, steps):
     """``steps`` halvings of (lo, hi], keeping the half that holds the one
     simple root r: r > mid iff r = hi or p changes sign across (mid, hi)."""
+    s_hi = squarefree.sign_at(hi)
     for _ in range(steps):
         mid = (lo + hi) / 2
         s_mid = squarefree.sign_at(mid)
@@ -295,7 +296,7 @@ def _sign_bisect(squarefree, lo, hi, s_hi, steps):
             lo = mid
         else:
             hi, s_hi = mid, s_mid
-    return lo, hi, s_hi
+    return lo, hi
 
 
 def _newton(coeffs, x: Fraction, bits: int):
@@ -387,23 +388,6 @@ def _float_guess(coeffs, lo: Fraction, hi: Fraction):
     return Fraction(mid)
 
 
-def _bisect_to_cell(squarefree, lo: Fraction, hi: Fraction, halvings: int,
-                    bits: int):
-    """The cell of ``halvings`` more halvings of (lo, hi] that holds its one
-    simple root, by exact steps only: sign bisection down to 2^-24, a Newton
-    guess from there on the same cell certificate, and sign bisection for
-    the rest if no candidate cell is certified."""
-    coarse = min(halvings, _halvings(hi - lo, 24))
-    lo, hi, s_hi = _sign_bisect(squarefree, lo, hi, squarefree.sign_at(hi), coarse)
-    halvings -= coarse
-    if not halvings:
-        return lo, hi
-    guess = _newton(squarefree.coeffs, (lo + hi) / 2, bits)
-    cell = _certified_cell(squarefree, lo, (hi - lo) / (1 << halvings),
-                           guess, 1 << halvings)
-    return cell or _sign_bisect(squarefree, lo, hi, s_hi, halvings)[:2]
-
-
 def _shift_by_one(coeffs) -> list:
     """The coefficients of p(x + 1) from those of p, both leading one
     first: d passes of running sums, O(d^2) integer additions."""
@@ -489,10 +473,9 @@ def leading_salem_root(
     certificate, the signs of the squarefree polynomial at its two ends; the
     cell's index is computed from the guess, so the cells are never listed.
     When the coefficients are not finite doubles, or no candidate is
-    certified, the exact sequence runs instead (``_bisect_to_cell``): sign
-    bisection to 2^-24, Newton from there on the same certificate, and
-    sign bisection for whatever is left.  Floats only propose a cell; every
-    decision is exact.
+    certified, exact sign bisection (``_sign_bisect``) makes every halving
+    left; it ends on the same cell, the one cell of the final width that
+    holds the root.  Floats only propose a cell; every decision is exact.
     Returns None when the core has no real root exceeding 1.
     """
     if core.degree < 1:
@@ -515,15 +498,14 @@ def leading_salem_root(
         lo, hi = cell
     # one simple root in (lo, hi], which bisection would halve `halvings`
     # more times: the cell of that final width holding a guess from doubles
-    # is tried first, and the exact sequence runs when it is not certified
+    # is tried first, and exact bisection runs when it is not certified
     halvings = _halvings(hi - lo, precision_bits)
     if halvings:
         guess = _float_guess(squarefree.coeffs, lo, hi)
         cell = None if guess is None else _certified_cell(
             squarefree, lo, (hi - lo) / (1 << halvings),
             _newton(squarefree.coeffs, guess, precision_bits), 1 << halvings)
-        lo, hi = cell or _bisect_to_cell(squarefree, lo, hi, halvings,
-                                         precision_bits)
+        lo, hi = cell or _sign_bisect(squarefree, lo, hi, halvings)
     import mpmath
 
     with mpmath.workprec(precision_bits + 16):

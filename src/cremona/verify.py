@@ -10,8 +10,9 @@ as a certified numerical root of the modulus.
 The center matrices T and S are built here, in the backend that checks
 them, from the construction's delta, t^+ and s: exactly on the exact
 backend, and on the float backend at p bits with the root at p + 64 bits,
-every entry then rounded to p bits.  So the float backend makes no field
-inversion for them, and no entry loses bits to cancellation, as the
+every entry then rounded to p bits.  L, delta, tau and t^+ are embedded at
+that root and rounded the same way.  So the float backend makes no field
+inversion for T and S, and no entry loses bits to cancellation, as the
 embedding of an exact entry with large coefficients at p bits would.
 
 Curve invariance is checked in the original frame F = S o J o T^{-1} without
@@ -45,16 +46,13 @@ from .geometry import (
     curve_point,
     linear_product,
     param_recover,
+    products_of_others,
 )
 from .spectra import leading_salem_root
 
 
 class VerificationError(Exception):
     pass
-
-
-class PrecisionExhaustedError(VerificationError):
-    """Float-backend coordinates collapsed below the zero threshold."""
 
 
 @dataclass
@@ -91,10 +89,6 @@ class OrbitCheckReport:
 # the construction in one backend
 
 
-def embed_matrix(m: LinearMap, root: Optional[BigFloat]) -> LinearMap:
-    return LinearMap([[embed(c, root) for c in row] for row in m.matrix])
-
-
 def field_root(construction, precision_bits: int) -> BigFloat:
     """delta as the certified leading real root of the modulus, isolated once
     per precision and kept on the construction."""
@@ -121,67 +115,73 @@ class Backend:
     tau: object
 
 
-# extra bits at which float center matrices are built before they are
-# rounded to the backend's precision
+# extra bits at which the float backend's data is built or embedded before
+# it is rounded to the backend's precision
 GUARD_BITS = 64
 
 
-def _center_matrices(construction, root: Optional[BigFloat]):
-    """(T, S), the center matrices of every factor in the backend of
-    ``root``.  Explicit matrices are embedded; otherwise they are built by
-    ``center_matrices`` from delta, t^+ and s: exactly, or with delta's root
-    at GUARD_BITS more bits and every entry rounded to the root's precision.
-    The lines family has none."""
+def _center_matrices(construction, fine):
+    """(T, S), the center matrices of every factor, unrounded: explicit
+    matrices as they are, otherwise built by ``center_matrices`` from delta,
+    t^+ and s embedded at ``fine`` (None on the exact backend).  The lines
+    family has none."""
     c = construction
     if c.T_matrices:
-        mats = c.T_matrices, c.S_matrices
-    elif c.family == "lines":
+        return c.T_matrices, c.S_matrices
+    if c.family == "lines":
         return [], []
-    else:
-        fine = None if root is None else field_root(
-            c, root.precision_bits + GUARD_BITS)
-        mats = center_matrices(
-            c.k, embed(c.delta, fine), [embed(t, fine) for t in c.t_plus],
-            [embed(s, fine) for s in c.s_params], len(c.L))
-    return tuple([embed_matrix(m, root) for m in ms] for ms in mats)
+    return center_matrices(
+        c.k, embed(c.delta, fine), [embed(t, fine) for t in c.t_plus],
+        [embed(s, fine) for s in c.s_params], len(c.L))
 
 
 def _prepare(construction, backend: str, precision_bits: int) -> Backend:
     """The construction in the requested backend, built once per backend and
-    precision and kept on the construction.  The center matrices are built
-    here (``_center_matrices``), not by the construction."""
+    precision and kept on the construction.  On the float backend of pk and
+    biproj, L, delta, tau, t^+ and the center matrices are embedded (or
+    built) with delta's root at GUARD_BITS more bits and every entry then
+    rounded to p bits: an entry whose large coefficients cancel at the root
+    would lose bits embedded at p bits.  The lines family embeds at p bits,
+    at the one root its construction may already carry."""
+    c = construction
     key = (backend, precision_bits)
-    if key not in construction.backends:
+    if key not in c.backends:
         if backend == "exact":
-            root, label = None, "exact"
+            root = fine = None
+            label = "exact"
         elif backend == "float":
-            root = field_root(construction, precision_bits)
+            root = field_root(c, precision_bits)
+            fine = None if c.family == "lines" else field_root(
+                c, precision_bits + GUARD_BITS)
             label = f"float({precision_bits})"
         else:
             raise ValueError(f"unknown backend {backend!r}")
-        t_plus = [embed(t, root) for t in construction.t_plus]
-        T, S = _center_matrices(construction, root)
-        construction.backends[key] = Backend(
+
+        def lift(x):
+            return embed(embed(x, fine), root)
+
+        def lift_all(mats):
+            return [LinearMap([[lift(x) for x in row] for row in m.matrix])
+                    for m in mats]
+
+        t_plus = [lift(t) for t in c.t_plus]
+        T, S = map(lift_all, _center_matrices(c, fine))
+        c.backends[key] = Backend(
             label=label,
             root=root,
-            L=[embed_matrix(m, root) for m in construction.L],
+            L=lift_all(c.L),
             T=T,
             S=S,
             centers=[[t - i for t in t_plus] for i in range(len(T))],
-            delta=embed(construction.delta, root),
-            tau=embed(construction.tau, root),
+            delta=lift(c.delta),
+            tau=lift(c.tau),
         )
-    return construction.backends[key]
+    return c.backends[key]
 
 
 def _compare(points, targets):
     """(whether every point equals its target, the largest residual)."""
-    try:
-        gaps = [p.distance(q) for p, q in zip(points, targets)]
-    except ZeroDivisionError:
-        raise PrecisionExhaustedError(
-            "all coordinates vanished; raise precision or use the exact backend"
-        ) from None
+    gaps = [p.distance(q) for p, q in zip(points, targets)]
     return all(close(g, 0) for g in gaps), max(float(g) for g in gaps)
 
 
@@ -322,20 +322,10 @@ def _preimage(params, x) -> list:
     and T^{-1} gamma(x) = (-1)^k u exactly.  The column scalings
     a_j = 1 / (E prod_{i != j} (t_i - t_j)) cancel the denominators of the
     coefficients of gamma(x) in the basis gamma(t_j), so u needs no
-    inversion; the products over i != j are prefix times suffix products.
-    The callers certify u by T u, and never assume it."""
-    gaps = [x - t for t in params]
+    inversion; the products over i != j are ``products_of_others``.  The
+    callers certify u by T u, and never assume it."""
     shift = x + sum(params[1:], params[0])
-    prefix = [gaps[0]]  # prefix[j] = prod_{i <= j} gaps[i]
-    for g in gaps[1:-1]:
-        prefix.append(prefix[-1] * g)
-    others = [None] * len(gaps)  # others[j] = prod_{i != j} gaps[i]
-    others[-1] = prefix[-1]
-    suffix = gaps[-1]  # prod_{i > j} gaps[i]
-    for j in range(len(gaps) - 2, 0, -1):
-        others[j] = prefix[j - 1] * suffix
-        suffix = suffix * gaps[j]
-    others[0] = suffix
+    others = products_of_others([x - t for t in params])
     return [(shift - t) * o for t, o in zip(params, others)]
 
 

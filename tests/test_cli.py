@@ -25,7 +25,7 @@ from cremona.cli import (
 from cremona.construct import ExceptionalPairError, RootOfUnityError
 from cremona.geometry import GeometryError, IndeterminacyError, NotOnCurveError
 from cremona.picard import LatticeError
-from cremona.verify import PrecisionExhaustedError, VerificationError
+from cremona.verify import VerificationError
 
 
 def run(capsys, *argv):
@@ -121,6 +121,20 @@ def test_float_verify_of_tiny_images(capsys):
     assert code == EXIT_OK, err
     _, degree, _ = run_json(capsys, "degree", "-k", "12", "-n", "30")
     assert payload["multiplier"] == degree["delta"]["decimal"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["-n", "60", "--precision", "64"], ["-n", "200"],
+], ids=["2-60-p64", "2-200-p256"])
+def test_float_verify_embeds_L_through_the_guard_root(capsys, argv):
+    # entries of L whose large coefficients cancel at delta lose too many
+    # bits when embedded at p bits; through the root at p + 64 bits and
+    # rounded, both orbits close
+    code, payload, err = run_json(
+        capsys, "verify", "-k", "2", *argv, "--backend", "float"
+    )
+    assert code == EXIT_OK, err
+    assert all(c["passed"] for c in payload["conditions"])
 
 
 def test_verify_lines(capsys):
@@ -402,7 +416,6 @@ EXCEPTIONS = [
     RootOfUnityError("alpha must not be a root of unity"),
     LatticeError("k must be >= 2"),
     VerificationError("lines-family construction required"),
-    PrecisionExhaustedError("coordinates collapsed"),
     GeometryError("degenerate"),
     IndeterminacyError("output factor degenerated to zero"),
     NotOnCurveError(3),

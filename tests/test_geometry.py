@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cremona.arith import BigFloat
+from cremona.arith import BigFloat, NumberField, NumberFieldElement
 from cremona.geometry import (
     OO,
     IndeterminacyError,
@@ -20,7 +20,9 @@ from cremona.geometry import (
     curve_point,
     gamma_eval,
     param_recover,
+    products_of_others,
 )
+from cremona.polynomials import IntegerPolynomial
 
 
 def P(*coords):
@@ -85,6 +87,64 @@ def test_j_indeterminate_on_codim2():
 def test_j_contracts_hyperplane():
     # {x_1 = 0} goes to e_1
     assert apply_J(P(3, 0, 5)) == ProjectivePoint.standard_basis(1, 2)
+
+
+def _naive_products(xs):
+    out = []
+    for i in range(len(xs)):
+        others = [x for j, x in enumerate(xs) if j != i]
+        acc = others[0]
+        for x in others[1:]:
+            acc = acc * x
+        out.append(acc)
+    return out
+
+
+# Lehmer's polynomial: a field of degree 10
+LEHMER_FIELD = NumberField(
+    IntegerPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]))
+
+
+@pytest.mark.parametrize("kind", ["fraction", "field", "bigfloat"])
+def test_products_of_others_match_naive_products(kind):
+    rng = random.Random(11)
+
+    def draw():
+        if rng.random() < 0.2:
+            value = [0]
+        else:
+            value = [rng.randint(-9, 9) for _ in range(3)]
+        if kind == "field":
+            return LEHMER_FIELD.element(value)
+        x = Fraction(value[0], rng.randint(1, 9))
+        return x if kind == "fraction" else BigFloat(x, 128)
+
+    for n in range(3, 14):
+        for zeros in (0, 1, 2):
+            xs = [draw() for _ in range(n)]
+            for i in rng.sample(range(n), zeros):
+                xs[i] = xs[i] * 0
+            got, want = products_of_others(xs), _naive_products(xs)
+            if kind == "bigfloat":
+                assert all(abs(g - w) <= abs(w) * 2.0 ** -120
+                           for g, w in zip(got, want)), n
+            else:
+                assert got == want, n
+
+
+def test_j_at_k12_makes_at_most_33_multiplications(monkeypatch):
+    # all-but-one products by prefix and suffix: 3k - 3 at k = 12, where a
+    # product per coordinate takes (k + 1)(k - 1) = 143
+    gen = LEHMER_FIELD.gen()
+    p = ProjectivePoint([gen + i for i in range(13)])
+    count = []
+    mul = NumberFieldElement.__mul__
+    monkeypatch.setattr(NumberFieldElement, "__mul__",
+                        lambda a, b: count.append(1) or mul(a, b))
+    image = apply_J(p)
+    assert len(count) <= 33
+    monkeypatch.undo()
+    assert list(image.coords) == _naive_products(p.coords)
 
 
 def test_j_multi_reduces_to_involution():

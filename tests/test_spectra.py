@@ -440,9 +440,9 @@ def _guess_at(offset):
     return lambda coeffs, x, bits: x + offset
 
 
-# the start point is the middle of a bracket narrower than 2^-24: 2^-27 off
-# is some 2^(bits-27) cells away from the root, 1 off is left of the
-# bracket, so the guess lands on its first cell
+# the start point is the guess in doubles, next to the root: 2^-27 off is
+# some 2^(bits-27) cells away from the root, and 1 off is below 1, left of
+# the isolating interval (1, B], so the guess lands on its first cell
 @pytest.mark.parametrize("offset", [Fraction(-1, 2 ** 27), Fraction(1, 2 ** 27),
                                     Fraction(-1)], ids=["far-low", "far-high", "lo"])
 @pytest.mark.parametrize("core, bits", [(LEHMER, 256), (("pk", 3, 20), 64),
@@ -456,11 +456,14 @@ def test_wrong_guess_falls_back_to_bisection(core, bits, offset, monkeypatch):
     bisect = spectra._sign_bisect
     monkeypatch.setattr(spectra, "_newton", _guess_at(offset))
     monkeypatch.setattr(spectra, "_sign_bisect",
-                        lambda *args: fallbacks.append(args[-1]) or bisect(*args))
+                        lambda *args: fallbacks.append(args) or bisect(*args))
     iso = leading_salem_root(core, bits)
     assert (iso.low, iso.high) == expected
-    # the coarse halvings, then the rest once no candidate cell is certified
-    assert len(fallbacks) == 2 and fallbacks[1] > 2
+    # no candidate cell is certified, so one exact bisection makes every
+    # halving left of the isolating interval
+    assert len(fallbacks) == 1
+    _, lo, hi, steps = fallbacks[0]
+    assert (hi - lo) / 2 ** steps == iso.width
 
 
 linear = st.tuples(st.integers(1, 2 ** 40), st.integers(-2 ** 42, 2 ** 42)).map(

@@ -279,12 +279,14 @@ def test_exact_backend_builds_the_center_matrices(build, k, n):
 @pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
                                           (construct_biproj, 3, 8)])
 def test_float_center_matrices_are_near_exact(monkeypatch, build, k, n, precision):
-    # built at 64 guard bits and rounded, every entry is within 2^-(p-8)
-    # relative of the exact entry; the exact matrices are embedded with
-    # 128 more bits, since at p bits the embedding of an entry with a
-    # large numerator loses bits to cancellation.  No field inversion.
+    # built (T, S) or embedded (L, delta, tau, t^+) at 64 guard bits and
+    # rounded, every entry is within 2^-(p-8) relative of the exact entry;
+    # the exact data is embedded with 128 more bits, since at p bits the
+    # embedding of an entry with a large numerator loses bits to
+    # cancellation.  No field inversion.
     from cremona import arith
-    from cremona.verify import _prepare, embed_matrix, field_root
+    from cremona.arith import embed
+    from cremona.verify import _prepare, field_root
 
     c = build(k, n)
     inversions = []
@@ -294,11 +296,16 @@ def test_float_center_matrices_are_near_exact(monkeypatch, build, k, n, precisio
     monkeypatch.undo()
     fine = field_root(c, precision + 128)
     T, S = centers(c)
-    for got, exact in zip(b.T + b.S, T + S):
-        for row, exact_row in zip(got.matrix, embed_matrix(exact, fine).matrix):
-            for x, e in zip(row, exact_row):
-                assert x.precision_bits == precision
-                assert abs(x - e) <= abs(e) * 2.0 ** -(precision - 8)
+    pairs = [(b.delta, c.delta), (b.tau, c.tau)]
+    pairs += [(x, t) for x, t in zip(b.centers[0], c.t_plus)]
+    for got, exact in zip(b.T + b.S + b.L, T + S + c.L):
+        for row, exact_row in zip(got.matrix, exact.matrix):
+            pairs += zip(row, exact_row)
+    assert len(pairs) == 3 + k + 3 * len(c.L) * (k + 1) ** 2
+    for x, exact in pairs:
+        e = embed(exact, fine)
+        assert x.precision_bits == precision
+        assert abs(x - e) <= abs(e) * 2.0 ** -(precision - 8)
 
 
 def test_float_verify_pk_9_10_at_64_bits(capsys):
