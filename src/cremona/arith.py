@@ -31,10 +31,13 @@ into a fixed-point table per (modulus, root, precision), the element's
 integer numerators are summed against it exactly, and the sum is rounded
 once.
 
-The scalar protocol at the end of the module (``is_exact``, ``is_zero``,
-``one_like``, ``inverse``, ``embed``, ``gap``/``close`` and the vector
-rescalings ``normalize``/``align``) is the one place that tells exact scalars
-from floats; everything else calls it or the overloaded operators.
+The scalar protocol at the end of the module (``is_exact``, ``one_like``,
+``inverse``, ``embed``, ``gap``/``close`` and the vector rescalings
+``normalize``/``align``) is the one place that tells exact scalars from
+floats; everything else calls it or the overloaded operators.  A scalar of
+any kind is zero only when it equals 0, so a zero test is plain truthiness,
+and ``close``, agreement relative to the larger operand, is the protocol's
+one float tolerance.
 """
 
 from __future__ import annotations
@@ -595,6 +598,9 @@ class BigFloat:
     def __float__(self):
         return float(self.value)
 
+    def __bool__(self):
+        return bool(self.value._mpf_[1])
+
     def __repr__(self):
         return f"BigFloat({self.value}, bits={self.precision_bits})"
 
@@ -708,20 +714,15 @@ def nf_embed(a: NumberFieldElement, root: BigFloat) -> BigFloat:
 # the scalar protocol
 #
 # Exact scalars (int, Fraction, NumberFieldElement) are compared by equality.
-# A BigFloat of precision p counts as zero below 2^-max(48, p-16), and two
-# scalars agree when they differ by at most 2^-(p//2) relative to
-# max(|a|, |b|, 1), p being the larger precision of the two.
+# Any scalar is zero only when it is 0 (a BigFloat when its mantissa is).
+# Two scalars, one of them a float, agree when they differ by at most
+# 2^-(p//2) relative to max(|a|, |b|, 1), p being the larger precision of
+# the two; this is the protocol's only float tolerance.
 
 
 def is_exact(x) -> bool:
     # field elements first: they skip Fraction's ABCMeta instance check
     return isinstance(x, NumberFieldElement) or isinstance(x, (int, Fraction))
-
-
-def is_zero(x) -> bool:
-    if isinstance(x, BigFloat):
-        return mpf_le(mpf_abs(x.value._mpf_), _pow2(-max(48, x.precision_bits - 16)))
-    return not x
 
 
 def one_like(x):
@@ -839,7 +840,7 @@ def align(a, b):
     first nonzero slot; otherwise each is divided by its entry of largest
     modulus."""
     if all(map(is_exact, a)) and all(map(is_exact, b)):
-        i = next(j for j, c in enumerate(a) if not is_zero(c))
+        i = next(j for j, c in enumerate(a) if c)
         return [c * b[i] for c in a], [c * a[i] for c in b]
     prec = _precision((*a, *b))
     return _unit(a, prec), _unit(b, prec)

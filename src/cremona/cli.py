@@ -56,7 +56,6 @@ from .verify import (
 
 SCHEMA_VERSION = 1
 DECIMAL_DIGITS = 30
-PRECISION_ENV = "CREMONA_PRECISION_BITS"
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -490,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Cremona maps and their dynamical degrees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a malformed or too small environment value is refused like the flag
-    precision = os.environ.get(PRECISION_ENV) or str(DEFAULT_PRECISION_BITS)
 
     def command(name, func, help, families=(), backend=False):
         p = sub.add_parser(name, help=help)
@@ -505,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--backend", choices=("exact", "float"), default="exact"
             )
-        p.add_argument("--precision", type=int, default=precision)
+        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
         p.add_argument("--out", default=None)
         p.set_defaults(func=func)
         return p

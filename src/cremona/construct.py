@@ -37,7 +37,6 @@ from .arith import (
     NumberField,
     NumberFieldElement,
     inverse,
-    is_zero,
 )
 from .geometry import LinearMap, curve_powers
 from .spectra import spectral_report
@@ -116,7 +115,7 @@ def _parameter_sum(params):
     """e_1 of the parameters; it must not vanish for the centers to be
     independent."""
     total = sum(params[1:], params[0])
-    if is_zero(total):
+    if not total:
         raise ValueError("parameter sum vanishes; centers are dependent")
     return total
 
@@ -229,7 +228,7 @@ def _shaped_L(s, betas) -> LinearMap:
     det = s
     for b in betas:
         det = det * b
-    if is_zero(det):
+    if not det:
         raise ValueError("singular matrix")
     zero = s * 0
     rows = [[zero] * k + [s]]
@@ -385,7 +384,7 @@ def build_L_lines(k: int, m: int, n: int, alpha):
         raise ValueError(f"n must be >= 1, got {n}")
     am = alpha ** m
     denom = alpha - 1
-    if is_zero(denom) or is_zero(am - 1):
+    if not denom or not (am - 1):
         raise RootOfUnityError("alpha must not be a root of unity")
     v = -alpha * (am - 1) * inverse(denom)
     return [

@@ -28,7 +28,6 @@ from .arith import (
     gap,
     inverse,
     is_exact,
-    is_zero,
     normalize,
     one_like,
 )
@@ -80,9 +79,9 @@ class ProjectivePoint:
         coords = tuple(coords)
         if not coords:
             raise ValueError("empty coordinate vector")
-        # exactly zero: a float image under J, a product of k coordinates,
-        # can be nonzero and still below the threshold of ``is_zero``
-        if all(c == 0 for c in coords):
+        # only an exactly zero vector is refused: a float image under J, a
+        # product of k coordinates, can be tiny and still not 0
+        if not any(coords):
             raise ValueError("all coordinates zero")
         self.coords = coords
 
@@ -118,7 +117,7 @@ class ProjectivePoint:
         return "[" + " : ".join(repr(c) for c in self.coords) + "]"
 
     def zero_pattern(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.coords) if is_zero(c))
+        return tuple(i for i, c in enumerate(self.coords) if not c)
 
     def normalized(self) -> "ProjectivePoint":
         """The point with its coordinates rescaled (``arith.normalize``) to
@@ -164,7 +163,7 @@ class LinearMap:
         ]
         pivots = []
         for col in range(n):
-            piv = next((r for r in range(col, n) if not is_zero(aug[r][col])), None)
+            piv = next((r for r in range(col, n) if aug[r][col]), None)
             if piv is None:
                 return pivots + [one * 0], None
             aug[col], aug[piv] = aug[piv], aug[col]
@@ -173,7 +172,7 @@ class LinearMap:
             inv = inverse(pval)
             aug[col] = [c * inv for c in aug[col]]
             for r in range(n):
-                if r != col and not is_zero(aug[r][col]):
+                if r != col and aug[r][col]:
                     f = aug[r][col]
                     aug[r] = [aug[r][j] - f * aug[col][j] for j in range(2 * n)]
         return pivots, [row[n:] for row in aug]
@@ -248,7 +247,7 @@ def param_recover(p: ProjectivePoint, k: int) -> CurveParam:
     if p.eq(cusp):
         return OO
     x0 = p.coords[0]
-    if is_zero(x0):
+    if not x0:
         raise NotOnCurveError(0, "x0 = 0 but the point is not the cusp")
     t = p.coords[1] / x0
     if not p.eq(gamma_eval(t, k)):
@@ -300,7 +299,7 @@ def apply_J_multi(factors: Sequence[ProjectivePoint]) -> list:
     out = []
     for y in ys:
         comp = [a * b for a, b in zip(y.coords, rec.coords)]
-        if all(map(is_zero, comp)):
+        if not any(comp):
             raise IndeterminacyError("output factor degenerated to zero")
         out.append(ProjectivePoint(comp))
     out.append(rec)
@@ -331,7 +330,7 @@ def concurrent_line_membership(p: ProjectivePoint, k: int):
         if not all(close(others[0], c) for c in others[1:]):
             continue
         common = others[0]
-        matches.append((j, OO if is_zero(common) else p.coords[j] / common))
+        matches.append((j, OO if not common else p.coords[j] / common))
     if not matches:
         raise NotOnCurveError(None, "point is not on the union of lines")
     return matches

@@ -453,10 +453,8 @@ def blown_point_params(construction):
     return params, c  # c is the orbit endpoint, should equal t_plus[0]
 
 
-def verify_distinctness(construction, injected=None) -> bool:
+def verify_distinctness(construction) -> bool:
     params, endpoint = blown_point_params(construction)
-    if injected is not None:
-        params = list(params) + list(injected)
     for i in range(len(params)):
         for j in range(i + 1, len(params)):
             if params[i] == params[j]:

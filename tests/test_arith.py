@@ -160,6 +160,13 @@ def test_bigfloat_arithmetic():
     assert BigFloat(1, 64) < BigFloat(2, 64)
 
 
+def test_bigfloat_is_false_only_at_zero():
+    assert not BigFloat(0, 64)
+    assert not -BigFloat(0, 64)
+    assert BigFloat(2.0 ** -200, 64)
+    assert BigFloat(1, 64) / 2 ** 10000
+
+
 def test_nf_embed_linearity():
     root = leading_salem_root(LEHMER, 192).value
     x = FIELD.gen()

@@ -480,18 +480,14 @@ def test_flags_a_subcommand_does_not_read_are_refused(argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["abc", "16"])
-def test_precision_env_validated_like_the_flag(monkeypatch, value):
-    monkeypatch.setenv("CREMONA_PRECISION_BITS", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["degree", "--family", "pk", "-k", "2", "-n", "8"])
-    assert exc.value.code == 2
-
-
-def test_precision_env_sets_the_default(monkeypatch, capsys):
-    monkeypatch.setenv("CREMONA_PRECISION_BITS", "128")
-    code, payload, _ = run_json(
-        capsys, "verify", "-k", "2", "-n", "8", "--backend", "float"
+def test_float_orbit_keeps_factors_near_zero(capsys):
+    # at 64 bits the reciprocal factor at step 9 is about 1e-20 in every
+    # coordinate; it is not 0, so the orbit goes on and closes.  The curve
+    # check still fails here, so the exit code is not asserted.
+    _, payload, _ = run_json(
+        capsys, "verify", "--family", "biproj", "-k", "9", "-n", "10",
+        "--backend", "float", "--precision", "64",
     )
-    assert code == EXIT_OK
-    assert payload["backend"] == "float(128)"
+    passed = {c["name"]: c["passed"] for c in payload["conditions"]}
+    assert passed["long orbit closes at e0"]
+    assert passed["no premature indeterminacy"]

@@ -52,11 +52,18 @@ def test_zero_vector_rejected():
         ProjectivePoint([])
     with pytest.raises(ValueError):
         ProjectivePoint([BigFloat(0, 256)] * 3)
-    # nonzero, though below the float zero threshold: the image of a
-    # normalized point under J can be this small (mpf exponents are unbounded)
+    # tiny but not 0: the image of a normalized point under J can be this
+    # small (mpf exponents are unbounded)
     tiny = BigFloat(1, 256) / 2 ** 300
     point = ProjectivePoint([tiny, tiny * 3, -tiny])
     assert point == ProjectivePoint([BigFloat(1, 256), BigFloat(3, 256), BigFloat(-1, 256)])
+
+
+def test_float_zero_pattern_counts_only_exact_zeros():
+    tiny = BigFloat(1e-30, 64)
+    assert ProjectivePoint([BigFloat(1, 64), tiny, -tiny]).zero_pattern() == ()
+    zero = BigFloat(0, 64)
+    assert ProjectivePoint([zero, tiny, zero]).zero_pattern() == (0, 2)
 
 
 def test_float_point_equality():
@@ -161,6 +168,17 @@ def test_j_multi_roundtrip(m):
     point = [P(2, 3, 5), P(1, 4, 9), P(7, 1, 2)][:m]
     *us, v = apply_J_multi(point)
     assert apply_J_multi([v, *us]) == point[1:] + point[:1]
+
+
+def test_j_multi_keeps_a_tiny_float_factor():
+    # every coordinate of J(x) is 1e-20, and of y/x about as small: tiny,
+    # but not 0
+    x = ProjectivePoint([BigFloat(1e-10, 64)] * 3)
+    y = ProjectivePoint([BigFloat(c, 64) for c in (1, 2, 3)])
+    ratio, rec = apply_J_multi([x, y])
+    assert all(1e-21 < float(c) < 1e-19 for c in rec.coords)
+    assert all(1e-21 < float(c) < 1e-19 * 4 for c in ratio.coords)
+    assert ratio == y
 
 
 def test_j_biproj_contracts_to_diagonal_points():

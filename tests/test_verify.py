@@ -1,5 +1,6 @@
 """Orbit-data verification, curve invariance, distinctness, lines orbits."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -59,25 +60,20 @@ def test_biproj_exact_and_float():
     assert max(cond.residual for cond in rep.conditions) < 2.0 ** -128
 
 
-def test_perturbed_matrix_fails_closure():
-    c = construct_pk(2, 8)
-    L = c.L[0]
-    rows = [list(r) for r in L.matrix]
+@pytest.mark.parametrize("backend, bits", [
+    ("exact", 256), ("float", 64), ("float", 256),
+])
+@pytest.mark.parametrize("build, k, n", [
+    (construct_pk, 2, 8), (construct_pk, 5, 15), (construct_biproj, 3, 8),
+])
+def test_perturbed_matrix_fails_closure(build, k, n, backend, bits):
+    # a float point near a coordinate point is not taken for one, so a
+    # perturbed L misses e0 on every backend
+    c = build(k, n)
+    rows = [list(r) for r in c.L[0].matrix]
     rows[1][0] = rows[1][0] + Fraction(1, 5)  # knock one beta off
-    broken = CoxeterConstruction(
-        family="pk",
-        k=c.k,
-        n=c.n,
-        field=c.field,
-        delta=c.delta,
-        t_plus=c.t_plus,
-        tau=c.tau,
-        L=[LinearMap(rows)],
-        T_matrices=c.T_matrices,
-        S_matrices=c.S_matrices,
-        s_params=c.s_params,
-    )
-    rep = verify_orbit(broken, backend="exact")
+    broken = dataclasses.replace(c, L=[LinearMap(rows), *c.L[1:]])
+    rep = verify_orbit(broken, backend=backend, precision_bits=bits)
     closure = next(
         cond for cond in rep.conditions if cond.name == "long orbit closes at e0"
     )
@@ -432,7 +428,9 @@ def test_distinctness_counts():
 
 def test_distinctness_negative_control():
     c = construct_pk(2, 8)
-    assert not verify_distinctness(c, injected=[c.t_plus[0]])
+    repeated = dataclasses.replace(c, t_plus=[c.t_plus[0], *c.t_plus[:-1]])
+    assert blown_point_params(repeated)[1] == repeated.t_plus[0]
+    assert not verify_distinctness(repeated)
 
 
 # ---------------------------------------------------------------------------
