@@ -4,11 +4,12 @@ For the projective family the multiplier delta lives in Q(delta) =
 Q[x]/(S(x)) with S the Salem factor of the characteristic polynomial; the
 indeterminacy parameters t_j^+, the translation tau and the matrix L (the map
 is F = L o J after conjugating away T) are all exact elements of that field.
-The center matrices T and S of the un-conjugated map F = S o J o T^{-1},
-which fixes the standard curve, are fixed by t^+ and the parameters s of
-S; a construction keeps those parameters and not the matrices, and
-``verify`` builds T and S (``center_matrices``) in the backend it checks
-the curve in.
+The center matrices T and S of the un-conjugated map S o J o T^{-1}, which
+fixes the standard curve gamma, are fixed by t^+ and the parameters s of S,
+and L = T^{-1} S up to scale.  A construction keeps those parameters and
+not the matrices: ``verify`` checks the curve T^{-1} gamma that F fixes, in
+closed form on t^+, and builds no T or S.  Explicit center matrices, in a
+construction built by hand, define L = T^{-1} S.
 
 No matrix is checked for singularity by elimination over Q(delta): every T
 and S is a center matrix, whose determinant is (prod a_j) e_1(t) times the
@@ -16,9 +17,7 @@ Vandermonde determinant of its parameters, and every L has the determinant
 (-1)^k s prod beta_r of its shape.  The field inversions that build the
 column scalings a_j certify the first to be a unit when T and S are built
 (see ``center_matrix``), and k products decide the second (see
-``_shaped_L``).  ``verify`` never inverts T: it takes the closed-form
-preimage of a curve point and certifies it by the product with T, so curve
-invariance still checks T independently.
+``_shaped_L``).
 
 The biprojective family follows the recurrence system for t_j^- (the printed
 closed form for t_j^+ is evaluated alongside and any mismatch is recorded,
@@ -82,9 +81,9 @@ class CoxeterConstruction:
     t_plus: list
     tau: NumberFieldElement
     L: list  # one LinearMap (pk), two (biproj), m (lines)
-    # explicit center matrices, for a construction built by hand; the
-    # families leave them empty, and verify builds T_i and S_i from t_plus
-    # and s_params in its backend
+    # explicit center matrices, for a construction built by hand: they
+    # define L_i = T_i^{-1} S_i, which verify forms exactly; the families
+    # leave them empty and keep only t_plus and s_params
     T_matrices: list = field(default_factory=list)
     S_matrices: list = field(default_factory=list)
     s_params: list = field(default_factory=list)  # parameters of S(e_j)

@@ -235,26 +235,6 @@ def curve_powers(a, t, k: int) -> list:
     return coords
 
 
-def curve_point(t: CurveParam, k: int, factors: int) -> list:
-    """The invariant curve in (P^k)^factors: factor i is gamma(t - i), so
-    t = oo is the cusp in every factor."""
-    return [gamma_eval(t if t is OO else t - i, k) for i in range(factors)]
-
-
-def param_recover(p: ProjectivePoint, k: int) -> CurveParam:
-    """Invert gamma_eval; raises NotOnCurveError if p is off the curve."""
-    cusp = ProjectivePoint.standard_basis(k, k)
-    if p.eq(cusp):
-        return OO
-    x0 = p.coords[0]
-    if not x0:
-        raise NotOnCurveError(0, "x0 = 0 but the point is not the cusp")
-    t = p.coords[1] / x0
-    if not p.eq(gamma_eval(t, k)):
-        raise NotOnCurveError(None, "not on curve within tolerance")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Cremona involutions
 

@@ -5,25 +5,22 @@ variants) in full projective coordinates; the affine parameter dynamics
 t -> delta t + tau is computed separately and used only as an independent
 cross-check.  On the exact backend every comparison is an identity in
 Q(delta); the float backend re-runs the same iteration after embedding delta
-as a certified numerical root of the modulus.
+as a certified numerical root of the modulus.  On the float backend of pk
+and biproj, L, delta, tau and t^+ are embedded with the root at p + 64 bits
+and every entry is then rounded to p bits, so no entry loses bits to
+cancellation, as the embedding of an exact entry with large coefficients at
+p bits would.
 
-The center matrices T and S are built here, in the backend that checks
-them, from the construction's delta, t^+ and s: exactly on the exact
-backend, and on the float backend at p bits with the root at p + 64 bits,
-every entry then rounded to p bits.  L, delta, tau and t^+ are embedded at
-that root and rounded the same way.  So the float backend makes no field
-inversion for T and S, and no entry loses bits to cancellation, as the
-embedding of an exact entry with large coefficients at p bits would.
-
-Curve invariance is checked in the original frame F = S o J o T^{-1} without
-inverting T: the preimage of gamma(x) under a center matrix has a closed
-form with no division, it is certified by the product T u being
-proportional to gamma(x), and the image S J(u) is compared with
-gamma(delta x + tau) by cross-multiplication.  On the exact backend only a
-sample that fails is normalized, to report the parameter its image actually
-has; on the float backend every image's parameter is recovered and must be
-close to delta x + tau, and the multiplier is measured from those
-parameters.
+Curve invariance is checked in the same frame, on the same L.  F is the
+conjugate by the center matrices T of S o J o T^{-1}, which fixes the
+cuspidal curve gamma, so F fixes the curve u(x) = T^{-1} gamma(x), whose
+points have a closed form with no division (``_preimage``); L J(u(t)) is
+compared with u(delta t + tau) by cross-multiplication, and no T or S is
+built.  On the exact backend only a sample that fails has the parameter of
+its image recovered, to report it; on the float backend every image's
+parameter is recovered and must be close to delta t + tau, and the
+multiplier is measured from those parameters.  A construction built by
+hand from explicit center matrices T_i and S_i has L_i = T_i^{-1} S_i.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import BigFloat, close, embed, one_like
-from .construct import center_matrices
 from .geometry import (
     IndeterminacyError,
     LinearMap,
@@ -43,9 +39,7 @@ from .geometry import (
     apply_J_multi,
     apply_linear,
     concurrent_line_membership,
-    curve_point,
     linear_product,
-    param_recover,
     products_of_others,
 )
 from .spectra import leading_salem_root
@@ -108,41 +102,25 @@ class Backend:
     label: str
     root: Optional[BigFloat]  # None on the exact backend
     L: list
-    T: list
-    S: list
-    centers: list  # per factor i, the parameters t^+ - i of T_i
+    centers: list  # per factor i, the parameters t^+ - i of the curve u
     delta: object
     tau: object
 
 
-# extra bits at which the float backend's data is built or embedded before
-# it is rounded to the backend's precision
+# extra bits at which the float backend's data is embedded before it is
+# rounded to the backend's precision
 GUARD_BITS = 64
-
-
-def _center_matrices(construction, fine):
-    """(T, S), the center matrices of every factor, unrounded: explicit
-    matrices as they are, otherwise built by ``center_matrices`` from delta,
-    t^+ and s embedded at ``fine`` (None on the exact backend).  The lines
-    family has none."""
-    c = construction
-    if c.T_matrices:
-        return c.T_matrices, c.S_matrices
-    if c.family == "lines":
-        return [], []
-    return center_matrices(
-        c.k, embed(c.delta, fine), [embed(t, fine) for t in c.t_plus],
-        [embed(s, fine) for s in c.s_params], len(c.L))
 
 
 def _prepare(construction, backend: str, precision_bits: int) -> Backend:
     """The construction in the requested backend, built once per backend and
     precision and kept on the construction.  On the float backend of pk and
-    biproj, L, delta, tau, t^+ and the center matrices are embedded (or
-    built) with delta's root at GUARD_BITS more bits and every entry then
-    rounded to p bits: an entry whose large coefficients cancel at the root
-    would lose bits embedded at p bits.  The lines family embeds at p bits,
-    at the one root its construction may already carry."""
+    biproj, L, delta, tau and t^+ are embedded with delta's root at
+    GUARD_BITS more bits and every entry then rounded to p bits: an entry
+    whose large coefficients cancel at the root would lose bits embedded at
+    p bits.  The lines family embeds at p bits, at the one root its
+    construction may already carry.  A construction built by hand from
+    explicit center matrices gets L_i = T_i^{-1} S_i, formed exactly."""
     c = construction
     key = (backend, precision_bits)
     if key not in c.backends:
@@ -160,19 +138,15 @@ def _prepare(construction, backend: str, precision_bits: int) -> Backend:
         def lift(x):
             return embed(embed(x, fine), root)
 
-        def lift_all(mats):
-            return [LinearMap([[lift(x) for x in row] for row in m.matrix])
-                    for m in mats]
-
+        L = c.L
+        if c.T_matrices:
+            L = [t.inverse() @ s for t, s in zip(c.T_matrices, c.S_matrices)]
         t_plus = [lift(t) for t in c.t_plus]
-        T, S = map(lift_all, _center_matrices(c, fine))
         c.backends[key] = Backend(
             label=label,
             root=root,
-            L=lift_all(c.L),
-            T=T,
-            S=S,
-            centers=[[t - i for t in t_plus] for i in range(len(T))],
+            L=[LinearMap([[lift(x) for x in row] for row in m.matrix]) for m in L],
+            centers=[[t - i for t in t_plus] for i in range(len(L))],
             delta=lift(c.delta),
             tau=lift(c.tau),
         )
@@ -193,6 +167,12 @@ def _step_points(mats, point):
     """One step of (M_0 x .. x M_{m-1}) o J_m on a point of (P^k)^m, given as
     its list of factors; m = 1 is the projective family."""
     return [apply_linear(m, q) for m, q in zip(mats, apply_J_multi(point))]
+
+
+def _image(mats, point) -> list:
+    """``_step_points`` with no factor normalized, so an exact image costs
+    no field inversion."""
+    return [linear_product(m, q) for m, q in zip(mats, apply_J_multi(point))]
 
 
 def _walk(mats, steps, visit):
@@ -322,25 +302,47 @@ def _preimage(params, x) -> list:
     and T^{-1} gamma(x) = (-1)^k u exactly.  The column scalings
     a_j = 1 / (E prod_{i != j} (t_i - t_j)) cancel the denominators of the
     coefficients of gamma(x) in the basis gamma(t_j), so u needs no
-    inversion; the products over i != j are ``products_of_others``.  The
-    callers certify u by T u, and never assume it."""
+    inversion; the products over i != j are ``products_of_others``."""
     shift = x + sum(params[1:], params[0])
     others = products_of_others([x - t for t in params])
     return [(shift - t) * o for t, o in zip(params, others)]
 
 
-def _certified_image(b: Backend, point, preimage):
-    """(S_0 x .. x S_{m-1}) o J_m of ``preimage``, unnormalized, once every
-    T_i u_i is certified proportional to factor i of ``point``; None when
-    one is not, since u is then no preimage of the point."""
-    for t_mat, u, p in zip(b.T, preimage, point):
-        if not linear_product(t_mat, u).eq(p):
-            return None
-    return [linear_product(s, q) for s, q in zip(b.S, apply_J_multi(preimage))]
+def _curve_point(b: Backend, x) -> list:
+    """The point at parameter x of the curve that F = (L_0 x ..) o J_m
+    fixes: factor i is ``_preimage`` on the parameters t^+ - i at x - i, and
+    the cusp x = oo is (1, .., 1) in every factor."""
+    if x is OO:
+        ones = ProjectivePoint([one_like(b.delta)] * len(b.centers[0]))
+        return [ones] * len(b.centers)
+    return [ProjectivePoint(_preimage(c, x - i)) for i, c in enumerate(b.centers)]
 
 
 def _matches(image, target) -> bool:
-    return image is not None and all(p.eq(q) for p, q in zip(image, target))
+    return all(p.eq(q) for p, q in zip(image, target))
+
+
+def _curve_param(b: Backend, image):
+    """The parameter x with image = ``_curve_point(b, x)`` up to scale in
+    every factor: OO at the cusp, None when the image is off the curve.
+
+    Factor 0 of the curve is u_j = P(x) (1 + E / (x - t_j)), with
+    P = prod (x - t_i) and E = sum t_i, so an image w proportional to it has
+    w_j = mu (1 + E / (x - t_j)) for some mu, and
+
+        (w_0 - w_j) x + (t_0 - t_j) mu = w_0 t_0 - w_j t_j.
+
+    The equations for j = 1, 2 give x; their determinant is 0 exactly when
+    w_0 = w_1 = w_2, at the cusp.  Every factor of the image is then
+    compared with the curve's point at x."""
+    w, t = image[0].coords, b.centers[0]
+    a1, a2 = w[0] - w[1], w[0] - w[2]
+    d1, d2 = t[0] - t[1], t[0] - t[2]
+    r0 = w[0] * t[0]
+    r1, r2 = r0 - w[1] * t[1], r0 - w[2] * t[2]
+    det = a1 * d2 - a2 * d1
+    x = (r1 * d2 - r2 * d1) / det if det else OO
+    return x if _matches(image, _curve_point(b, x)) else None
 
 
 def _sample_params(construction, samples: int, root):
@@ -360,70 +362,42 @@ def _sample_params(construction, samples: int, root):
     return out
 
 
-def _recover_param(construction, image):
-    """The parameter t with image = curve_point(t); raises NotOnCurveError
-    when a factor is off the curve or disagrees with the first."""
-    k = construction.k
-    t = param_recover(image[0], k)
-    expected = curve_point(t, k, len(image))
-    for i in range(1, len(image)):
-        if not image[i].eq(expected[i]):
-            raise NotOnCurveError(None, f"factor {i} off the curve")
-    return t
-
-
-def _image_param(construction, image):
-    """The parameter a sample's image actually has: None when the preimage
-    was not certified or the image is off the curve."""
-    if image is None:
-        return None
-    try:
-        return _recover_param(construction, [p.normalized() for p in image])
-    except NotOnCurveError:
-        return None
-
-
 def verify_curve_invariance(
     construction,
     samples: int = 20,
     backend: str = "exact",
     precision_bits: int = 256,
 ) -> CurveReport:
-    """F(gamma(t)) = gamma(delta t + tau) on sampled parameters, plus the
-    cusp, for F = (S_0 x ..) o J_m o (T_0^{-1} x ..) with no inversion of T.
+    """F(u(t)) = u(delta t + tau) on sampled parameters, plus the cusp, for
+    F = (L_0 x .. x L_{m-1}) o J_m, the map the orbit walk steps, and u its
+    invariant curve ``_curve_point``.
 
-    Factor i of gamma(t) is gamma(t - i), and its preimage under T_i is the
-    closed form ``_preimage`` on the parameters t^+ - i at x = t - i (at
-    the cusp, (1, .., 1)).  That preimage is certified by T_i u being
-    proportional to gamma(t - i), then S_i J_m(u) is compared with
-    gamma(s - i), s = delta t + tau, by cross-multiplication.  On the exact
-    backend a match proves that the image's parameter x_1 / x_0 is s, which
-    is recorded, and only a failing sample is normalized and its parameter
-    recovered.  A float comparison holds only relative to the largest
-    coordinate, so on the float backend every image is normalized, its
-    parameter is recovered (on the curve in every factor) and recorded, and
-    the sample passes only when that parameter is close to s.  The
-    multiplier is measured as the slope of the affine parameter map, and a
-    measured slope of 1 flags a translation (conjugate to the plain
-    involution) instead of passing."""
-    k = construction.k
+    Each image is compared with u(delta t + tau) by cross-multiplication.
+    On the exact backend a match proves that the image's parameter is
+    delta t + tau, which is recorded, so no field element is inverted, and
+    only a failing sample has its parameter recovered (``_curve_param``,
+    one division).  A float
+    comparison holds only relative to the largest coordinate, so on the
+    float backend every image's parameter is recovered (on the curve in
+    every factor) and recorded, and the sample passes only when that
+    parameter is close to delta t + tau.  The cusp (1, .., 1) must be fixed
+    in every factor.  The multiplier is measured as the slope of the affine
+    parameter map, and a measured slope of 1 flags a translation (conjugate
+    to the plain involution) instead of passing."""
     b = _prepare(construction, backend, precision_bits)
-    factors = len(b.T)
-    report = CurveReport(family=construction.family, k=k, backend=b.label)
+    report = CurveReport(family=construction.family, k=construction.k,
+                         backend=b.label)
     for t in _sample_params(construction, samples, b.root):
-        u = [ProjectivePoint(_preimage(c, t - i)) for i, c in enumerate(b.centers)]
-        img = _certified_image(b, curve_point(t, k, factors), u)
+        image = _image(b.L, _curve_point(b, t))
         expected = b.delta * t + b.tau
-        if b.root is None and _matches(img, curve_point(expected, k, factors)):
+        if b.root is None and _matches(image, _curve_point(b, expected)):
             got, ok = expected, True
         else:
-            got = _image_param(construction, img)
+            got = _curve_param(b, image)
             ok = got is not None and got is not OO and close(got, expected)
         report.samples.append((t, got, expected, ok))
-    # cusp: gamma(oo) must be fixed; T_i sends (1, .., 1) to it
-    cusp = curve_point(OO, k, factors)
-    ones = ProjectivePoint([one_like(b.delta)] * (k + 1))
-    report.cusp_fixed = _matches(_certified_image(b, cusp, [ones] * factors), cusp)
+    cusp = _curve_point(b, OO)
+    report.cusp_fixed = _matches(_image(b.L, cusp), cusp)
     # measured multiplier: slope through the first two good samples
     good = [
         (t, g) for (t, g, _, ok) in report.samples if ok and g is not None

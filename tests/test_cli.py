@@ -482,12 +482,12 @@ def test_flags_a_subcommand_does_not_read_are_refused(argv):
 
 def test_float_orbit_keeps_factors_near_zero(capsys):
     # at 64 bits the reciprocal factor at step 9 is about 1e-20 in every
-    # coordinate; it is not 0, so the orbit goes on and closes.  The curve
-    # check still fails here, so the exit code is not asserted.
-    _, payload, _ = run_json(
+    # coordinate; it is not 0, so the orbit goes on and closes
+    code, payload, _ = run_json(
         capsys, "verify", "--family", "biproj", "-k", "9", "-n", "10",
         "--backend", "float", "--precision", "64",
     )
+    assert code == EXIT_OK
     passed = {c["name"]: c["passed"] for c in payload["conditions"]}
     assert passed["long orbit closes at e0"]
     assert passed["no premature indeterminacy"]

@@ -17,9 +17,7 @@ from cremona.geometry import (
     apply_J_multi,
     apply_linear,
     concurrent_line_membership,
-    curve_point,
     gamma_eval,
-    param_recover,
     products_of_others,
 )
 from cremona.polynomials import IntegerPolynomial
@@ -213,30 +211,17 @@ def test_apply_linear():
 
 
 def test_gamma_and_param_roundtrip():
+    # the parameter is x_1 / x_0, and the cusp is e_k
     for k in (2, 3, 4):
         for t in (Fraction(0), Fraction(2), Fraction(-5, 3)):
-            assert param_recover(gamma_eval(t, k), k) == t
-        assert param_recover(gamma_eval(OO, k), k) is OO
+            x = gamma_eval(t, k).coords
+            assert x[0] == 1 and x[1] / x[0] == t
+        assert gamma_eval(OO, k) == ProjectivePoint.standard_basis(k, k)
 
 
 def test_gamma_shape():
     p = gamma_eval(Fraction(2), 3)
     assert p.coords == (1, 2, 4, 16)  # [1 : t : t^2 : t^4] at k=3
-
-
-def test_param_recover_rejects_off_curve():
-    with pytest.raises(NotOnCurveError):
-        param_recover(P(1, 2, 5), 2)
-
-
-def test_curve_point_offsets_parameters_and_shares_the_cusp():
-    assert curve_point(Fraction(3), 2, 3) == [
-        gamma_eval(Fraction(3), 2), gamma_eval(Fraction(2), 2),
-        gamma_eval(Fraction(1), 2),
-    ]
-    assert curve_point(Fraction(3), 2, 1) == [gamma_eval(Fraction(3), 2)]
-    cusp = ProjectivePoint.standard_basis(3, 3)
-    assert curve_point(OO, 3, 2) == [cusp, cusp]
 
 
 def test_concurrent_line_membership():

@@ -68,7 +68,8 @@ def test_biproj_exact_and_float():
 ])
 def test_perturbed_matrix_fails_closure(build, k, n, backend, bits):
     # a float point near a coordinate point is not taken for one, so a
-    # perturbed L misses e0 on every backend
+    # perturbed L misses e0 on every backend; the curve check reads the same
+    # L, so it fails too
     c = build(k, n)
     rows = [list(r) for r in c.L[0].matrix]
     rows[1][0] = rows[1][0] + Fraction(1, 5)  # knock one beta off
@@ -78,6 +79,7 @@ def test_perturbed_matrix_fails_closure(build, k, n, backend, bits):
         cond for cond in rep.conditions if cond.name == "long orbit closes at e0"
     )
     assert not closure.passed
+    assert rep.curve_invariant is False
 
 
 def _max_residue_bits(report) -> int:
@@ -170,15 +172,34 @@ def test_curve_invariance_pk_20_samples():
 
 def test_curve_invariance_fixed_point():
     # t = 1 is the fixed point of t -> delta t + tau at pk (2, 8)
-    from cremona.geometry import curve_point, param_recover
-    from cremona.verify import _certified_image, _prepare, _preimage
+    from cremona.verify import _curve_param, _curve_point, _image, _prepare
 
     c = construct_pk(2, 8)
     one = c.field.one()
+    assert c.delta * one + c.tau == one
     b = _prepare(c, "exact", 256)
-    u = ProjectivePoint(_preimage(b.centers[0], one))
-    (img,) = _certified_image(b, curve_point(one, 2, 1), [u])
-    assert param_recover(img, 2) == one
+    assert _curve_param(b, _image(b.L, _curve_point(b, one))) == one
+
+
+@pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
+                                          (construct_biproj, 3, 8)])
+def test_curve_param_recovers_exact_curve_points(build, k, n):
+    # the 2 x 2 solve on factor 0 gives x exactly, whatever the scale of
+    # each factor, and (1, .., 1) is the cusp
+    from cremona.geometry import OO
+    from cremona.verify import _curve_param, _curve_point, _prepare
+
+    c = build(k, n)
+    one = c.field.one()
+    b = _prepare(c, "exact", 256)
+    for x in (Fraction(3, 7), Fraction(-5, 2), Fraction(0), Fraction(11)):
+        x = x * one
+        point = _curve_point(b, x)
+        assert _curve_param(b, point) == x
+        scaled = [ProjectivePoint([(c.delta + i) * a for a in p.coords])
+                  for i, p in enumerate(point)]
+        assert _curve_param(b, scaled) == x
+    assert _curve_param(b, _curve_point(b, OO)) is OO
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -228,14 +249,13 @@ def test_closed_form_preimage_of_the_construction(build, k, n):
 @pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
                                           (construct_biproj, 3, 8)])
 def test_curve_invariance_inverts_nothing(monkeypatch, build, k, n):
-    # the preimage has a closed form and the image is compared by
-    # cross-multiplication: the only inversion left is the slope's division
-    # by a rational, and no backend inverts T
-    from cremona import arith
-    from cremona.verify import _prepare
+    # the curve's points have a closed form and the image is compared by
+    # cross-multiplication: the only inversion left, counted from before
+    # the backend is prepared, is the slope's division by a rational, and
+    # no center matrix is built or inverted
+    from cremona import arith, construct
 
     c = build(k, n)
-    _prepare(c, "exact", 256)  # builds T and S, inverting their scalings
     inversions = []
     real_invert = arith.nf_invert
 
@@ -244,10 +264,15 @@ def test_curve_invariance_inverts_nothing(monkeypatch, build, k, n):
         return real_invert(a)
 
     def no_elimination(self):
-        raise AssertionError("T inverted by elimination")
+        raise AssertionError("inverted by elimination")
+
+    def refuse(*args):
+        raise AssertionError("center matrix built by the curve check")
 
     monkeypatch.setattr(arith, "nf_invert", counting_invert)
     monkeypatch.setattr(LinearMap, "inverse", no_elimination)
+    monkeypatch.setattr(construct, "column_scalings", refuse)
+    monkeypatch.setattr(construct, "center_matrices", refuse)
     rep = verify_curve_invariance(c, backend="exact")
     assert rep.all_passed and rep.cusp_fixed
     assert rep.multiplier_measured == c.delta
@@ -255,31 +280,15 @@ def test_curve_invariance_inverts_nothing(monkeypatch, build, k, n):
     assert verify_curve_invariance(c, samples=3, backend="float").all_passed
 
 
-@pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
-                                          (construct_biproj, 3, 8)])
-def test_exact_backend_builds_the_center_matrices(build, k, n):
-    # the construction keeps no T or S; the exact backend builds them from
-    # the same parameters, entry for entry
-    from cremona.verify import _prepare
-
-    c = build(k, n)
-    assert c.T_matrices == [] and c.S_matrices == []
-    b = _prepare(c, "exact", 256)
-    T, S = centers(c)
-    assert len(b.T) == len(b.S) == len(c.L)
-    assert [m.matrix for m in b.T] == [m.matrix for m in T]
-    assert [m.matrix for m in b.S] == [m.matrix for m in S]
-
-
 @pytest.mark.parametrize("precision", [64, 256])
 @pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
                                           (construct_biproj, 3, 8)])
 def test_float_center_matrices_are_near_exact(monkeypatch, build, k, n, precision):
-    # built (T, S) or embedded (L, delta, tau, t^+) at 64 guard bits and
-    # rounded, every entry is within 2^-(p-8) relative of the exact entry;
-    # the exact data is embedded with 128 more bits, since at p bits the
-    # embedding of an entry with a large numerator loses bits to
-    # cancellation.  No field inversion.
+    # L, delta, tau and t^+ embedded at 64 guard bits and rounded: every
+    # entry is within 2^-(p-8) relative of the exact entry; the exact data
+    # is embedded with 128 more bits, since at p bits the embedding of an
+    # entry with a large numerator loses bits to cancellation.  No field
+    # inversion.
     from cremona import arith
     from cremona.arith import embed
     from cremona.verify import _prepare, field_root
@@ -291,13 +300,12 @@ def test_float_center_matrices_are_near_exact(monkeypatch, build, k, n, precisio
     assert not inversions
     monkeypatch.undo()
     fine = field_root(c, precision + 128)
-    T, S = centers(c)
     pairs = [(b.delta, c.delta), (b.tau, c.tau)]
     pairs += [(x, t) for x, t in zip(b.centers[0], c.t_plus)]
-    for got, exact in zip(b.T + b.S + b.L, T + S + c.L):
+    for got, exact in zip(b.L, c.L):
         for row, exact_row in zip(got.matrix, exact.matrix):
             pairs += zip(row, exact_row)
-    assert len(pairs) == 3 + k + 3 * len(c.L) * (k + 1) ** 2
+    assert len(pairs) == 3 + k + len(c.L) * (k + 1) ** 2
     for x, exact in pairs:
         e = embed(exact, fine)
         assert x.precision_bits == precision
@@ -305,12 +313,27 @@ def test_float_center_matrices_are_near_exact(monkeypatch, build, k, n, precisio
 
 
 def test_float_verify_pk_9_10_at_64_bits(capsys):
-    # without guard bits, float center matrices built at 64 bits fail the
-    # curve check here
+    # at 64 bits the curve check passes here; it failed when the check
+    # still built float center matrices without guard bits
     from cremona.cli import main
 
     assert main(["verify", "-k", "9", "-n", "10", "--backend", "float",
                  "--precision", "64"]) == 0
+    assert '"curve_invariant": true' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, k, n", [
+    ("pk", 12, 30), ("pk", 10, 25), ("biproj", 9, 10), ("biproj", 12, 25),
+])
+def test_float_verify_at_64_bits_checks_the_curve_in_the_orbit_frame(
+        capsys, family, k, n):
+    # checked on the curve of gamma's frame, these cells failed at 64 bits:
+    # the cusp needed T (1, .., 1) ~ e_k and each sample T u ~ gamma(t),
+    # both ill-conditioned for large k; the curve of L's frame needs neither
+    from cremona.cli import main
+
+    assert main(["verify", "--family", family, "-k", str(k), "-n", str(n),
+                 "--backend", "float", "--precision", "64"]) == 0
     assert '"curve_invariant": true' in capsys.readouterr().out
 
 
@@ -371,24 +394,24 @@ def test_curve_invariance_biproj():
 
 
 def test_recover_param_refuses_second_factor_off_the_curve():
-    from cremona.geometry import NotOnCurveError, OO, curve_point, gamma_eval
-    from cremona.verify import _recover_param
+    from cremona.geometry import OO
+    from cremona.verify import _curve_param, _curve_point, _prepare
 
     c = construct_biproj(2, 5)
     one = c.field.one()
+    b = _prepare(c, "exact", 256)
     t = Fraction(3) * one
-    on_curve, cusp = curve_point(t, 2, 2), curve_point(OO, 2, 2)
-    assert _recover_param(c, on_curve) == t
-    assert _recover_param(c, cusp) is OO
-    # the second factor must be gamma(t - 1): a point off the curve,
-    # gamma(t), gamma(t - 2) and the cusp are refused, and so is the
-    # curve's point paired with the cusp in the first factor
+    on_curve, cusp = _curve_point(b, t), _curve_point(b, OO)
+    assert _curve_param(b, on_curve) == t
+    assert _curve_param(b, cusp) is OO
+    # the second factor must be the curve's point at t in the frame of
+    # factor 1: a point off the curve, factor 0's point, the point at
+    # t - 1 and the cusp are refused, and so is the curve's point paired
+    # with the cusp in the first factor
     off = ProjectivePoint([one, 2 * one, 5 * one])
-    for second in (off, on_curve[0], gamma_eval(t - 2, 2), cusp[1]):
-        with pytest.raises(NotOnCurveError):
-            _recover_param(c, [on_curve[0], second])
-    with pytest.raises(NotOnCurveError):
-        _recover_param(c, [cusp[0], on_curve[1]])
+    for second in (off, on_curve[0], _curve_point(b, t - 1)[1], cusp[1]):
+        assert _curve_param(b, [on_curve[0], second]) is None
+    assert _curve_param(b, [cusp[0], on_curve[1]]) is None
 
 
 def test_translation_guard():
