@@ -72,6 +72,7 @@ from mpmath.libmp import (
 from .polynomials import IntegerPolynomial, _convolve
 
 DEFAULT_PRECISION_BITS = 256
+GUARD_BITS = 64  # bits of delta's root beyond p in ``verify.embedding``
 
 
 class ArithmeticError_(Exception):
@@ -742,19 +743,15 @@ def inverse(x):
     return one_like(x) / x
 
 
-def embed(x, root: BigFloat | None):
-    """x as a scalar of the backend that ``root`` stands for: x itself when
-    root is None (the exact backend), else x evaluated at the numerical
-    root of its field's modulus, and a BigFloat rounded to the root's
-    precision."""
-    if root is None:
-        return x
+def embed(x, root: BigFloat, precision_bits: int) -> BigFloat:
+    """x evaluated at ``root``, a numerical root of its field's modulus (a
+    rational x as it is), and rounded to ``precision_bits`` bits."""
     if isinstance(x, NumberFieldElement):
-        return nf_embed(x, root)
-    prec = root.precision_bits
+        x = nf_embed(x, root)
     if isinstance(x, BigFloat):
-        return _bigfloat(mpf_pos(x.value._mpf_, prec, _RND), prec)
-    return BigFloat(x, prec)
+        return _bigfloat(mpf_pos(x.value._mpf_, precision_bits, _RND),
+                         precision_bits)
+    return BigFloat(x, precision_bits)
 
 
 def _precision(xs) -> int:

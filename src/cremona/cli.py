@@ -4,7 +4,8 @@ the spectral, construction, verification and lattice pipelines.
 Exit codes: 0 success, 2 invalid input, 3 exceptional parameter pair,
 4 verification failure.  Exact field values are serialized as residue
 coefficient arrays together with the modulus so they can be reconstructed
-losslessly; decimals carry 30 significant digits by default.
+losslessly; a decimal prints 30 digits of the p-bit ``verify.embedding``
+of the value, which carries about 0.3 p of them (19 at 64 bits).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .arith import (
     BigFloat,
     NumberFieldElement,
     close,
-    embed,
     is_exact,
 )
 from .construct import (
@@ -49,7 +49,7 @@ from .spectra import char_poly_pk, spectral_report
 from .verify import (
     VerificationError,
     blown_point_params,
-    field_root,
+    embedding,
     verify_lines_orbit,
     verify_orbit,
 )
@@ -90,14 +90,14 @@ def ser_exact(x):
     return frac_str(x)
 
 
-def ser_scalar(x, root):
-    return {"exact": ser_exact(x), "decimal": decimal_str(embed(x, root))}
+def ser_scalar(x, lift):
+    return {"exact": ser_exact(x), "decimal": decimal_str(lift(x))}
 
 
-def ser_matrix(m, root):
+def ser_matrix(m, lift):
     return {
         "exact": [[ser_exact(c) for c in row] for row in m.matrix],
-        "decimal": [[decimal_str(embed(c, root)) for c in row] for row in m.matrix],
+        "decimal": [[decimal_str(lift(c)) for c in row] for row in m.matrix],
     }
 
 
@@ -258,8 +258,7 @@ def _sweep_cells(spec_pair):
     return [(k, n) for k in ks for n in ns]
 
 
-def _construction_payload(construction, precision_bits: int):
-    root = field_root(construction, precision_bits)
+def _construction_payload(construction, lift):
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "construct",
@@ -267,11 +266,11 @@ def _construction_payload(construction, precision_bits: int):
         "k": construction.k,
         "n": construction.n,
         "modulus": ser_poly(construction.modulus),
-        "delta": ser_scalar(construction.delta, root),
-        "tau": ser_scalar(construction.tau, root),
-        "t_plus": [ser_scalar(t, root) for t in construction.t_plus],
-        "s_params": [ser_scalar(s, root) for s in construction.s_params],
-        "L": [ser_matrix(m, root) for m in construction.L],
+        "delta": ser_scalar(construction.delta, lift),
+        "tau": ser_scalar(construction.tau, lift),
+        "t_plus": [ser_scalar(t, lift) for t in construction.t_plus],
+        "s_params": [ser_scalar(s, lift) for s in construction.s_params],
+        "L": [ser_matrix(m, lift) for m in construction.L],
         "notes": list(construction.notes),
     }
     if construction.m is not None:
@@ -286,7 +285,7 @@ def _construction_payload(construction, precision_bits: int):
     if construction.family == "pk":
         checks["fixes_ones"] = all(c == one for c in images[0])
     checks["row_sums"] = [
-        [decimal_str(embed(c, root)) for c in img] for img in images
+        [decimal_str(lift(c)) for c in img] for img in images
     ]
     payload["self_check"] = checks
     return payload
@@ -294,7 +293,8 @@ def _construction_payload(construction, precision_bits: int):
 
 def cmd_construct(args) -> int:
     construction = _build_construction(args)
-    emit(_construction_payload(construction, args.precision), args.out)
+    lift = embedding(construction, args.precision)
+    emit(_construction_payload(construction, lift), args.out)
     return EXIT_OK
 
 
@@ -332,7 +332,7 @@ def cmd_verify(args) -> int:
         }
         emit(payload, args.out)
         return EXIT_OK if rep.all_passed else EXIT_VERIFY
-    root = field_root(construction, args.precision)
+    lift = embedding(construction, args.precision)
     rep = verify_orbit(construction, args.backend, args.precision)
     params, endpoint = blown_point_params(construction)
     mult = rep.multiplier_measured
@@ -345,13 +345,13 @@ def cmd_verify(args) -> int:
         "backend": rep.backend,
         "seed": args.seed,
         "conditions": _condition_dicts(rep),
-        "orbit_parameters": [ser_scalar(t, root) for t in params],
-        "orbit_endpoint": ser_scalar(endpoint, root),
+        "orbit_parameters": [ser_scalar(t, lift) for t in params],
+        "orbit_endpoint": ser_scalar(endpoint, lift),
         "distinct": rep.distinct,
         "curve_invariant": rep.curve_invariant,
         "multiplier": (
             None if mult is None
-            else ser_scalar(mult, root) if is_exact(mult)
+            else ser_scalar(mult, lift) if is_exact(mult)
             else decimal_str(mult)
         ),
         "translation_detected": rep.translation_detected,
@@ -436,8 +436,8 @@ def cmd_report(args) -> int:
         emit(bundle, args.out)
         return EXIT_EXCEPTIONAL
     construction = _build_construction(args)
-    root = field_root(construction, args.precision)
-    bundle["construct"] = _construction_payload(construction, args.precision)
+    lift = embedding(construction, args.precision)
+    bundle["construct"] = _construction_payload(construction, lift)
     verify_rep = verify_orbit(construction, args.backend, args.precision)
     bundle["verify"] = {
         "conditions": _condition_dicts(verify_rep),
@@ -465,7 +465,9 @@ def cmd_report(args) -> int:
         ]
         cross["salem_divides_lattice_polynomial"] = trace_rep.salem_divides
     mult = verify_rep.multiplier_measured
-    delta = embed(construction.delta, root if args.backend == "float" else None)
+    delta = construction.delta
+    if args.backend == "float":
+        delta = lift(delta)
     cross["multiplier_equals_delta"] = mult is not None and close(mult, delta)
     bundle["cross_checks"] = cross
     emit(bundle, args.out)

@@ -33,6 +33,7 @@ from typing import Optional
 
 from .arith import (
     DEFAULT_PRECISION_BITS,
+    GUARD_BITS,
     NumberField,
     NumberFieldElement,
     inverse,
@@ -63,8 +64,8 @@ class RootOfUnityError(Exception):
 
 def delta_field(family: str, k: int, n: int):
     """Number field Q(delta) over the Salem factor, plus the spectral report
-    (computed at the default precision)."""
-    rep = spectral_report(family, k, n, DEFAULT_PRECISION_BITS)
+    (its root is the one ``verify.embedding`` uses at the default p)."""
+    rep = spectral_report(family, k, n, DEFAULT_PRECISION_BITS + GUARD_BITS)
     if rep.exceptional or rep.salem_factor is None:
         raise ExceptionalPairError(family, k, n)
     fld = NumberField(rep.salem_factor)
@@ -99,10 +100,10 @@ class CoxeterConstruction:
         return self.field.modulus
 
     def keep_root(self, root) -> "CoxeterConstruction":
-        """Reuse a Salem root already isolated at the default precision
-        (None when there is none)."""
+        """Keep a Salem root already isolated at the default precision plus
+        the guard bits (None when there is none)."""
         if root is not None:
-            self.roots[DEFAULT_PRECISION_BITS] = root
+            self.roots[DEFAULT_PRECISION_BITS + GUARD_BITS] = root
         return self
 
 
@@ -400,7 +401,8 @@ def build_L_lines(k: int, m: int, n: int, alpha):
 def lines_alpha_field(k: int, m: int, n: int):
     """Default multiplier field for the lines family, over the Salem factor
     of the Coxeter element of the T(m+1, k+1, n(k+1)) diagram, plus that
-    element's spectral radius (the field's root at the default precision).
+    element's spectral radius (the root ``verify.embedding`` uses at the
+    default precision).
 
     The diagram rank (m+1) + (k+1) + n(k+1) - 2 equals m + N with
     N = k + n(k+1) blown-up points, matching the Picard rank of (P^k)^m
@@ -408,7 +410,8 @@ def lines_alpha_field(k: int, m: int, n: int):
     from .picard import coxeter_element_tpqr, spectral_radius
 
     arm = n * (k + 1)
-    radius, _, salem = spectral_radius(coxeter_element_tpqr(m + 1, k + 1, arm))
+    radius, _, salem = spectral_radius(coxeter_element_tpqr(m + 1, k + 1, arm),
+                                       DEFAULT_PRECISION_BITS + GUARD_BITS)
     if salem is None:
         raise RootOfUnityError(
             f"T({m + 1},{k + 1},{arm}) Coxeter element is periodic: "

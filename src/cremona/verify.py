@@ -5,11 +5,11 @@ variants) in full projective coordinates; the affine parameter dynamics
 t -> delta t + tau is computed separately and used only as an independent
 cross-check.  On the exact backend every comparison is an identity in
 Q(delta); the float backend re-runs the same iteration after embedding delta
-as a certified numerical root of the modulus.  On the float backend of pk
-and biproj, L, delta, tau and t^+ are embedded with the root at p + 64 bits
-and every entry is then rounded to p bits, so no entry loses bits to
-cancellation, as the embedding of an exact entry with large coefficients at
-p bits would.
+as a certified numerical root of the modulus.  Every exact scalar, in the
+float backend of every family and in every decimal the CLI prints, becomes
+a p-bit float by one lift (``embedding``): embedded with the root at
+p + GUARD_BITS bits, then rounded to p bits, so it loses no bits to the
+cancellation of large coefficients, as an embedding at p bits would.
 
 Curve invariance is checked in the same frame, on the same L.  F is the
 conjugate by the center matrices T of S o J o T^{-1}, which fixes the
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
-from .arith import BigFloat, close, embed, one_like
+from .arith import GUARD_BITS, BigFloat, close, embed, is_exact, one_like
 from .geometry import (
     IndeterminacyError,
     LinearMap,
@@ -95,56 +95,47 @@ def field_root(construction, precision_bits: int) -> BigFloat:
     return roots[precision_bits]
 
 
+def embedding(construction, precision_bits: int) -> Callable:
+    """The lift of the construction's exact scalars to p = ``precision_bits``
+    bits: x embedded at delta's root at p + GUARD_BITS bits, then rounded."""
+    fine = field_root(construction, precision_bits + GUARD_BITS)
+    return lambda x: embed(x, fine, precision_bits)
+
+
 @dataclass
 class Backend:
     """A construction's data as scalars of one backend."""
 
     label: str
-    root: Optional[BigFloat]  # None on the exact backend
+    lift: Callable  # exact scalar -> backend scalar; identity when exact
     L: list
     centers: list  # per factor i, the parameters t^+ - i of the curve u
     delta: object
     tau: object
 
 
-# extra bits at which the float backend's data is embedded before it is
-# rounded to the backend's precision
-GUARD_BITS = 64
-
-
 def _prepare(construction, backend: str, precision_bits: int) -> Backend:
     """The construction in the requested backend, built once per backend and
-    precision and kept on the construction.  On the float backend of pk and
-    biproj, L, delta, tau and t^+ are embedded with delta's root at
-    GUARD_BITS more bits and every entry then rounded to p bits: an entry
-    whose large coefficients cancel at the root would lose bits embedded at
-    p bits.  The lines family embeds at p bits, at the one root its
-    construction may already carry.  A construction built by hand from
+    precision and kept on the construction: the float backend takes every
+    scalar through ``embedding``.  A construction built by hand from
     explicit center matrices gets L_i = T_i^{-1} S_i, formed exactly."""
     c = construction
     key = (backend, precision_bits)
     if key not in c.backends:
         if backend == "exact":
-            root = fine = None
-            label = "exact"
+            lift, label = (lambda x: x), "exact"
         elif backend == "float":
-            root = field_root(c, precision_bits)
-            fine = None if c.family == "lines" else field_root(
-                c, precision_bits + GUARD_BITS)
+            lift = embedding(c, precision_bits)
             label = f"float({precision_bits})"
         else:
             raise ValueError(f"unknown backend {backend!r}")
-
-        def lift(x):
-            return embed(embed(x, fine), root)
-
         L = c.L
         if c.T_matrices:
             L = [t.inverse() @ s for t, s in zip(c.T_matrices, c.S_matrices)]
         t_plus = [lift(t) for t in c.t_plus]
         c.backends[key] = Backend(
             label=label,
-            root=root,
+            lift=lift,
             L=[LinearMap([[lift(x) for x in row] for row in m.matrix]) for m in L],
             centers=[[t - i for t in t_plus] for i in range(len(L))],
             delta=lift(c.delta),
@@ -345,9 +336,9 @@ def _curve_param(b: Backend, image):
     return x if _matches(image, _curve_point(b, x)) else None
 
 
-def _sample_params(construction, samples: int, root):
+def _sample_params(construction, samples: int, lift):
     """Deterministic rational parameters away from the indeterminacy set,
-    embedded at ``root`` (None on the exact backend)."""
+    through the backend's ``lift``."""
     one = one_like(construction.delta)
     out = []
     cand = 2
@@ -356,7 +347,7 @@ def _sample_params(construction, samples: int, root):
         cand += 1
         if any(t == e for e in construction.t_plus):
             continue
-        out.append(embed(t, root))
+        out.append(lift(t))
         if cand > 1000:
             raise VerificationError("could not find enough sample parameters")
     return out
@@ -387,10 +378,10 @@ def verify_curve_invariance(
     b = _prepare(construction, backend, precision_bits)
     report = CurveReport(family=construction.family, k=construction.k,
                          backend=b.label)
-    for t in _sample_params(construction, samples, b.root):
+    for t in _sample_params(construction, samples, b.lift):
         image = _image(b.L, _curve_point(b, t))
         expected = b.delta * t + b.tau
-        if b.root is None and _matches(image, _curve_point(b, expected)):
+        if is_exact(expected) and _matches(image, _curve_point(b, expected)):
             got, ok = expected, True
         else:
             got = _curve_param(b, image)

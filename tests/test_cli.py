@@ -8,6 +8,7 @@ import pickle
 import pkgutil
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -95,7 +96,7 @@ def test_verify_pass_exit_0(capsys):
 
 @pytest.mark.parametrize("family,k,n", [("pk", 3, 12), ("biproj", 2, 10)])
 def test_float_and_exact_decimals_agree(capsys, family, k, n):
-    # both backends embed the exact orbit parameters at the same root
+    # both backends print the exact orbit parameters through the same lift
     decimals = {}
     for backend in ("exact", "float"):
         code, payload, _ = run_json(
@@ -135,6 +136,75 @@ def test_float_verify_embeds_L_through_the_guard_root(capsys, argv):
     )
     assert code == EXIT_OK, err
     assert all(c["passed"] for c in payload["conditions"])
+
+
+def _decimals(payload):
+    """Every decimal a construct payload prints, in payload order."""
+    if isinstance(payload, dict):
+        for key, value in sorted(payload.items()):
+            if key in ("decimal", "row_sums"):
+                yield from _flat(value)
+            else:
+                yield from _decimals(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from _decimals(value)
+
+
+def _flat(value):
+    if isinstance(value, list):
+        for v in value:
+            yield from _flat(v)
+    else:
+        yield Decimal(value)
+
+
+def _worst_relative_gap(capsys, argv, precision, reference):
+    got, ref = (list(_decimals(run_json(capsys, *argv, "--precision", str(p))[1]))
+                for p in (precision, reference))
+    assert got and len(got) == len(ref)
+    return max(abs(a - b) / max(abs(b), Decimal(1) / 10 ** 40)
+               for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("argv, precision, bound", [
+    (["--family", "biproj", "-k", "12", "-n", "25"], 64, Decimal(2) ** -60),
+    (["-k", "2", "-n", "200"], 256, Decimal("1e-29")),
+], ids=["biproj-12-25-p64", "pk-2-200-p256"])
+def test_construct_decimals_come_from_the_guard_root(capsys, argv, precision,
+                                                      bound):
+    # an entry whose large coefficients cancel at delta loses bits when it
+    # is embedded at p bits: printed that way, an L entry of biproj (12,25)
+    # was 10.6 % off at 64 bits, and pk (2,200) was 3.6e-29 off at 256 bits
+    with localcontext() as ctx:
+        ctx.prec = 60
+        assert _worst_relative_gap(
+            capsys, ["construct", *argv], precision, 1024) <= bound
+
+
+@pytest.mark.parametrize("precision, isolations", [(256, 1), (512, 2)])
+def test_float_verify_isolates_the_root_once_per_precision(
+        capsys, monkeypatch, precision, isolations):
+    # construct's spectral pass isolates delta at 256 + 64 bits; the float
+    # backend and the printed decimals lift through that root at 256 bits,
+    # and need one more only at another precision
+    from cremona import spectra
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return isolate(*args)
+
+    isolate = spectra.leading_salem_root
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cremona") and getattr(
+                module, "leading_salem_root", None) is isolate:
+            monkeypatch.setattr(module, "leading_salem_root", counted)
+    code, _, err = run(capsys, "verify", "-k", "3", "-n", "12", "--backend",
+                       "float", "--precision", str(precision))
+    assert code == EXIT_OK, err
+    assert len(calls) == isolations
 
 
 def test_verify_lines(capsys):

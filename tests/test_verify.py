@@ -307,7 +307,7 @@ def test_float_center_matrices_are_near_exact(monkeypatch, build, k, n, precisio
             pairs += zip(row, exact_row)
     assert len(pairs) == 3 + k + len(c.L) * (k + 1) ** 2
     for x, exact in pairs:
-        e = embed(exact, fine)
+        e = embed(exact, fine, fine.precision_bits)
         assert x.precision_bits == precision
         assert abs(x - e) <= abs(e) * 2.0 ** -(precision - 8)
 
@@ -339,8 +339,8 @@ def test_float_verify_at_64_bits_checks_the_curve_in_the_orbit_frame(
 
 @pytest.mark.parametrize("which", ["T_matrices", "S_matrices"])
 def test_perturbed_center_matrix_fails_curve_invariance(which):
-    # the closed-form preimage does not read T, so only the certificate
-    # T u ~ gamma(x) can catch a wrong T: every sample and the cusp must fail
+    # explicit center matrices define L = T^{-1} S in _prepare, so a wrong
+    # T or S gives a wrong L, and every sample and the cusp must fail
     c = construct_pk(2, 8)
     mats = dict(zip(("T_matrices", "S_matrices"), centers(c)))
     rows = [list(r) for r in mats[which][0].matrix]
