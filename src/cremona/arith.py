@@ -72,7 +72,6 @@ from mpmath.libmp import (
 from .polynomials import IntegerPolynomial, _convolve
 
 DEFAULT_PRECISION_BITS = 256
-GUARD_BITS = 64  # bits of delta's root beyond p in ``verify.embedding``
 
 
 class ArithmeticError_(Exception):

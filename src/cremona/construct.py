@@ -4,6 +4,8 @@ For the projective family the multiplier delta lives in Q(delta) =
 Q[x]/(S(x)) with S the Salem factor of the characteristic polynomial; the
 indeterminacy parameters t_j^+, the translation tau and the matrix L (the map
 is F = L o J after conjugating away T) are all exact elements of that field.
+A construction is exact data only: delta's numerical root is isolated by
+``verify.field_root``, at the precision ``verify`` embeds at, and not here.
 The center matrices T and S of the un-conjugated map S o J o T^{-1}, which
 fixes the standard curve gamma, are fixed by t^+ and the parameters s of S,
 and L = T^{-1} S up to scale.  A construction keeps those parameters and
@@ -31,15 +33,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import (
-    DEFAULT_PRECISION_BITS,
-    GUARD_BITS,
-    NumberField,
-    NumberFieldElement,
-    inverse,
-)
+from .arith import NumberField, NumberFieldElement, inverse
 from .geometry import LinearMap, curve_powers
-from .spectra import spectral_report
+from .spectra import char_poly_biproj, char_poly_pk, salem_factor
 
 
 class ExceptionalPairError(Exception):
@@ -62,14 +58,14 @@ class RootOfUnityError(Exception):
     pass
 
 
-def delta_field(family: str, k: int, n: int):
-    """Number field Q(delta) over the Salem factor, plus the spectral report
-    (its root is the one ``verify.embedding`` uses at the default p)."""
-    rep = spectral_report(family, k, n, DEFAULT_PRECISION_BITS + GUARD_BITS)
-    if rep.exceptional or rep.salem_factor is None:
+def delta_field(family: str, k: int, n: int) -> NumberField:
+    """Number field Q(delta) over the Salem factor of the family's
+    characteristic polynomial."""
+    char_poly = {"pk": char_poly_pk, "biproj": char_poly_biproj}[family]
+    _, salem = salem_factor(char_poly(k, n))
+    if salem is None:
         raise ExceptionalPairError(family, k, n)
-    fld = NumberField(rep.salem_factor)
-    return fld, rep
+    return NumberField(salem)
 
 
 @dataclass
@@ -99,32 +95,19 @@ class CoxeterConstruction:
     def modulus(self):
         return self.field.modulus
 
-    def keep_root(self, root) -> "CoxeterConstruction":
-        """Keep a Salem root already isolated at the default precision plus
-        the guard bits (None when there is none)."""
-        if root is not None:
-            self.roots[DEFAULT_PRECISION_BITS + GUARD_BITS] = root
-        return self
-
 
 # ---------------------------------------------------------------------------
 # the generic curve-fixing basic cremona map (any multiplier, any centers)
 
 
-def _parameter_sum(params):
-    """e_1 of the parameters; it must not vanish for the centers to be
-    independent."""
-    total = sum(params[1:], params[0])
-    if not total:
-        raise ValueError("parameter sum vanishes; centers are dependent")
-    return total
-
-
 def column_scalings(params):
     """Scalings a_i with M = [a_i * gamma(t_i)] satisfying M(1,..,1) = e_k:
     a_i = 1 / ((sum t_j) * prod_{j != i} (t_j - t_i)).  Each difference
-    t_j - t_i is formed once, for i < j, and negated for j < i."""
-    total = _parameter_sum(params)
+    t_j - t_i is formed once, for i < j, and negated for j < i.  The sum
+    e_1 must not vanish for the centers to be independent."""
+    total = sum(params[1:], params[0])
+    if not total:
+        raise ValueError("parameter sum vanishes; centers are dependent")
     n = len(params)
     diffs = {(i, j): params[j] - params[i] for i in range(n) for j in range(i + 1, n)}
     out = []
@@ -137,21 +120,10 @@ def column_scalings(params):
     return out
 
 
-def affine_scalings(scalings, params, image, lam):
-    """``column_scalings(image)`` for image_i = lam * params_i + c, from the
-    scalings of params: every difference image_j - image_i is lam times
-    params_j - params_i, so each scaling changes by the one factor
-    e_1(params) / (e_1(image) lam^k), one inversion for all k + 1."""
-    k = len(params) - 1
-    factor = _parameter_sum(params) * inverse(_parameter_sum(image) * lam ** k)
-    return [a * factor for a in scalings]
-
-
-def center_matrix(k: int, params, scalings=None) -> LinearMap:
+def center_matrix(k: int, params) -> LinearMap:
     """Matrix with columns a_j * gamma(t_j), normalized to send (1,..,1) to
     the cusp e_k; column j is a_j, a_j t_j, .., a_j t_j^{k-1}, a_j t_j^{k+1}
-    by running products.  The scalings a_j are ``column_scalings(params)``
-    unless given.
+    by running products, with a_j from ``column_scalings(params)``.
 
     Its determinant has the closed form
 
@@ -163,31 +135,9 @@ def center_matrix(k: int, params, scalings=None) -> LinearMap:
     e_1 * prod_{j != i} (t_j - t_i) for every i; for exact scalars
     ``inverse`` raises on a non-unit (``nf_invert`` certifies each inverse
     by an exact product), so e_1, every difference and every a_j are units,
-    det T is a unit and T is invertible with no elimination.  Scalings from
-    ``affine_scalings`` keep the certificate: it inverts e_1(s) lam^k, so
-    e_1(s) and lam are units, every difference s_j - s_i = lam (t_j - t_i)
-    is a product of units, and so is every a(s)_j = a(t)_j e_1(t) /
-    (e_1(s) lam^k)."""
-    if scalings is None:
-        scalings = column_scalings(params)
-    cols = [curve_powers(a, t, k) for a, t in zip(scalings, params)]
+    det T is a unit and T is invertible with no elimination."""
+    cols = [curve_powers(a, t, k) for a, t in zip(column_scalings(params), params)]
     return LinearMap([[cols[j][i] for j in range(k + 1)] for i in range(k + 1)])
-
-
-def center_matrices(k: int, delta, t_plus, s_params, factors: int):
-    """The center matrices of every factor i < ``factors``: T_i on the
-    parameters t^+ - i and S_i on s - i.  Each parameter set is an affine
-    image of t^+, with slope 1 for T_i and delta for S_i, so all take their
-    scalings from those of t^+ (``affine_scalings``)."""
-    scalings = column_scalings(t_plus)
-    T, S = [], []
-    for i in range(factors):
-        t_i = [t - i for t in t_plus]
-        s_i = [s - i for s in s_params]
-        t_scalings = affine_scalings(scalings, t_plus, t_i, 1) if i else scalings
-        T.append(center_matrix(k, t_i, t_scalings))
-        S.append(center_matrix(k, s_i, affine_scalings(scalings, t_plus, s_i, delta)))
-    return T, S
 
 
 def curve_translation(k: int, delta, t_plus):
@@ -208,13 +158,11 @@ def curve_fixing_map(k: int, delta, t_plus):
     """Basic cremona map S o J o T^{-1} properly fixing the standard curve
     with F(gamma(t)) = gamma(delta t + tau).
 
-    Returns (T, S, tau, s_params) with tau and s_params from
-    ``curve_translation``; s_params is an affine image of t^+, so S takes
-    its scalings from T's.
+    Returns (T, S, tau, s_params): T and S are the center matrices of t^+
+    and of s_params, with tau and s_params from ``curve_translation``.
     """
     tau, s_params = curve_translation(k, delta, t_plus)
-    (T,), (S,) = center_matrices(k, delta, t_plus, s_params, 1)
-    return T, S, tau, s_params
+    return center_matrix(k, t_plus), center_matrix(k, s_params), tau, s_params
 
 
 def _shaped_L(s, betas) -> LinearMap:
@@ -267,12 +215,10 @@ def build_L_pk(k: int, delta: NumberFieldElement) -> LinearMap:
 
 
 def construct_pk(k: int, n: int) -> CoxeterConstruction:
-    fld, rep = delta_field("pk", k, n)
+    fld = delta_field("pk", k, n)
     delta = fld.gen()
     t_plus = tplus_pk(k, delta)
     tau, s_params = curve_translation(k, delta, t_plus)
-    L = build_L_pk(k, delta)
-    notes = list(rep.notes)
     return CoxeterConstruction(
         family="pk",
         k=k,
@@ -281,10 +227,9 @@ def construct_pk(k: int, n: int) -> CoxeterConstruction:
         delta=delta,
         t_plus=t_plus,
         tau=tau,
-        L=[L],
+        L=[build_L_pk(k, delta)],
         s_params=s_params,
-        notes=notes,
-    ).keep_root(rep.delta.value if rep.delta else None)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +289,11 @@ def build_L_biproj(k: int, delta: NumberFieldElement):
 
 
 def construct_biproj(k: int, n: int) -> CoxeterConstruction:
-    fld, rep = delta_field("biproj", k, n)
+    fld = delta_field("biproj", k, n)
     delta = fld.gen()
     t_plus, t_minus, closed_ok = tplus_biproj(k, delta)
     tau = Fraction(k) + Fraction(k - 1) * delta
-    L1, L2 = build_L_biproj(k, delta)
-    notes = list(rep.notes)
+    notes = []
     if not closed_ok:
         notes.append(
             "published closed form for t_j^+ disagrees with the orbit-data "
@@ -363,10 +307,10 @@ def construct_biproj(k: int, n: int) -> CoxeterConstruction:
         delta=delta,
         t_plus=t_plus,
         tau=tau,
-        L=[L1, L2],
+        L=build_L_biproj(k, delta),
         s_params=t_minus,
         notes=notes,
-    ).keep_root(rep.delta.value if rep.delta else None)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,44 +342,36 @@ def build_L_lines(k: int, m: int, n: int, alpha):
     ]
 
 
-def lines_alpha_field(k: int, m: int, n: int):
-    """Default multiplier field for the lines family, over the Salem factor
-    of the Coxeter element of the T(m+1, k+1, n(k+1)) diagram, plus that
-    element's spectral radius (the root ``verify.embedding`` uses at the
-    default precision).
+def lines_alpha_field(k: int, m: int, n: int) -> NumberField:
+    """Multiplier field for the lines family, over the Salem factor of the
+    characteristic polynomial of the Coxeter element of the
+    T(m+1, k+1, n(k+1)) diagram.
 
     The diagram rank (m+1) + (k+1) + n(k+1) - 2 equals m + N with
     N = k + n(k+1) blown-up points, matching the Picard rank of (P^k)^m
     blown up along the full orbit."""
-    from .picard import coxeter_element_tpqr, spectral_radius
+    from .picard import berkowitz_charpoly, coxeter_element_tpqr
 
     arm = n * (k + 1)
-    radius, _, salem = spectral_radius(coxeter_element_tpqr(m + 1, k + 1, arm),
-                                       DEFAULT_PRECISION_BITS + GUARD_BITS)
+    coxeter = coxeter_element_tpqr(m + 1, k + 1, arm)
+    _, salem = salem_factor(berkowitz_charpoly(coxeter))
     if salem is None:
         raise RootOfUnityError(
             f"T({m + 1},{k + 1},{arm}) Coxeter element is periodic: "
             "multiplier would be a root of unity"
         )
-    return NumberField(salem), radius
+    return NumberField(salem)
 
 
-def construct_lines(k: int, m: int, n: int, alpha=None) -> CoxeterConstruction:
+def construct_lines(k: int, m: int, n: int) -> CoxeterConstruction:
     # refused before the Coxeter element, which is periodic for some of
     # these and would be reported as a root-of-unity multiplier
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    radius = None
-    if alpha is None:
-        fld, radius = lines_alpha_field(k, m, n)
-        alpha = fld.gen()
-    elif isinstance(alpha, NumberFieldElement):
-        fld = alpha.field
-    else:
-        raise ValueError("alpha override must be a NumberFieldElement")
-    mats = build_L_lines(k, m, n, alpha)
+    fld = lines_alpha_field(k, m, n)
+    alpha = fld.gen()
     return CoxeterConstruction(
         family="lines",
         k=k,
@@ -444,6 +380,6 @@ def construct_lines(k: int, m: int, n: int, alpha=None) -> CoxeterConstruction:
         delta=alpha,
         t_plus=[],
         tau=fld.zero(),
-        L=mats,
+        L=build_L_lines(k, m, n, alpha),
         m=m,
-    ).keep_root(radius)
+    )

@@ -147,10 +147,6 @@ class LinearMap:
     def size(self) -> int:
         return len(self.matrix)
 
-    @classmethod
-    def identity(cls, n: int, one=1) -> "LinearMap":
-        return cls([[one if i == j else one * 0 for j in range(n)] for i in range(n)])
-
     def _gauss_jordan(self):
         """One Gauss–Jordan pass on [M | I]: the pivots, each negated when
         its column needed a row swap, and the rows of M^-1.  When a column

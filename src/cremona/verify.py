@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arith import GUARD_BITS, BigFloat, close, embed, is_exact, one_like
+from .arith import BigFloat, close, embed, is_exact, one_like
 from .geometry import (
     IndeterminacyError,
     LinearMap,
@@ -43,6 +43,8 @@ from .geometry import (
     products_of_others,
 )
 from .spectra import leading_salem_root
+
+GUARD_BITS = 64  # bits of delta's root beyond p in ``embedding``
 
 
 class VerificationError(Exception):

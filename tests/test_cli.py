@@ -23,7 +23,13 @@ from cremona.cli import (
     EXIT_VERIFY,
     main,
 )
-from cremona.construct import ExceptionalPairError, RootOfUnityError
+from cremona.construct import (
+    ExceptionalPairError,
+    RootOfUnityError,
+    construct_biproj,
+    construct_lines,
+    construct_pk,
+)
 from cremona.geometry import GeometryError, IndeterminacyError, NotOnCurveError
 from cremona.picard import LatticeError
 from cremona.verify import VerificationError
@@ -182,29 +188,43 @@ def test_construct_decimals_come_from_the_guard_root(capsys, argv, precision,
             capsys, ["construct", *argv], precision, 1024) <= bound
 
 
-@pytest.mark.parametrize("precision, isolations", [(256, 1), (512, 2)])
-def test_float_verify_isolates_the_root_once_per_precision(
-        capsys, monkeypatch, precision, isolations):
-    # construct's spectral pass isolates delta at 256 + 64 bits; the float
-    # backend and the printed decimals lift through that root at 256 bits,
-    # and need one more only at another precision
+def count_isolations(monkeypatch):
+    """The list that every call of ``leading_salem_root``, through any
+    ``cremona`` module attribute bound to it, is appended to."""
     from cremona import spectra
 
     calls = []
+    isolate = spectra.leading_salem_root
 
     def counted(*args):
         calls.append(args)
         return isolate(*args)
 
-    isolate = spectra.leading_salem_root
     for name, module in list(sys.modules.items()):
         if name.startswith("cremona") and getattr(
                 module, "leading_salem_root", None) is isolate:
             monkeypatch.setattr(module, "leading_salem_root", counted)
+    return calls
+
+
+@pytest.mark.parametrize("precision, isolations", [(256, 1), (512, 1)])
+def test_float_verify_isolates_the_root_once_per_precision(
+        capsys, monkeypatch, precision, isolations):
+    # the construction is exact data; the float backend and the printed
+    # decimals lift through one root, at p + 64 bits
+    calls = count_isolations(monkeypatch)
     code, _, err = run(capsys, "verify", "-k", "3", "-n", "12", "--backend",
                        "float", "--precision", str(precision))
     assert code == EXIT_OK, err
     assert len(calls) == isolations
+
+
+def test_constructions_isolate_no_root(monkeypatch):
+    calls = count_isolations(monkeypatch)
+    construct_pk(2, 8)
+    construct_biproj(3, 8)
+    construct_lines(2, 2, 2)
+    assert calls == []
 
 
 def test_verify_lines(capsys):
@@ -217,20 +237,16 @@ def test_verify_lines(capsys):
 
 @pytest.mark.parametrize("extra", [["--precision", "512"], ["--backend", "float"]])
 def test_lines_verify_isolates_no_second_root(capsys, monkeypatch, extra):
-    # the lines report prints no decimals, and at the default precision the
-    # float backend reuses the root the construction's spectral radius gave
-    import cremona.verify
-
-    def refuse(*args):
-        raise AssertionError("Salem root isolated a second time")
-
-    monkeypatch.setattr(cremona.verify, "leading_salem_root", refuse)
+    # the lines report prints no decimals, so the exact backend isolates no
+    # root at any precision, and the float backend isolates one to embed at
+    calls = count_isolations(monkeypatch)
     code, payload, _ = run_json(
         capsys, "verify", "--family", "lines", "-k", "2", "-m", "2", "-n", "2",
         *extra,
     )
     assert code == EXIT_OK
     assert payload["closes"]
+    assert len(calls) == (1 if "float" in extra else 0)
 
 
 def test_lines_n1_exceptional_exit_3(capsys):

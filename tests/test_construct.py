@@ -10,12 +10,10 @@ from cremona.construct import (
     ExceptionalPairError,
     RootOfUnityError,
     _shaped_L,
-    affine_scalings,
     build_L_biproj,
     build_L_lines,
     build_L_pk,
     center_matrix,
-    center_matrices,
     column_scalings,
     construct_biproj,
     construct_lines,
@@ -47,9 +45,11 @@ def proportional(a: LinearMap, b: LinearMap) -> bool:
 
 
 def centers(c):
-    """(T, S), the exact center matrices of every factor, built from the
-    construction's parameters as verify builds them."""
-    return center_matrices(c.k, c.delta, c.t_plus, c.s_params, len(c.L))
+    """(T, S), the exact center matrices of every factor i, built from the
+    construction's parameters: T_i on t^+ - i and S_i on s - i."""
+    factors = range(len(c.L))
+    return ([center_matrix(c.k, [t - i for t in c.t_plus]) for i in factors],
+            [center_matrix(c.k, [s - i for s in c.s_params]) for i in factors])
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def centers(c):
 
 
 def test_tplus_pk_ratio_identity():
-    fld, _ = delta_field("pk", 2, 8)
+    fld = delta_field("pk", 2, 8)
     delta = fld.gen()
     t = tplus_pk(2, delta)
     shift = Fraction(2, 1)  # 2/(k-1) at k=2
@@ -68,7 +68,7 @@ def test_tplus_pk_ratio_identity():
 
 def test_tplus_pk_sum_identity():
     for k, n in ((2, 8), (3, 6), (4, 5)):
-        fld, _ = delta_field("pk", k, n)
+        fld = delta_field("pk", k, n)
         delta = fld.gen()
         t = tplus_pk(k, delta)
         shift = Fraction(2, k - 1)
@@ -188,31 +188,6 @@ def test_center_matrix_determinant_closed_form():
             assert mat.determinant() == center_det(params)
 
 
-def test_affine_scalings_match_column_scalings():
-    # the shared scalings are the ones each parameter set would get alone
-    rng = random.Random(11)
-    for k in range(2, 6):
-        params = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(k + 1)]
-        if len(set(params)) <= k or sum(params) == 0:
-            continue
-        for lam, c in ((Fraction(1), Fraction(-1)), (Fraction(-3, 2), Fraction(5))):
-            image = [lam * t + c for t in params]
-            if sum(image) == 0:
-                continue
-            assert affine_scalings(column_scalings(params), params, image, lam) == (
-                column_scalings(image))
-    for c in (construct_pk(2, 8), construct_pk(3, 6),
-              construct_biproj(2, 5), construct_biproj(3, 4)):
-        T, S = centers(c)
-        mats = T + S
-        param_sets = [c.t_plus, c.s_params]
-        if c.family == "biproj":
-            param_sets = [c.t_plus, [t - 1 for t in c.t_plus],
-                          c.s_params, [t - 1 for t in c.s_params]]
-        for mat, params in zip(mats, param_sets):
-            assert mat.matrix == center_matrix(c.k, params).matrix
-
-
 def test_shaped_L_determinant_closed_form():
     for c in (construct_pk(2, 8), construct_pk(3, 6),
               construct_biproj(2, 5), construct_biproj(3, 4),
@@ -228,7 +203,7 @@ def test_shaped_L_determinant_closed_form():
 def test_singular_construction_inputs_still_raise():
     with pytest.raises(ZeroDivisionError):  # repeated parameter
         center_matrix(2, [Fraction(1, 2), Fraction(3), Fraction(1, 2)])
-    fld, _ = delta_field("pk", 2, 8)
+    fld = delta_field("pk", 2, 8)
     with pytest.raises(ZeroDivisionError):
         center_matrix(2, [fld.gen(), fld.gen() + 1, fld.gen()])
     with pytest.raises(ValueError, match="singular"):
@@ -262,15 +237,15 @@ def test_construction_inversion_budget(monkeypatch):
 
 
 def test_families_build_no_center_matrices(monkeypatch):
-    # T and S are built by verify, in its backend; the construction keeps
-    # only their parameters
+    # no T or S is built: the construction keeps only their parameters,
+    # and verify checks the curve on L itself
     from cremona import construct
 
     def refuse(*args):
         raise AssertionError("center matrix built by the construction")
 
     monkeypatch.setattr(construct, "column_scalings", refuse)
-    monkeypatch.setattr(construct, "center_matrices", refuse)
+    monkeypatch.setattr(construct, "center_matrix", refuse)
     for c in (construct_pk(2, 8), construct_pk(4, 8), construct_biproj(3, 8)):
         assert c.T_matrices == [] and c.S_matrices == []
         assert len(c.s_params) == c.k + 1
@@ -282,7 +257,7 @@ def test_families_build_no_center_matrices(monkeypatch):
 
 def test_tplus_biproj_sum_identities():
     for k, n in ((2, 5), (3, 4)):
-        fld, _ = delta_field("biproj", k, n)
+        fld = delta_field("biproj", k, n)
         delta = fld.gen()
         t_plus, t_minus, _ = tplus_biproj(k, delta)
         total_p = sum(t_plus[1:], t_plus[0])
@@ -294,7 +269,7 @@ def test_tplus_biproj_sum_identities():
 
 
 def test_tplus_biproj_closed_form_mismatch_is_reported():
-    fld, _ = delta_field("biproj", 2, 5)
+    fld = delta_field("biproj", 2, 5)
     _, _, matches = tplus_biproj(2, fld.gen())
     assert not matches  # the published closed form does not reproduce the values
     c = construct_biproj(2, 5)
@@ -362,7 +337,7 @@ def test_build_L_lines_shape():
 
 
 def test_lines_m1_subdiagonal_is_minus_alpha():
-    fld, _ = lines_alpha_field(2, 1, 3)
+    fld = lines_alpha_field(2, 1, 3)
     alpha = fld.gen()
     (mat,) = build_L_lines(2, 1, 3, alpha)
     assert mat.matrix[1][0] == -alpha
@@ -387,7 +362,7 @@ def test_lines_root_of_unity_refused():
 
 
 def test_lines_n_validated():
-    fld, _ = lines_alpha_field(2, 2, 2)
+    fld = lines_alpha_field(2, 2, 2)
     with pytest.raises(ValueError):
         build_L_lines(2, 2, 0, fld.gen())
 

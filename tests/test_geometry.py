@@ -188,7 +188,7 @@ def test_j_biproj_contracts_to_diagonal_points():
 
 def test_linear_map_inverse_and_column():
     m = LinearMap([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]])
-    assert (m @ m.inverse()).matrix == LinearMap.identity(2).matrix
+    assert (m @ m.inverse()).matrix == ((1, 0), (0, 1))
     assert m.column(1) == P(2, 1)
     singular = LinearMap([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
     with pytest.raises(ValueError):

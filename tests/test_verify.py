@@ -8,7 +8,8 @@ import pytest
 from cremona.arith import NumberField
 from cremona.construct import (
     CoxeterConstruction,
-    center_matrices,
+    build_L_lines,
+    center_matrix,
     construct_biproj,
     construct_lines,
     construct_pk,
@@ -27,9 +28,11 @@ from cremona.verify import (
 
 
 def centers(c):
-    """(T, S), the exact center matrices of every factor, built from the
-    construction's parameters."""
-    return center_matrices(c.k, c.delta, c.t_plus, c.s_params, len(c.L))
+    """(T, S), the exact center matrices of every factor i, built from the
+    construction's parameters: T_i on t^+ - i and S_i on s - i."""
+    factors = range(len(c.L))
+    return ([center_matrix(c.k, [t - i for t in c.t_plus]) for i in factors],
+            [center_matrix(c.k, [s - i for s in c.s_params]) for i in factors])
 
 
 def test_pk_2_8_exact_all_pass():
@@ -272,7 +275,7 @@ def test_curve_invariance_inverts_nothing(monkeypatch, build, k, n):
     monkeypatch.setattr(arith, "nf_invert", counting_invert)
     monkeypatch.setattr(LinearMap, "inverse", no_elimination)
     monkeypatch.setattr(construct, "column_scalings", refuse)
-    monkeypatch.setattr(construct, "center_matrices", refuse)
+    monkeypatch.setattr(construct, "center_matrix", refuse)
     rep = verify_curve_invariance(c, backend="exact")
     assert rep.all_passed and rep.cusp_fixed
     assert rep.multiplier_measured == c.delta
@@ -363,7 +366,9 @@ def test_perturbed_center_matrix_fails_curve_invariance(which):
     assert not any(ok for *_, ok in rep.samples)
     assert rep.cusp_fixed is False
     assert rep.multiplier_measured is None
-    if which == "T_matrices":  # no certified preimage, so no image parameter
+    # a wrong T gives a wrong L, whose images lie off the frame curve, so
+    # _curve_param recovers no parameter
+    if which == "T_matrices":
         assert all(got is None for _, got, _, _ in rep.samples)
 
 
@@ -485,10 +490,15 @@ def test_lines_orbit_single_line_membership():
 def test_lines_small_case_orbit_length_three():
     # k=2, m=2, n=1: the Coxeter element is periodic, so the multiplier is
     # taken from the closure condition's only non-degenerate factor
-    # a^3 + a^2 - 1; the three orbit points walk the lines cyclically and
+    # a^3 + a^2 - 1, and the construction is built by hand from
+    # build_L_lines; the three orbit points walk the lines cyclically and
     # the last one is the coordinate point where the orbit terminates.
     fld = NumberField(IntegerPolynomial([-1, 0, 1, 1]))
-    c = construct_lines(2, 2, 1, alpha=fld.gen())
+    alpha = fld.gen()
+    c = CoxeterConstruction(
+        family="lines", k=2, n=1, field=fld, delta=alpha, t_plus=[],
+        tau=fld.zero(), L=build_L_lines(2, 2, 1, alpha), m=2,
+    )
     rep = verify_lines_orbit(c, backend="exact")
     assert rep.orbit_length == 3
     assert rep.on_union and rep.cyclic
