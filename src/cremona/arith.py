@@ -17,9 +17,8 @@ a ``ZeroDivisorError`` carrying that factor, since it certifies that the
 claimed Salem factor is reducible.
 
 Heights are controlled where orbits are iterated: ``normalize`` scales an
-exact point with an irrational coordinate to a unit leading coordinate, so
-the coefficients of an orbit point depend on the point alone and do not grow
-with the number of steps.
+exact point to a unit leading coordinate, so the coefficients of an orbit
+point depend on the point alone and do not grow with the number of steps.
 
 The float side is ``BigFloat``, an mpmath ``mpf`` with an explicit bit
 precision.  Its arithmetic calls mpmath's raw kernels (``mpmath.libmp``)
@@ -804,28 +803,17 @@ def normalize(coords) -> tuple:
     """A coordinate vector rescaled to a canonical representative that keeps
     its entries small, or returned unchanged when it already is one.
 
-    An exact vector with an irrational number-field entry is divided by its
-    first nonzero entry (one field inversion), so that entry becomes 1: the
+    An exact vector is divided by its first nonzero entry (for a
+    number-field entry, one field inversion), so that entry becomes 1: the
     representative then depends only on the projective point, and the
     heights of an orbit's points stay bounded instead of growing with each
-    step.  An exact vector of rationals is divided by its rational content
-    (gcd of the numerators over lcm of the denominators).  A float vector is
-    divided by its entry of largest modulus."""
+    step.  A float vector is divided by its entry of largest modulus."""
     if not all(map(is_exact, coords)):
         return tuple(_unit(coords, _precision(coords)))
-    if any(isinstance(c, NumberFieldElement) and not c.is_rational() for c in coords):
-        lead = next(c for c in coords if c)
-        if lead == 1:
-            return coords
-        scale = inverse(lead)
-        return tuple(c * scale for c in coords)
-    rats = [c.as_rational() if isinstance(c, NumberFieldElement) else Fraction(c)
-            for c in coords]
-    content = Fraction(gcd(*(r.numerator for r in rats)) or 1,
-                       lcm(*(r.denominator for r in rats)))
-    if content == 1:
+    lead = next(c for c in coords if c)
+    if lead == 1:
         return coords
-    scale = 1 / content
+    scale = inverse(lead)
     return tuple(c * scale for c in coords)
 
 

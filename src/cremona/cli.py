@@ -15,6 +15,7 @@ import json
 import os
 import pickle
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath
@@ -298,18 +299,6 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _condition_dicts(report):
-    return [
-        {
-            "name": c.name,
-            "passed": c.passed,
-            "residual": c.residual,
-            "detail": c.detail,
-        }
-        for c in report.conditions
-    ]
-
-
 def cmd_verify(args) -> int:
     construction = _build_construction(args)
     if args.family == "lines":
@@ -318,17 +307,9 @@ def cmd_verify(args) -> int:
             "schema": SCHEMA_VERSION,
             "command": "verify",
             "family": "lines",
-            "k": rep.k,
-            "m": rep.m,
-            "n": rep.n,
             "backend": args.backend,
             "seed": args.seed,
-            "orbit_length": rep.orbit_length,
-            "closes": rep.closes,
-            "on_union": rep.on_union,
-            "cyclic": rep.cyclic,
-            "line_sequence": rep.line_sequence,
-            "failure": rep.failure,
+            **asdict(rep),
         }
         emit(payload, args.out)
         return EXIT_OK if rep.all_passed else EXIT_VERIFY
@@ -344,7 +325,7 @@ def cmd_verify(args) -> int:
         "n": rep.n,
         "backend": rep.backend,
         "seed": args.seed,
-        "conditions": _condition_dicts(rep),
+        "conditions": [asdict(c) for c in rep.conditions],
         "orbit_parameters": [ser_scalar(t, lift) for t in params],
         "orbit_endpoint": ser_scalar(endpoint, lift),
         "distinct": rep.distinct,
@@ -440,7 +421,7 @@ def cmd_report(args) -> int:
     bundle["construct"] = _construction_payload(construction, lift)
     verify_rep = verify_orbit(construction, args.backend, args.precision)
     bundle["verify"] = {
-        "conditions": _condition_dicts(verify_rep),
+        "conditions": [asdict(c) for c in verify_rep.conditions],
         "all_passed": verify_rep.all_passed,
         "distinct": verify_rep.distinct,
         "curve_invariant": verify_rep.curve_invariant,

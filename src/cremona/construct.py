@@ -23,7 +23,8 @@ column scalings a_j certify the first to be a unit when T and S are built
 
 The biprojective family follows the recurrence system for t_j^- (the printed
 closed form for t_j^+ is evaluated alongside and any mismatch is recorded,
-not patched).  The concurrent-lines family produces the m matrices L_j from
+not patched); its two matrices L take pk's subdiagonal betas times
+(delta+1)/delta.  The concurrent-lines family produces the m matrices L_j from
 the multiplier alpha.
 """
 
@@ -35,7 +36,8 @@ from typing import Optional
 
 from .arith import NumberField, NumberFieldElement, inverse
 from .geometry import LinearMap, curve_powers
-from .spectra import char_poly_biproj, char_poly_pk, salem_factor
+from .picard import berkowitz_charpoly, coxeter_element_tpqr
+from .spectra import FAMILY_POLYS, salem_factor
 
 
 class ExceptionalPairError(Exception):
@@ -61,8 +63,7 @@ class RootOfUnityError(Exception):
 def delta_field(family: str, k: int, n: int) -> NumberField:
     """Number field Q(delta) over the Salem factor of the family's
     characteristic polynomial."""
-    char_poly = {"pk": char_poly_pk, "biproj": char_poly_biproj}[family]
-    _, salem = salem_factor(char_poly(k, n))
+    _, salem = salem_factor(FAMILY_POLYS[family][0](k, n))
     if salem is None:
         raise ExceptionalPairError(family, k, n)
     return NumberField(salem)
@@ -203,15 +204,18 @@ def tplus_pk(k: int, delta: NumberFieldElement):
     return [delta ** j * base - shift for j in range(k + 1)]
 
 
-def build_L_pk(k: int, delta: NumberFieldElement) -> LinearMap:
-    """Matrix of the conjugated map F = L o J: row 0 = (0,..,0,1),
-    subdiagonal beta_i = (delta^i - 1) / (delta (delta^{k+1} - delta^i)),
-    last column 1 - beta_i."""
-    betas = [
+def _betas_pk(k: int, delta: NumberFieldElement) -> list:
+    """beta_i = (delta^i - 1) / (delta (delta^{k+1} - delta^i)), i = 1..k."""
+    return [
         (delta ** i - 1) * (delta * (delta ** (k + 1) - delta ** i)).inverse()
         for i in range(1, k + 1)
     ]
-    return _shaped_L(delta.field.one(), betas)
+
+
+def build_L_pk(k: int, delta: NumberFieldElement) -> LinearMap:
+    """Matrix of the conjugated map F = L o J: row 0 = (0,..,0,1),
+    subdiagonal beta_i (``_betas_pk``), last column 1 - beta_i."""
+    return _shaped_L(delta.field.one(), _betas_pk(k, delta))
 
 
 def construct_pk(k: int, n: int) -> CoxeterConstruction:
@@ -272,20 +276,16 @@ def tplus_biproj(k: int, delta: NumberFieldElement):
 
 def build_L_biproj(k: int, delta: NumberFieldElement):
     """The pair (L1, L2): row 0 = (0,..,0,s_i), subdiagonal
-    beta_j = (delta^j-1)(delta+1)/(delta^2(delta^{k+1}-delta^j)),
-    last column s_i - beta_j; s_1 = 1, s_2 = (delta+1)^2/delta.
+    beta_j = (delta^j-1)(delta+1)/(delta^2(delta^{k+1}-delta^j)), pk's
+    beta_j (``_betas_pk``) times (delta+1)/delta, last column s_i - beta_j;
+    s_1 = 1, s_2 = (delta+1)^2/delta, (delta+1) times the same scale.
 
     s_2 is rederived from T_2^{-1} S_2 rather than taken from the published
     value (delta^2+delta+1)/delta, which fails the factorization check.
     """
-    betas = [
-        (delta ** j - 1)
-        * (delta + 1)
-        * (delta * delta * (delta ** (k + 1) - delta ** j)).inverse()
-        for j in range(1, k + 1)
-    ]
-    s_vals = [delta.field.one(), (delta + 1) ** 2 * delta.inverse()]
-    return [_shaped_L(s, betas) for s in s_vals]
+    scale = (delta + 1) * delta.inverse()
+    betas = [b * scale for b in _betas_pk(k, delta)]
+    return [_shaped_L(s, betas) for s in (delta.field.one(), (delta + 1) * scale)]
 
 
 def construct_biproj(k: int, n: int) -> CoxeterConstruction:
@@ -350,8 +350,6 @@ def lines_alpha_field(k: int, m: int, n: int) -> NumberField:
     The diagram rank (m+1) + (k+1) + n(k+1) - 2 equals m + N with
     N = k + n(k+1) blown-up points, matching the Picard rank of (P^k)^m
     blown up along the full orbit."""
-    from .picard import berkowitz_charpoly, coxeter_element_tpqr
-
     arm = n * (k + 1)
     coxeter = coxeter_element_tpqr(m + 1, k + 1, arm)
     _, salem = salem_factor(berkowitz_charpoly(coxeter))

@@ -121,10 +121,9 @@ class ProjectivePoint:
 
     def normalized(self) -> "ProjectivePoint":
         """The point with its coordinates rescaled (``arith.normalize``) to
-        keep their size under control: a unit leading coordinate when an
-        exact coordinate is irrational, the rational content divided out
-        when all are rational, the largest modulus divided out for floats.
-        Returns self when the coordinates already have that form."""
+        keep their size under control: a unit leading coordinate for exact
+        coordinates, the largest modulus divided out for floats.  Returns
+        self when the coordinates already have that form."""
         coords = normalize(self.coords)
         return self if coords is self.coords else ProjectivePoint(coords)
 
@@ -286,28 +285,16 @@ def apply_J_multi(factors: Sequence[ProjectivePoint]) -> list:
 # concurrent lines
 
 
-def concurrent_line_membership(p: ProjectivePoint, k: int):
-    """Locate p on the union of the k+1 lines through [1:...:1] and the
-    coordinate points.
-
-    The line through [1:...:1] and e_j consists of the points whose
-    coordinates agree in every slot except j.  Returns (j, t) pairs with
-    t the slot-j coordinate over the common value (OO at e_j itself, None
-    at the concurrence point, which lies on every line).
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    ones = ProjectivePoint([one_like(p.coords[0])] * (k + 1))
-    if p.eq(ones):
-        return [(j, None) for j in range(k + 1)]
-    matches = []
-    for j in range(k + 1):
-        others = [p.coords[i] for i in range(k + 1) if i != j]
-        if not all(close(others[0], c) for c in others[1:]):
-            continue
-        common = others[0]
-        matches.append((j, OO if not common else p.coords[j] / common))
-    if not matches:
+def concurrent_lines(p: ProjectivePoint) -> list:
+    """The ascending indices j of the lines through [1:...:1] and the
+    coordinate points e_j that hold p: line j holds the points whose
+    coordinates agree (``close``) in every slot but j, so the concurrence
+    point lies on every line."""
+    lines = []
+    for j in range(len(p.coords)):
+        first, *rest = p.coords[:j] + p.coords[j + 1:]
+        if all(close(first, c) for c in rest):
+            lines.append(j)
+    if not lines:
         raise NotOnCurveError(None, "point is not on the union of lines")
-    return matches
-
+    return lines

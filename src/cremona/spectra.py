@@ -33,6 +33,8 @@ from itertools import accumulate
 from math import ceil, isfinite, isqrt, perm
 from typing import Optional
 
+import mpmath
+
 from .arith import DEFAULT_PRECISION_BITS, BigFloat
 from .polynomials import IntegerPolynomial
 
@@ -84,6 +86,14 @@ def char_poly_biproj(k: int, n: int) -> IntegerPolynomial:
         + IntegerPolynomial.monomial(2) * c
         - IntegerPolynomial.one()
     )
+
+
+# family -> (characteristic polynomial, membership in the published
+# exceptional list)
+FAMILY_POLYS = {
+    "pk": (char_poly_pk, gamma_pk_lists),
+    "biproj": (char_poly_biproj, gamma_biproj_lists),
+}
 
 
 def _mobius_divisors(d: int):
@@ -506,8 +516,6 @@ def leading_salem_root(
             squarefree, lo, (hi - lo) / (1 << halvings),
             _newton(squarefree.coeffs, guess, precision_bits), 1 << halvings)
         lo, hi = cell or _sign_bisect(squarefree, lo, hi, halvings)
-    import mpmath
-
     with mpmath.workprec(precision_bits + 16):
         midf = (
             mpmath.mpf(lo.numerator) / lo.denominator
@@ -538,14 +546,11 @@ def spectral_report(
     family: str, k: int, n: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> SpectralReport:
     """Full spectral pipeline for one (family, k, n) cell."""
-    if family == "pk":
-        poly = char_poly_pk(k, n)
-        literal = gamma_pk_lists(k, n)
-    elif family == "biproj":
-        poly = char_poly_biproj(k, n)
-        literal = gamma_biproj_lists(k, n)
-    else:
+    if family not in FAMILY_POLYS:
         raise ValueError(f"unknown family {family!r}")
+    char_poly, listed = FAMILY_POLYS[family]
+    poly = char_poly(k, n)
+    literal = listed(k, n)
     factors, salem = salem_factor(poly)
     exceptional = salem is None
     delta = None

@@ -29,7 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arith import BigFloat, close, embed, is_exact, one_like
+from .arith import (
+    DEFAULT_PRECISION_BITS,
+    BigFloat,
+    close,
+    embed,
+    is_exact,
+    one_like,
+)
 from .geometry import (
     IndeterminacyError,
     LinearMap,
@@ -38,7 +45,7 @@ from .geometry import (
     ProjectivePoint,
     apply_J_multi,
     apply_linear,
-    concurrent_line_membership,
+    concurrent_lines,
     linear_product,
     products_of_others,
 )
@@ -191,7 +198,8 @@ def _walk(mats, steps, visit):
 
 
 def verify_orbit(
-    construction, backend: str = "exact", precision_bits: int = 256
+    construction, backend: str = "exact",
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> OrbitCheckReport:
     """Check the orbit-data conditions for F = L o J.
 
@@ -359,7 +367,7 @@ def verify_curve_invariance(
     construction,
     samples: int = 20,
     backend: str = "exact",
-    precision_bits: int = 256,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> CurveReport:
     """F(u(t)) = u(delta t + tau) on sampled parameters, plus the cusp, for
     F = (L_0 x .. x L_{m-1}) o J_m, the map the orbit walk steps, and u its
@@ -450,8 +458,10 @@ class LinesOrbitReport:
         return self.closes and self.on_union and self.cyclic
 
 
-def verify_lines_orbit(construction, backend: str = "exact",
-                       precision_bits: int = 256) -> LinesOrbitReport:
+def verify_lines_orbit(
+    construction, backend: str = "exact",
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+) -> LinesOrbitReport:
     """Iterate F = (L_0 x .. x L_{m-1}) o J from the contracted image of the
     last coordinate hyperplane; the n(k+1) orbit points must stay on the
     union of lines and advance through the lines cyclically, and the final
@@ -468,7 +478,7 @@ def verify_lines_orbit(construction, backend: str = "exact",
     seq = []
 
     def visit(step, point):
-        seq.append(sorted(j for j, _ in concurrent_line_membership(point[0], k)))
+        seq.append(concurrent_lines(point[0]))
 
     on_union, failure = True, None
     try:

@@ -16,7 +16,7 @@ from cremona.geometry import (
     apply_J,
     apply_J_multi,
     apply_linear,
-    concurrent_line_membership,
+    concurrent_lines,
     gamma_eval,
     products_of_others,
 )
@@ -70,9 +70,11 @@ def test_float_point_equality():
     assert a.eq(b)
 
 
-def test_normalized_divides_content():
-    p = P(6, 9, 15).normalized()
-    assert p.coords == (Fraction(2), Fraction(3), Fraction(5))
+def test_normalized_divides_by_the_leading_entry():
+    p = P(0, 6, 9, 15).normalized()
+    assert p.coords == (0, 1, Fraction(3, 2), Fraction(5, 2))
+    q = P(1, 6, 9)
+    assert q.normalized() is q
 
 
 def test_j_involution_on_random_points():
@@ -224,12 +226,10 @@ def test_gamma_shape():
     assert p.coords == (1, 2, 4, 16)  # [1 : t : t^2 : t^4] at k=3
 
 
-def test_concurrent_line_membership():
+def test_concurrent_lines():
     # line j: coordinates equal except in slot j; passes through [1:..:1] and e_j
-    assert concurrent_line_membership(P(5, 1, 1), 2) == [(0, Fraction(5))]
-    assert concurrent_line_membership(P(1, 7, 1), 2) == [(1, Fraction(7))]
-    ej = ProjectivePoint.standard_basis(2, 2)
-    assert concurrent_line_membership(ej, 2) == [(2, OO)]
-    assert [j for j, _ in concurrent_line_membership(P(1, 1, 1), 2)] == [0, 1, 2]
+    assert concurrent_lines(P(5, 1, 1)) == [0]
+    assert concurrent_lines(ProjectivePoint.standard_basis(2, 2)) == [2]
+    assert concurrent_lines(P(1, 1, 1)) == [0, 1, 2]
     with pytest.raises(NotOnCurveError):
-        concurrent_line_membership(P(1, 2, 3), 2)
+        concurrent_lines(P(1, 2, 3))

@@ -147,11 +147,16 @@ def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
     ]
     for c, check, steps in cases:
         per_step.clear()
+        before = len(inversions)
         rep = check(c, backend="exact")
         assert rep.all_passed
         L = c.backends["exact", 256].L
         assert sum(mats is L for *_, mats in per_step) == steps
         assert all(count <= factors for count, factors, _ in per_step), per_step
+        if check is verify_lines_orbit:
+            # the whole lines check, line membership included, inverts no
+            # more than the steps do: 12 at lines (2,2,2)
+            assert len(inversions) - before <= c.m * steps
     delta = construct_pk(2, 20).delta
     p = ProjectivePoint([delta, delta + 1, 2 * delta])
     inversions.clear()
