@@ -20,15 +20,17 @@ Heights are controlled where orbits are iterated: ``normalize`` scales an
 exact point to a unit leading coordinate, so the coefficients of an orbit
 point depend on the point alone and do not grow with the number of steps.
 
-The float side is ``BigFloat``, an mpmath ``mpf`` with an explicit bit
-precision.  Its arithmetic calls mpmath's raw kernels (``mpmath.libmp``)
-directly at the larger precision of the operands, rounding to nearest, so
-results are bit for bit those of mpmath under ``workprec`` without entering
-a precision context per operation.  ``nf_embed`` evaluates an element at the
-root in the manner of Arb's ``arb_dot``: the root's powers are rounded once
-into a fixed-point table per (modulus, root, precision), the element's
-integer numerators are summed against it exactly, and the sum is rounded
-once.
+The float side is ``BigFloat``, mpmath's raw ``(sign, mantissa, exponent,
+bit count)`` tuple with an explicit bit precision.  Its arithmetic calls
+mpmath's raw kernels (``mpmath.libmp``) directly at the larger precision of
+the operands, rounding to nearest, so results are bit for bit those of
+mpmath under ``workprec`` without entering a precision context per
+operation, and one object is built per result; ``dot`` of a float row
+accumulates raw tuples with no object per product.  ``nf_embed`` evaluates
+an element at the root in the manner of Arb's ``arb_dot``: the root's powers
+are rounded once into a fixed-point table per (modulus, root, precision),
+the element's integer numerators are summed against it exactly, and the sum
+is rounded once.
 
 The scalar protocol at the end of the module (``is_exact``, ``one_like``,
 ``inverse``, ``embed``, ``gap``/``close`` and the vector rescalings
@@ -49,6 +51,7 @@ from operator import mul
 import mpmath
 from mpmath.libmp import (
     fone,
+    fzero,
     from_float,
     from_int,
     from_man_exp,
@@ -58,6 +61,7 @@ from mpmath.libmp import (
     mpf_eq,
     mpf_ge,
     mpf_gt,
+    mpf_hash,
     mpf_le,
     mpf_lt,
     mpf_mul,
@@ -66,6 +70,7 @@ from mpmath.libmp import (
     mpf_pow_int,
     mpf_sub,
     round_nearest,
+    to_float,
 )
 
 from .polynomials import IntegerPolynomial, _convolve
@@ -300,7 +305,13 @@ def dot(row, vec):
     """sum(r * v for r, v in zip(row, vec)).  When the entries are exact and
     one lies in a number field, the products' integer convolutions are
     summed over one common denominator and the sum is reduced modulo S and
-    put in lowest terms once, instead of once per product."""
+    put in lowest terms once, instead of once per product.  When every entry
+    is a ``BigFloat``, products and partial sums stay raw mpf tuples, each
+    rounded at the precision the plain sum uses (a product at the larger
+    precision of its factors, a partial sum at the larger precision of its
+    two terms), so the result is bit for bit that sum's."""
+    if row and vec and all(isinstance(x, BigFloat) for x in (*row, *vec)):
+        return _float_dot(row, vec)
     field = next(
         (x.field for x in (*row, *vec) if isinstance(x, NumberFieldElement)), None
     )
@@ -511,9 +522,22 @@ def _raw(x, prec: int) -> tuple:
 def _bigfloat(raw: tuple, prec: int) -> "BigFloat":
     """The BigFloat of a raw mpf, with no conversion or check."""
     out = object.__new__(BigFloat)
-    out.value = _make_mpf(raw)
+    out.raw = raw
     out.precision_bits = prec
     return out
+
+
+def _float_dot(row, vec) -> "BigFloat":
+    """``dot`` of nonempty BigFloat rows, from 0 as the plain sum starts."""
+    total, total_prec = fzero, 0
+    for r, v in zip(row, vec):
+        prec = r.precision_bits
+        if v.precision_bits > prec:
+            prec = v.precision_bits
+        if prec > total_prec:
+            total_prec = prec
+        total = mpf_add(total, mpf_mul(r.raw, v.raw, prec, _RND), total_prec, _RND)
+    return _bigfloat(total, total_prec)
 
 
 def _rsub(a, b, prec, rnd):
@@ -527,36 +551,48 @@ def _rdiv(a, b, prec, rnd):
 class BigFloat:
     """Arbitrary-precision real with an explicit bit precision.
 
-    ``value`` is an mpmath ``mpf``.  Arithmetic calls mpmath's raw kernels
-    at the larger precision of the operands, rounding to nearest, so each
-    result is bit for bit the same mpmath expression evaluated under
-    ``workprec`` at that precision.  An int, float or Fraction operand, in
-    arithmetic and in comparisons alike, is first rounded to this value's
-    precision.  An ``mpf`` passed in is kept as it is, unrounded."""
+    ``raw`` is mpmath's raw mpf tuple (sign, mantissa, exponent, bit count),
+    held as it is rather than in an ``mpf``; ``value`` wraps it in one for
+    mpmath's own functions.  (The slot is not named ``_mpf_``: mpmath would
+    take a BigFloat with that attribute for an ``mpf`` and compute with it
+    at its context precision, where a BigFloat passed to mpmath by mistake
+    raises ``TypeError``.)
+    Arithmetic calls mpmath's raw kernels at the larger precision of the
+    operands, rounding to nearest, so each result is bit for bit the same
+    mpmath expression evaluated under ``workprec`` at that precision.  An
+    int, float or Fraction operand, in arithmetic and in comparisons alike,
+    is first rounded to this value's precision.  A BigFloat or ``mpf``
+    passed in is kept as it is, unrounded."""
 
-    __slots__ = ("value", "precision_bits")
+    __slots__ = ("raw", "precision_bits")
 
     def __init__(self, value, precision_bits: int = DEFAULT_PRECISION_BITS):
         if precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         self.precision_bits = precision_bits
         if isinstance(value, BigFloat):
-            value = value.value
-        elif not isinstance(value, mpmath.mpf):
-            value = _make_mpf(_raw(value, precision_bits))
-        self.value = value
+            self.raw = value.raw
+        elif isinstance(value, mpmath.mpf):
+            self.raw = value._mpf_
+        else:
+            self.raw = _raw(value, precision_bits)
+
+    @property
+    def value(self) -> mpmath.mpf:
+        """The raw tuple as an mpmath ``mpf``."""
+        return _make_mpf(self.raw)
 
     def _binop(self, other, op):
         prec = self.precision_bits
         if isinstance(other, BigFloat):
             if other.precision_bits > prec:
                 prec = other.precision_bits
-            ov = other.value._mpf_
+            ov = other.raw
         elif isinstance(other, (int, float, Fraction)):
             ov = _raw(other, prec)
         else:
             return NotImplemented
-        return _bigfloat(op(self.value._mpf_, ov, prec, _RND), prec)
+        return _bigfloat(op(self.raw, ov, prec, _RND), prec)
 
     def __add__(self, other):
         return self._binop(other, mpf_add)
@@ -582,35 +618,35 @@ class BigFloat:
 
     def __neg__(self):
         prec = self.precision_bits
-        return _bigfloat(mpf_neg(self.value._mpf_, prec, _RND), prec)
+        return _bigfloat(mpf_neg(self.raw, prec, _RND), prec)
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
             return NotImplemented
         prec = self.precision_bits
-        return _bigfloat(mpf_pow_int(self.value._mpf_, exp, prec, _RND), prec)
+        return _bigfloat(mpf_pow_int(self.raw, exp, prec, _RND), prec)
 
     def __abs__(self):
         prec = self.precision_bits
-        return _bigfloat(mpf_abs(self.value._mpf_, prec, _RND), prec)
+        return _bigfloat(mpf_abs(self.raw, prec, _RND), prec)
 
     def __float__(self):
-        return float(self.value)
+        return to_float(self.raw, rnd=_RND)
 
     def __bool__(self):
-        return bool(self.value._mpf_[1])
+        return bool(self.raw[1])
 
     def __repr__(self):
         return f"BigFloat({self.value}, bits={self.precision_bits})"
 
     def _compare(self, other, relation):
         if isinstance(other, BigFloat):
-            ov = other.value._mpf_
+            ov = other.raw
         elif isinstance(other, (int, float, Fraction)):
             ov = _raw(other, self.precision_bits)
         else:
             return NotImplemented
-        return relation(self.value._mpf_, ov)
+        return relation(self.raw, ov)
 
     def __eq__(self, other):
         return self._compare(other, mpf_eq)
@@ -628,7 +664,7 @@ class BigFloat:
         return self._compare(other, mpf_ge)
 
     def __hash__(self):
-        return hash(self.value)
+        return mpf_hash(self.raw)
 
 
 @lru_cache(maxsize=None)
@@ -637,9 +673,10 @@ def _pow2(exp: int) -> tuple:
     return from_man_exp(1, exp)
 
 
-def _check_root(modulus: IntegerPolynomial, value, prec: int) -> None:
-    """Raise ``InconsistentEmbeddingError`` unless ``value`` is finite and
-    solves the modulus at ``prec`` bits."""
+def _check_root(modulus: IntegerPolynomial, raw: tuple, prec: int) -> None:
+    """Raise ``InconsistentEmbeddingError`` unless the raw mpf ``raw`` is
+    finite and solves the modulus at ``prec`` bits."""
+    value = _make_mpf(raw)
     with mpmath.workprec(prec):
         mod_val = modulus(value)
         # scale-aware tolerance: Horner on a degree-d poly loses O(d) bits
@@ -654,13 +691,14 @@ def _check_root(modulus: IntegerPolynomial, value, prec: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def _power_table(modulus: IntegerPolynomial, value, prec: int) -> tuple:
+def _power_table(modulus: IntegerPolynomial, raw: tuple, prec: int) -> tuple:
     """(w, P) with P_i = round(value^i 2^w) for i < deg S, the powers of a
-    checked root in fixed point with w fractional bits (see ``nf_embed``).
-    The root is checked first; a failed check raises and, not being a
-    result, is not cached, so a bad root raises on every call."""
-    _check_root(modulus, value, prec)
-    sign, man, exp, bc = value._mpf_
+    checked root, given as a raw mpf, in fixed point with w fractional bits
+    (see ``nf_embed``).  The root is checked first; a failed check raises
+    and, not being a result, is not cached, so a bad root raises on every
+    call."""
+    _check_root(modulus, raw, prec)
+    sign, man, exp, bc = raw
     if sign:
         man = -man
     d = modulus.degree
@@ -702,7 +740,7 @@ def nf_embed(a: NumberFieldElement, root: BigFloat) -> BigFloat:
     bits that this replaces.  The error is absolute, so an element that
     nearly cancels at r keeps few correct bits, as it did with Horner."""
     prec = root.precision_bits
-    w, table = _power_table(a.modulus, root.value, prec)
+    w, table = _power_table(a.modulus, root.raw, prec)
     total = from_man_exp(sum(map(mul, a.num, table)), -w)
     if a.den == 1:
         return _bigfloat(mpf_pos(total, prec, _RND), prec)
@@ -747,7 +785,7 @@ def embed(x, root: BigFloat, precision_bits: int) -> BigFloat:
     if isinstance(x, NumberFieldElement):
         x = nf_embed(x, root)
     if isinstance(x, BigFloat):
-        return _bigfloat(mpf_pos(x.value._mpf_, precision_bits, _RND),
+        return _bigfloat(mpf_pos(x.raw, precision_bits, _RND),
                          precision_bits)
     return BigFloat(x, precision_bits)
 
@@ -759,7 +797,7 @@ def _precision(xs) -> int:
 def _raw_at(x, prec: int) -> tuple:
     """A real scalar as a raw mpf: a BigFloat's value as it is, anything
     else rounded to ``prec`` bits."""
-    return x.value._mpf_ if isinstance(x, BigFloat) else _raw(x, prec)
+    return x.raw if isinstance(x, BigFloat) else _raw(x, prec)
 
 
 def gap(a, b):
@@ -784,7 +822,7 @@ def close(a, b) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
     g = gap(a, b)
-    return mpf_le(g.value._mpf_, _pow2(-(g.precision_bits // 2)))
+    return mpf_le(g.raw, _pow2(-(g.precision_bits // 2)))
 
 
 def _unit(coords, prec: int) -> list:
@@ -807,14 +845,15 @@ def normalize(coords) -> tuple:
     number-field entry, one field inversion), so that entry becomes 1: the
     representative then depends only on the projective point, and the
     heights of an orbit's points stay bounded instead of growing with each
-    step.  A float vector is divided by its entry of largest modulus."""
+    step; that entry is set to 1, not multiplied by its inverse.  A float
+    vector is divided by its entry of largest modulus."""
     if not all(map(is_exact, coords)):
         return tuple(_unit(coords, _precision(coords)))
-    lead = next(c for c in coords if c)
+    i, lead = next((i, c) for i, c in enumerate(coords) if c)
     if lead == 1:
         return coords
-    scale = inverse(lead)
-    return tuple(c * scale for c in coords)
+    scale, one = inverse(lead), one_like(lead)
+    return tuple(one if j == i else c * scale for j, c in enumerate(coords))
 
 
 def align(a, b):

@@ -17,6 +17,8 @@ import pickle
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
+from math import gcd
 
 import mpmath
 
@@ -68,11 +70,17 @@ EXIT_VERIFY = 4
 # serialization helpers
 
 
+def _ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms for den > 0, with one gcd."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
+
+
 def frac_str(f) -> str:
     f = Fraction(f)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return _ratio_str(f.numerator, f.denominator)
 
 
 def decimal_str(value: BigFloat) -> str:
@@ -82,10 +90,11 @@ def decimal_str(value: BigFloat) -> str:
 
 
 def ser_exact(x):
-    """Lossless form of an exact scalar."""
+    """Lossless form of an exact scalar; a field element's residue is
+    formatted from its integer numerators and common denominator."""
     if isinstance(x, NumberFieldElement):
         return {
-            "residue": [frac_str(c) for c in x.residue],
+            "residue": [_ratio_str(c, x.den) for c in x.num],
             "modulus": list(x.modulus.coeffs),
         }
     return frac_str(x)
@@ -465,7 +474,11 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand's parse sets
+    ``command``, and ``main`` runs ``cmd_<command>`` as it is bound when
+    called, not a function the cached parser holds."""
     parser = argparse.ArgumentParser(
         prog="cremona",
         description="Construct and verify pseudoautomorphism-inducing "
@@ -473,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, families=(), backend=False):
+    def command(name, help, families=(), backend=False):
         p = sub.add_parser(name, help=help)
         if families:
             p.add_argument("--family", choices=families, default="pk")
@@ -487,13 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
         return p
 
     spectral, every = ("pk", "biproj"), ("pk", "biproj", "lines")
-    p_degree = command(
-        "degree", cmd_degree, "spectral report for one cell", spectral
-    )
+    p_degree = command("degree", "spectral report for one cell", spectral)
     p_degree.add_argument(
         "--sweep",
         nargs=2,
@@ -502,24 +512,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a kmin..kmax nmin..nmax grid on forked workers "
         "(in this process where os.fork does not exist)",
     )
-    command("construct", cmd_construct, "build the map data", every)
+    command("construct", "build the map data", every)
     p_verify = command(
-        "verify", cmd_verify, "verify orbit-data conditions", every, backend=True
+        "verify", "verify orbit-data conditions", every, backend=True
     )
     p_verify.add_argument(
         "--seed", type=int, default=0, help="echoed as the 'seed' key"
     )
-    p_picard = command("picard", cmd_picard, "lattice action report")
+    p_picard = command("picard", "lattice action report")
     p_picard.add_argument(
         "--lengths", default=None, help="comma-separated orbit lengths"
     )
     p_picard.add_argument(
         "--sigma", default=None, help="comma-separated permutation images"
     )
-    command(
-        "report", cmd_report, "full bundle with cross-checks", spectral,
-        backend=True,
-    )
+    command("report", "full bundle with cross-checks", spectral, backend=True)
     return parser
 
 
@@ -529,7 +536,7 @@ def main(argv=None) -> int:
     if args.precision < 64:
         parser.error("--precision must be >= 64")
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ExceptionalPairError as exc:
         sys.stderr.write(
             f"exceptional pair: {exc}; the multiplier would be a root of "

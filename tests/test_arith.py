@@ -453,6 +453,49 @@ def test_bigfloat_is_bit_identical_to_mpmath(x, y, exp):
 
 
 # ---------------------------------------------------------------------------
+# the float kernel: BigFloat holds mpmath's raw tuple, and dot accumulates
+# raw tuples
+
+
+@given(st.lists(st.tuples(*[st.one_of(
+    bigfloats(), st.sampled_from(PRECISIONS).map(lambda p: BigFloat(0, p)),
+)] * 2), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_float_dot_is_the_plain_sum_bit_for_bit(pairs):
+    row, vec = zip(*pairs)
+    got, expected = dot(row, vec), sum(r * v for r, v in zip(row, vec))
+    assert got.raw == expected.raw
+    assert got.precision_bits == expected.precision_bits
+
+
+def test_bigfloat_keeps_an_mpf_unrounded():
+    with mpmath.workprec(300):
+        wide = mpmath.mpf(1) / 3
+    x = BigFloat(wide, 64)
+    assert x.raw == wide._mpf_ and x.value == wide
+    assert BigFloat(x, 128).raw == wide._mpf_
+    for y in (x, BigFloat(Fraction(-7, 3), 128), BigFloat(5, 64), BigFloat(0, 64)):
+        assert hash(y) == hash(y.value)
+    with pytest.raises(TypeError):  # not taken for an mpf by mpmath
+        mpmath.sqrt(x)
+
+
+def test_float_walk_builds_no_mpf(monkeypatch):
+    from cremona import verify
+    from cremona.construct import construct_pk
+
+    construction = construct_pk(2, 26)
+    mats = verify._prepare(construction, "float", 256).L
+    wrapped = []
+    make_mpf = arith._make_mpf
+    monkeypatch.setattr(arith, "_make_mpf",
+                        lambda raw: wrapped.append(raw) or make_mpf(raw))
+    _, dead = verify._walk(mats, construction.n - 1, lambda i, point: None)
+    assert dead is None
+    assert wrapped == []
+
+
+# ---------------------------------------------------------------------------
 # nf_embed against exact evaluation at the ends of the certified interval
 
 EMBED_FIELDS = [*ORACLE_FIELDS, NumberField(SALEM_2_60)]

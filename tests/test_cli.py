@@ -497,6 +497,31 @@ def test_cli_starts_without_a_process_pool():
     assert proc.stdout == "[]\n"
 
 
+
+def test_parser_is_built_once_per_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv in (["verify", "-k", "3", "-n", "8", "--backend", "float"],
+                 ["degree", "--sweep", "2..3", "7..9"],
+                 ["picard", "-k", "3", "-n", "10"]):
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cremona.cli", *argv], env=env,
+            capture_output=True, text=True,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_residues_are_formatted_from_the_integers():
+    field = construct_pk(3, 10).field
+    for coeffs in ([], [0, 5], [Fraction(-3, 4), 0, 2, Fraction(7, 6)],
+                   [Fraction(-10, 3), Fraction(1, 12), -4, Fraction(5, 2)]):
+        x = field.element(coeffs)
+        assert cli.ser_exact(x)["residue"] == [cli.frac_str(c) for c in x.residue]
+
+
 EXCEPTIONS = [
     ExceptionalPairError("pk", 2, 7),
     RootOfUnityError("alpha must not be a root of unity"),
