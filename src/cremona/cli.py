@@ -193,6 +193,10 @@ def _run_cells(jobs):
     Worker i of w = min(cpu_count, len(jobs)) takes the interleaved share
     ``jobs[i::w]``, so the cost that grows with k and n is spread evenly, and
     sends back one pickled reply through its own pipe (see ``_sweep_worker``).
+    Worker i is placed on CPU i mod c of the c CPUs in this process's
+    affinity set, so that no two workers share a CPU while another is idle
+    (the scheduler left forked workers on the parent's CPU); placement is a
+    hint, skipped where ``os.sched_setaffinity`` does not exist or fails.
     The parent runs no cell: it reads every pipe to the end and reaps every
     worker before it raises anything.  It re-raises the exception of the
     first failing job, as a serial loop would, and reports a worker that
@@ -202,6 +206,7 @@ def _run_cells(jobs):
     if not hasattr(os, "fork"):
         return [_degree_cell(job) for job in jobs]
     w = min(os.cpu_count() or 1, len(jobs))
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     workers, replies = [], []
     try:
         for i in range(w):
@@ -209,7 +214,8 @@ def _run_cells(jobs):
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _sweep_worker(jobs, i, w, write_fd)
+                cpu = cpus[i % len(cpus)] if cpus else None
+                _sweep_worker(jobs, i, w, write_fd, cpu)
             os.close(write_fd)
             workers.append((pid, read_fd))
     finally:
@@ -235,13 +241,20 @@ def _run_cells(jobs):
     return payloads
 
 
-def _sweep_worker(jobs, start, step, write_fd):
+def _sweep_worker(jobs, start, step, write_fd, cpu=None):
     """The body of a forked sweep worker for ``jobs[start::step]``.  It
-    pickles ``("ok", payloads)``, or ``("error", (index, exception))`` for
-    the first job that raised, to ``write_fd``, and leaves only by
-    ``os._exit``: with code 0 once the reply is written."""
+    first moves itself to ``cpu`` when one is given, ignoring an
+    ``OSError``; it then pickles ``("ok", payloads)``, or
+    ``("error", (index, exception))`` for the first job that raised, to
+    ``write_fd``, and leaves only by ``os._exit``: with code 0 once the
+    reply is written."""
     code = 1
     try:
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:
+                pass
         payloads = []
         try:
             for index in range(start, len(jobs), step):
@@ -440,7 +453,10 @@ def cmd_report(args) -> int:
     if args.family == "pk":
         orbit = OrbitData.coxeter(args.k, args.n)
         action, lat = coxeter_action(args.k, orbit)
-        radius, cp, salem = lattice_radius(action, args.precision)
+        # the degree pass isolated delta at this precision
+        radius, cp, salem = lattice_radius(
+            action, args.precision, known=(rep.salem_factor, rep.delta)
+        )
         bundle["picard"] = {
             "characteristic_polynomial": ser_poly(cp),
             "spectral_radius": decimal_str(radius),
@@ -509,8 +525,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=2,
         metavar=("KRANGE", "NRANGE"),
         default=None,
-        help="evaluate a kmin..kmax nmin..nmax grid on forked workers "
-        "(in this process where os.fork does not exist)",
+        help="evaluate a kmin..kmax nmin..nmax grid on forked workers, each "
+        "placed on its own CPU of the affinity set (in this process where "
+        "os.fork does not exist)",
     )
     command("construct", "build the map data", every)
     p_verify = command(

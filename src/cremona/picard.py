@@ -293,13 +293,20 @@ def berkowitz_charpoly(matrix) -> IntegerPolynomial:
 
 
 def spectral_radius(
-    matrix, precision_bits: int = DEFAULT_PRECISION_BITS
+    matrix, precision_bits: int = DEFAULT_PRECISION_BITS, known=None
 ):
     """(radius, char poly, salem core or None); radius 1 when the polynomial
-    is purely cyclotomic."""
+    is purely cyclotomic.  ``known`` is an optional (Salem factor, its
+    ``leading_salem_root`` at ``precision_bits``) pair; when the matrix's
+    Salem factor is that polynomial, its root is taken, not isolated again."""
     cp = berkowitz_charpoly(matrix)
     _, salem = salem_factor(cp)
-    root = None if salem is None else leading_salem_root(salem, precision_bits)
+    if salem is None:
+        root = None
+    elif known is not None and known[0] == salem:
+        root = known[1]
+    else:
+        root = leading_salem_root(salem, precision_bits)
     radius = BigFloat(1, precision_bits) if root is None else root.value
     return radius, cp, salem
 

@@ -365,13 +365,41 @@ def test_report_lattice_radius_compares_salem_factors(capsys, monkeypatch, k, n)
     # the same radius from another polynomial is not a match
     radius_of = cremona.picard.spectral_radius
 
-    def other_salem(matrix, precision_bits):
-        radius, cp, salem = radius_of(matrix, precision_bits)
+    def other_salem(matrix, precision_bits, known=None):
+        radius, cp, salem = radius_of(matrix, precision_bits, known)
         return radius, cp, salem * IntegerPolynomial([-1, 1])
 
     monkeypatch.setattr(cremona.cli, "lattice_radius", other_salem)
     _, payload, _ = run_json(capsys, "report", "-k", str(k), "-n", str(n))
     assert payload["cross_checks"]["lattice_radius_matches_delta"] is False
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_report_isolates_delta_once_per_precision(capsys, monkeypatch, backend):
+    # the degree pass isolates delta at p bits and the lattice radius reuses
+    # it; the one lift of the construction isolates it at p + 64 bits
+    _, plain, _ = run(capsys, "report", "-k", "3", "-n", "10",
+                      "--backend", backend)
+    calls = count_isolations(monkeypatch)
+    code, out, err = run(capsys, "report", "-k", "3", "-n", "10",
+                         "--backend", backend)
+    assert (code, err) == (EXIT_OK, "")
+    assert sorted(precision for _, precision in calls) == [256, 320]
+    assert out == plain
+
+
+def test_lattice_radius_isolates_a_factor_it_is_not_given():
+    from cremona.picard import OrbitData, coxeter_action, spectral_radius
+    from cremona.spectra import leading_salem_root
+    from cremona.polynomials import IntegerPolynomial
+
+    action, _ = coxeter_action(3, OrbitData.coxeter(3, 10))
+    radius, _, salem = spectral_radius(action, 256)
+    coarse = leading_salem_root(salem, 64)  # told apart from the 256-bit root
+    assert coarse.value != radius
+    assert spectral_radius(action, 256, known=(salem, coarse))[0] == coarse.value
+    other = salem * IntegerPolynomial([-1, 1])
+    assert spectral_radius(action, 256, known=(other, coarse))[0] == radius
 
 
 def test_report_exceptional_stops_early(capsys):
@@ -426,6 +454,47 @@ def test_sweep_on_workers_prints_the_serial_payloads(capsys, monkeypatch, family
     )
     assert (code, err) == (EXIT_OK, "")
     assert out == sweep_stdout(family, [(k, n) for k in (2, 3) for n in (4, 5, 6)])
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity and at least two CPUs in the affinity set",
+)
+def test_sweep_places_each_worker_on_its_own_cpu(capsys, monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_degree_cell", lambda job: {
+        "cell": list(job[1:3]), "cpus": sorted(os.sched_getaffinity(0))})
+    code, payload, _ = run_json(capsys, "degree", "--sweep", "2..3", "4..6")
+    assert code == EXIT_OK
+    cells = payload["cells"]
+    assert [c["cell"] for c in cells] == [[k, n] for k in (2, 3) for n in (4, 5, 6)]
+    # worker i runs cells i, i + 2, i + 4
+    assert [c["cpus"] for c in cells] == [[cpus[i % 2]] for i in range(6)]
+    assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+def _refuse_affinity(pid, mask):
+    raise OSError(1, "Operation not permitted")
+
+
+@pytest.mark.parametrize("placement", ["missing", "refused"])
+def test_sweep_placement_never_fails_a_sweep(capsys, monkeypatch, placement):
+    if placement == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    elif hasattr(os, "sched_setaffinity"):
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
+    else:
+        pytest.skip("no CPU affinity on this platform")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(
+        capsys, "degree", "--family", "pk", "--sweep", "2..3", "4..6",
+        "--precision", "256",
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out == sweep_stdout("pk", [(k, n) for k in (2, 3) for n in (4, 5, 6)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_without_fork_runs_in_process(capsys, monkeypatch):
