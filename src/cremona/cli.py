@@ -119,8 +119,11 @@ def ser_poly(p: IntegerPolynomial):
 def emit(payload, out_path) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

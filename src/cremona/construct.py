@@ -25,7 +25,9 @@ The biprojective family follows the recurrence system for t_j^- (the printed
 closed form for t_j^+ is evaluated alongside and any mismatch is recorded,
 not patched); its two matrices L take pk's subdiagonal betas times
 (delta+1)/delta.  The concurrent-lines family produces the m matrices L_j from
-the multiplier alpha.
+the multiplier alpha, whose field is the Salem factor of the Coxeter
+polynomial of T(m+1, k+1, n(k+1)) (``spectra.coxeter_polynomial``); no
+lattice matrix is built.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from typing import Optional
 
 from .arith import NumberField, NumberFieldElement, inverse
 from .geometry import LinearMap, curve_powers
-from .picard import berkowitz_charpoly, coxeter_element_tpqr
-from .spectra import FAMILY_POLYS, salem_factor
+from .spectra import FAMILY_POLYS, _check_kn, coxeter_polynomial, salem_factor
 
 
 class ExceptionalPairError(Exception):
@@ -324,8 +325,7 @@ def build_L_lines(k: int, m: int, n: int, alpha):
 
     The matrices do not depend on n; n fixes the intended long-orbit length
     n(k+1) and is validated here."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_kn(k, n)
     am = alpha ** m
     denom = alpha - 1
     if not denom or not (am - 1):
@@ -344,15 +344,14 @@ def build_L_lines(k: int, m: int, n: int, alpha):
 
 def lines_alpha_field(k: int, m: int, n: int) -> NumberField:
     """Multiplier field for the lines family, over the Salem factor of the
-    characteristic polynomial of the Coxeter element of the
-    T(m+1, k+1, n(k+1)) diagram.
+    Coxeter polynomial of the T(m+1, k+1, n(k+1)) diagram
+    (``spectra.coxeter_polynomial``).
 
     The diagram rank (m+1) + (k+1) + n(k+1) - 2 equals m + N with
     N = k + n(k+1) blown-up points, matching the Picard rank of (P^k)^m
     blown up along the full orbit."""
     arm = n * (k + 1)
-    coxeter = coxeter_element_tpqr(m + 1, k + 1, arm)
-    _, salem = salem_factor(berkowitz_charpoly(coxeter))
+    _, salem = salem_factor(coxeter_polynomial(m + 1, k + 1, arm))
     if salem is None:
         raise RootOfUnityError(
             f"T({m + 1},{k + 1},{arm}) Coxeter element is periodic: "
@@ -362,10 +361,9 @@ def lines_alpha_field(k: int, m: int, n: int) -> NumberField:
 
 
 def construct_lines(k: int, m: int, n: int) -> CoxeterConstruction:
-    # refused before the Coxeter element, which is periodic for some of
+    # refused before the Coxeter polynomial, which is periodic for some of
     # these and would be reported as a root-of-unity multiplier
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_kn(k, n)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     fld = lines_alpha_field(k, m, n)

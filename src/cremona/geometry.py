@@ -41,15 +41,6 @@ class IndeterminacyError(GeometryError):
     """The map is undefined at the given point."""
 
 
-class NotOnCurveError(GeometryError):
-    def __init__(self, index, message=None):
-        self.index = index
-        super().__init__(message or f"coordinate {index} violates the curve equations")
-
-    def __reduce__(self):
-        return type(self), (self.index, str(self))
-
-
 class _Infinity:
     """Distinguished curve parameter for the cusp; never enters arithmetic."""
 
@@ -280,21 +271,3 @@ def apply_J_multi(factors: Sequence[ProjectivePoint]) -> list:
     out.append(rec)
     return out
 
-
-# ---------------------------------------------------------------------------
-# concurrent lines
-
-
-def concurrent_lines(p: ProjectivePoint) -> list:
-    """The ascending indices j of the lines through [1:...:1] and the
-    coordinate points e_j that hold p: line j holds the points whose
-    coordinates agree (``close``) in every slot but j, so the concurrence
-    point lies on every line."""
-    lines = []
-    for j in range(len(p.coords)):
-        first, *rest = p.coords[:j] + p.coords[j + 1:]
-        if all(close(first, c) for c in rest):
-            lines.append(j)
-    if not lines:
-        raise NotOnCurveError(None, "point is not on the union of lines")
-    return lines

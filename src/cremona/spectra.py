@@ -1,8 +1,12 @@
 """Characteristic polynomials of the map families, cyclotomic stripping and
 Salem root isolation.
 
-``char_poly_pk`` builds (x^{n+k}-1)(x^2-1) - x(x^{k+1}-1)(x^{n-1}-1) for the
-projective-space family; ``char_poly_biproj`` builds the biprojective variant.
+Every family's polynomial is one Coxeter polynomial E(p, q, r) of the
+T-shaped diagram T(p, q, r) (``coxeter_polynomial``), from its closed form
+of ten monomials over (x - 1)^3: ``char_poly_pk`` is (x - 1)^2 E(2, k+1, n-1),
+the printed (x^{n+k}-1)(x^2-1) - x(x^{k+1}-1)(x^{n-1}-1) of the
+projective-space family, ``char_poly_biproj`` is (x - 1) E(3, k+1, n-1), and
+the lines family's field comes from E(m+1, k+1, n(k+1)).
 ``strip_cyclotomic`` removes every cyclotomic factor Phi_d with
 phi(d) <= deg: an exact certificate, the value at x = 2^16 modulo the
 integer Phi_d(2^16), rules out almost every d, and exact trial division
@@ -61,31 +65,44 @@ def _check_kn(k: int, n: int) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
-def _xn_minus_1(n: int) -> IntegerPolynomial:
-    return IntegerPolynomial([-1] + [0] * (n - 1) + [1]) if n > 0 else IntegerPolynomial([])
+def _tpqr(p: int, q: int, r: int, times: int) -> IntegerPolynomial:
+    """(x - 1)^(3 - times) E for E the Coxeter polynomial of T(p, q, r).
+    With s = p + q + r, (x - 1)^3 E is the ten monomials
+    x^{s+1} - 2 x^s + 2 x - 1 + sum over a in (p, q, r) of (x^{s-a} - x^{a+1})
+    (collected from (x + 1) prod_a (x^a - 1) - sum_a (x^a - x) prod_{b != a}
+    (x^b - 1)); an arm may have length 0.  Each exact division by x - 1 is
+    one pass of running sums from the top."""
+    s = p + q + r
+    coeffs = [0] * (s + 2)
+    for e, c in ((s + 1, 1), (s, -2), (1, 2), (0, -1)):
+        coeffs[e] += c
+    for a in (p, q, r):
+        coeffs[s - a] += 1
+        coeffs[a + 1] -= 1
+    for _ in range(times):
+        coeffs = list(accumulate(coeffs[:0:-1]))[::-1]
+    return IntegerPolynomial(coeffs)
+
+
+def coxeter_polynomial(p: int, q: int, r: int) -> IntegerPolynomial:
+    """det(xI - C) for C the Coxeter element of the T(p, q, r) diagram,
+    arms of p - 1, q - 1 and r - 1 nodes at one branch node."""
+    return _tpqr(p, q, r, 3)
 
 
 def char_poly_pk(k: int, n: int) -> IntegerPolynomial:
-    """(x^{n+k}-1)(x^2-1) - x(x^{k+1}-1)(x^{n-1}-1), degree n+k+2."""
+    """(x - 1)^2 E(2, k+1, n-1), degree n+k+2: the printed
+    (x^{n+k}-1)(x^2-1) - x(x^{k+1}-1)(x^{n-1}-1)."""
     _check_kn(k, n)
-    first = _xn_minus_1(n + k) * _xn_minus_1(2)
-    if n == 1:
-        return first
-    second = IntegerPolynomial([0, 1]) * _xn_minus_1(k + 1) * _xn_minus_1(n - 1)
-    return first - second
+    return _tpqr(2, k + 1, n - 1, 1)
 
 
 def char_poly_biproj(k: int, n: int) -> IntegerPolynomial:
-    """x^n (x^{k+2} - sum c_j x^j) + x^2 sum c_j x^j - 1, with
+    """(x - 1) E(3, k+1, n-1), degree n+k+2: the printed
+    x^n (x^{k+2} - sum c_j x^j) + x^2 sum c_j x^j - 1, with
     c_0 = c_k = 1 and c_1 = ... = c_{k-1} = 2."""
     _check_kn(k, n)
-    c = IntegerPolynomial([1] + [2] * (k - 1) + [1])
-    inner = IntegerPolynomial.monomial(k + 2) - c
-    return (
-        IntegerPolynomial.monomial(n) * inner
-        + IntegerPolynomial.monomial(2) * c
-        - IntegerPolynomial.one()
-    )
+    return _tpqr(3, k + 1, n - 1, 2)
 
 
 # family -> (characteristic polynomial, membership in the published
@@ -125,7 +142,7 @@ def cyclotomic(d: int) -> IntegerPolynomial:
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
     if d == 1:
-        return _xn_minus_1(1)
+        return IntegerPolynomial([-1, 1])
     radical, signed = _mobius_divisors(d)
     degree = sum(mu * e for e, mu in signed)  # phi(r)
     series = [1] + [0] * degree

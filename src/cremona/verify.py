@@ -21,6 +21,9 @@ its image recovered, to report it; on the float backend every image's
 parameter is recovered and must be close to delta t + tau, and the
 multiplier is measured from those parameters.  A construction built by
 hand from explicit center matrices T_i and S_i has L_i = T_i^{-1} S_i.
+
+The lines family's L permute the lines through [1:...:1] and the coordinate
+points, so its orbit is walked in line coordinates, by the same map step.
 """
 
 from __future__ import annotations
@@ -37,15 +40,14 @@ from .arith import (
     is_exact,
     one_like,
 )
+from .construct import _shaped_L
 from .geometry import (
     IndeterminacyError,
     LinearMap,
-    NotOnCurveError,
     OO,
     ProjectivePoint,
     apply_J_multi,
     apply_linear,
-    concurrent_lines,
     linear_product,
     products_of_others,
 )
@@ -462,52 +464,57 @@ def verify_lines_orbit(
     construction, backend: str = "exact",
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> LinesOrbitReport:
-    """Iterate F = (L_0 x .. x L_{m-1}) o J from the contracted image of the
-    last coordinate hyperplane; the n(k+1) orbit points must stay on the
-    union of lines and advance through the lines cyclically, and the final
-    orbit point must map onto the indeterminacy point (e0,..,e0).
-    Membership uses the lines through the concurrence point [1:...:1] and
-    the coordinate points, which are the lines the map actually permutes."""
+    """Iterate F = (L_0 x .. x L_{m-1}) o J_m from the contracted image of
+    the last coordinate hyperplane; the n(k+1) orbit points must stay on
+    the lines through [1:...:1] and the coordinate points, advance through
+    them cyclically, and the last must map onto (e0,..,e0).
+
+    Each L_i is checked exactly to be ``construct._shaped_L(s, [v] * k)``.
+    The pair [a : b] on line j is the point whose coordinates are b but a
+    in slot j; such an L takes line j to line j + 1 by
+    [[v, s - v], [0, s]] for j < k, and line k to line 0 by
+    [[s, 0], [s - v, v]], and J_m keeps m points of one line on it.  So
+    point i is on line i mod k + 1 (on every line at [1 : 1]), and the
+    orbit is walked as m pairs by the shared ``_step_points`` with these
+    maps, made of L's own entries in the backend, from [s : s - v] on line
+    0, the last column of L.  It dies at a first factor [1 : 0], a
+    coordinate point, or where J_m fails, and closes when every factor
+    ends at [1 : 0]."""
     if construction.family != "lines":
         raise VerificationError("lines-family construction required")
     k, m, n = construction.k, construction.m, construction.n
-    b = _prepare(construction, backend, precision_bits)
     total = n * (k + 1)
+    report = LinesOrbitReport(k=k, m=m, n=n, orbit_length=total, closes=False,
+                              on_union=True, cyclic=False)
+    for i, mat in enumerate(construction.L):
+        (*_, s), (v, *_) = mat.matrix[:2]
+        if mat.matrix != _shaped_L(s, [v] * k).matrix:
+            report.on_union = False
+            report.failure = f"L_{i} does not map the lines to each other"
+            return report
+    b = _prepare(construction, backend, precision_bits)
+    forward, wrap = [], []
+    for (zero, *_, s), (v, *_, rest) in (mat.matrix[:2] for mat in b.L):
+        forward.append(LinearMap([[v, rest], [zero, s]]))
+        wrap.append(LinearMap([[s, zero], [rest, v]]))
     one = one_like(b.delta)
-    e0 = [ProjectivePoint.standard_basis(0, k, one=one) for _ in range(m)]
-    seq = []
-
-    def visit(step, point):
-        seq.append(concurrent_lines(point[0]))
-
-    on_union, failure = True, None
-    try:
-        point, dead = _walk(b.L, total, visit)
-    except NotOnCurveError:
-        on_union = False
-        failure = f"left the line union at step {len(seq)}"
+    ends = [ProjectivePoint([one, one * 0])] * m
+    concurrence = ProjectivePoint([one, one])
+    point = [ProjectivePoint(row[k] for row in mat.matrix[:2]) for mat in b.L]
+    for step in range(total):
+        line = step % (k + 1)
+        everywhere = point[0].eq(concurrence)
+        report.line_sequence.append(list(range(k + 1)) if everywhere else [line])
+        if not point[0].coords[1]:
+            report.failure = f"premature indeterminacy at step {step}"
+            break
+        try:
+            point = _step_points(wrap if line == k else forward, point)
+        except IndeterminacyError:
+            report.failure = f"premature indeterminacy at step {step + 1}"
+            break
     else:
-        if dead is not None:
-            failure = f"premature indeterminacy at step {dead}"
-    closes = failure is None and _compare(point, e0)[0]
-    # single-line steps must walk through the lines cyclically mod k+1
-    single = [s[0] for s in seq if len(s) == 1]
-    cyclic = _is_cyclic(single, k + 1)
-    return LinesOrbitReport(
-        k=k,
-        m=m,
-        n=n,
-        orbit_length=total,
-        closes=closes,
-        on_union=on_union,
-        cyclic=cyclic,
-        line_sequence=seq,
-        failure=failure,
-    )
-
-
-def _is_cyclic(indices, modulus) -> bool:
-    if not indices:
-        return False
-    steps = [(b - a) % modulus for a, b in zip(indices, indices[1:])]
-    return all(s in (0, 1) for s in steps) and set(indices) == set(range(modulus))
+        report.closes = _compare(point, ends)[0]
+    single = {e[0] for e in report.line_sequence if len(e) == 1}
+    report.cyclic = single == set(range(k + 1))
+    return report

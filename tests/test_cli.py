@@ -30,7 +30,7 @@ from cremona.construct import (
     construct_lines,
     construct_pk,
 )
-from cremona.geometry import GeometryError, IndeterminacyError, NotOnCurveError
+from cremona.geometry import GeometryError, IndeterminacyError
 from cremona.picard import LatticeError
 from cremona.verify import VerificationError
 
@@ -273,6 +273,18 @@ def test_lines_parameters_out_of_range_exit_2(capsys, command, k, m, message):
     assert code == EXIT_INVALID
     assert not out
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_lines_n0_exit_2(capsys, command):
+    # the Coxeter polynomial takes an arm of length 0, so n = 0 is refused
+    # with k and m, before the field, and not reported as exceptional
+    code, out, err = run(
+        capsys, command, "--family", "lines", "-k", "2", "-m", "2", "-n", "0"
+    )
+    assert code == EXIT_INVALID
+    assert not out
+    assert "n must be >= 1, got 0" in err
 
 
 def test_picard_report(capsys):
@@ -598,8 +610,6 @@ EXCEPTIONS = [
     VerificationError("lines-family construction required"),
     GeometryError("degenerate"),
     IndeterminacyError("output factor degenerated to zero"),
-    NotOnCurveError(3),
-    NotOnCurveError(None, "factor 1 off the curve"),
     ArithmeticError_("no inverse"),
     ZeroDivisorError((Fraction(-1), Fraction(0), Fraction(1))),
     InconsistentEmbeddingError("root does not match"),
@@ -638,6 +648,17 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["command"] == "degree"
+
+
+def test_out_file_unwritable_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, "degree", "-k", "2", "-n", "8", "--out", str(target),
+    )
+    assert code == EXIT_INVALID
+    assert not out
+    assert f"invalid input: cannot write {target}" in err
+    assert "Traceback" not in err
 
 
 def test_precision_floor_rejected(capsys):

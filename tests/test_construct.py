@@ -353,6 +353,28 @@ def test_lines_alpha_field_rank_matches_lattice():
         assert len(gram) == m + k + n * (k + 1)
 
 
+def test_lines_alpha_field_is_the_lattice_route():
+    # the Salem factor of the Coxeter polynomial is that of the Berkowitz
+    # characteristic polynomial of the T(m+1, k+1, n(k+1)) Coxeter element;
+    # the periodic cells are refused by both
+    from cremona.picard import berkowitz_charpoly, coxeter_element_tpqr
+    from cremona.spectra import salem_factor
+
+    periodic = 0
+    for k in range(2, 6):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                lattice = coxeter_element_tpqr(m + 1, k + 1, n * (k + 1))
+                _, salem = salem_factor(berkowitz_charpoly(lattice))
+                if salem is None:
+                    periodic += 1
+                    with pytest.raises(RootOfUnityError):
+                        lines_alpha_field(k, m, n)
+                else:
+                    assert lines_alpha_field(k, m, n).modulus == salem, (k, m, n)
+    assert periodic
+
+
 def test_lines_root_of_unity_refused():
     fld = NumberField(IntegerPolynomial([1, 1]))  # x + 1
     with pytest.raises(RootOfUnityError):

@@ -1,5 +1,4 @@
-"""Projective points, linear maps, Cremona involutions, curves and the
-concurrent-lines configuration."""
+"""Projective points, linear maps, Cremona involutions and curves."""
 
 import random
 from fractions import Fraction
@@ -11,12 +10,10 @@ from cremona.geometry import (
     OO,
     IndeterminacyError,
     LinearMap,
-    NotOnCurveError,
     ProjectivePoint,
     apply_J,
     apply_J_multi,
     apply_linear,
-    concurrent_lines,
     gamma_eval,
     products_of_others,
 )
@@ -225,11 +222,3 @@ def test_gamma_shape():
     p = gamma_eval(Fraction(2), 3)
     assert p.coords == (1, 2, 4, 16)  # [1 : t : t^2 : t^4] at k=3
 
-
-def test_concurrent_lines():
-    # line j: coordinates equal except in slot j; passes through [1:..:1] and e_j
-    assert concurrent_lines(P(5, 1, 1)) == [0]
-    assert concurrent_lines(ProjectivePoint.standard_basis(2, 2)) == [2]
-    assert concurrent_lines(P(1, 1, 1)) == [0, 1, 2]
-    with pytest.raises(NotOnCurveError):
-        concurrent_lines(P(1, 2, 3))

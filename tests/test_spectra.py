@@ -16,6 +16,7 @@ from cremona.spectra import (
     GAMMA_PK_FINITE,
     char_poly_biproj,
     char_poly_pk,
+    coxeter_polynomial,
     cyclotomic,
     gamma_biproj_lists,
     gamma_pk_lists,
@@ -62,6 +63,52 @@ def test_char_poly_biproj_matches_sympy():
                 X ** n * (X ** (k + 2) - c) + X ** 2 * c - 1
             )
             assert sympy.expand(ours - theirs) == 0
+
+
+def test_coxeter_polynomial_is_the_lattice_charpoly():
+    # det(xI - C) of the product of the simple reflections of T(p, q, r),
+    # sign included, by Berkowitz on the lattice matrix
+    from cremona.picard import berkowitz_charpoly, coxeter_element_tpqr
+
+    for p in range(1, 6):
+        for q in range(1, 6):
+            for r in range(1, 14):
+                assert coxeter_polynomial(p, q, r) == berkowitz_charpoly(
+                    coxeter_element_tpqr(p, q, r)), (p, q, r)
+
+
+def _binomial(n):
+    return IntegerPolynomial.monomial(n) - IntegerPolynomial.one()
+
+
+def test_char_polys_are_the_printed_formulas():
+    # the paper's printed formulas, in IntegerPolynomial arithmetic, as the
+    # oracle of the T(2, k+1, n-1) and T(3, k+1, n-1) closed forms
+    x = IntegerPolynomial.monomial(1)
+    for k in range(2, 21):
+        c = IntegerPolynomial([1] + [2] * (k - 1) + [1])
+        inner = IntegerPolynomial.monomial(k + 2) - c
+        for n in range(1, 201):
+            pk = _binomial(n + k) * _binomial(2)
+            if n > 1:
+                pk = pk - x * _binomial(k + 1) * _binomial(n - 1)
+            biproj = (IntegerPolynomial.monomial(n) * inner
+                      + IntegerPolynomial.monomial(2) * c
+                      - IntegerPolynomial.one())
+            assert char_poly_pk(k, n) == pk, (k, n)
+            assert char_poly_biproj(k, n) == biproj, (k, n)
+
+
+def test_coxeter_polynomial_arm_of_length_zero():
+    # E(p, q, 0) = (x^p - 1)(x^q - 1) / (x - 1)^2, so pk at n = 1 is
+    # (x^2 - 1)(x^{k+1} - 1)
+    square = _binomial(1) * _binomial(1)
+    for p in (2, 3):
+        for q in range(3, 9):
+            assert coxeter_polynomial(p, q, 0) * square == (
+                _binomial(p) * _binomial(q))
+    for k in range(2, 8):
+        assert char_poly_pk(k, 1) == _binomial(2) * _binomial(k + 1)
 
 
 def test_cyclotomic_matches_sympy():

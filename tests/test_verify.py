@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cremona import verify
 from cremona.arith import NumberField
 from cremona.construct import (
     CoxeterConstruction,
@@ -151,12 +152,17 @@ def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
         rep = check(c, backend="exact")
         assert rep.all_passed
         L = c.backends["exact", 256].L
-        assert sum(mats is L for *_, mats in per_step) == steps
-        assert all(count <= factors for count, factors, _ in per_step), per_step
         if check is verify_lines_orbit:
-            # the whole lines check, line membership included, inverts no
+            # the lines orbit steps the pairs of line coordinates by the
+            # per-line 2 x 2 maps of L
+            assert len(per_step) == steps
+            assert all(m.size == 2 for *_, mats in per_step for m in mats)
+            # the whole lines check, the shape of L included, inverts no
             # more than the steps do: 12 at lines (2,2,2)
             assert len(inversions) - before <= c.m * steps
+        else:
+            assert sum(mats is L for *_, mats in per_step) == steps
+        assert all(count <= factors for count, factors, _ in per_step), per_step
     delta = construct_pk(2, 20).delta
     p = ProjectivePoint([delta, delta + 1, 2 * delta])
     inversions.clear()
@@ -509,6 +515,51 @@ def test_lines_small_case_orbit_length_three():
     assert rep.on_union and rep.cyclic
     assert rep.line_sequence == [[0], [1], [2]]
     assert not rep.closes  # terminal point collides with a singleton orbit
+
+
+@pytest.mark.parametrize("k,m,n", [(2, 2, 2), (3, 2, 2), (4, 1, 10), (2, 2, 10),
+                                   (4, 3, 6), (8, 3, 4)])
+def test_line_walk_is_the_matrix_walk(monkeypatch, k, m, n):
+    # factor i of point s, the pair [a : b] on line j = s mod k + 1, is the
+    # point of P^k with every coordinate b but a in slot j; it must equal
+    # factor i of the same point of the orbit of L o J_m on (P^k)^m
+    pairs = []
+    real_step = verify._step_points
+
+    def recording_step(mats, point):
+        pairs.append(point)
+        return real_step(mats, point)
+
+    monkeypatch.setattr(verify, "_step_points", recording_step)
+    c = construct_lines(k, m, n)
+    rep = verify_lines_orbit(c, backend="exact")
+    monkeypatch.undo()
+    total = n * (k + 1)
+    assert rep.closes and len(pairs) == total
+    walked = []
+    end, dead = verify._walk(c.L, total, lambda step, point: walked.append(point))
+    assert dead is None and len(walked) == total
+    for step, (line_point, point) in enumerate(zip(pairs, walked)):
+        j = step % (k + 1)
+        for pair, factor in zip(line_point, point):
+            a, b = pair.coords
+            coords = [b] * (k + 1)
+            coords[j] = a
+            assert ProjectivePoint(coords).eq(factor), (step, j)
+
+
+def test_lines_orbit_refuses_an_unshaped_L():
+    # one entry of L_1 moved off the lines shape: L_1 no longer maps the
+    # lines to each other, and the orbit is not walked
+    c = construct_lines(2, 2, 2)
+    rows = [list(r) for r in c.L[1].matrix]
+    rows[2][2] = rows[2][2] + Fraction(1, 5)
+    c.L[1] = LinearMap(rows)
+    rep = verify_lines_orbit(c, backend="exact")
+    assert not rep.all_passed
+    assert not (rep.closes or rep.on_union or rep.cyclic)
+    assert rep.failure == "L_1 does not map the lines to each other"
+    assert not c.backends
 
 
 def test_lines_wrong_family_rejected():
