@@ -78,11 +78,7 @@ from .polynomials import IntegerPolynomial, _convolve
 DEFAULT_PRECISION_BITS = 256
 
 
-class ArithmeticError_(Exception):
-    pass
-
-
-class ZeroDivisorError(ArithmeticError_):
+class ZeroDivisorError(Exception):
     """Inversion hit a zero divisor; ``factor`` is a nontrivial factor of the
     modulus found along the way."""
 
@@ -94,7 +90,7 @@ class ZeroDivisorError(ArithmeticError_):
         return type(self), (self.factor,)
 
 
-class InconsistentEmbeddingError(ArithmeticError_):
+class InconsistentEmbeddingError(Exception):
     pass
 
 

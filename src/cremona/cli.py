@@ -1,11 +1,15 @@
 """Command-line front end: machine-readable JSON reports and exit codes for
 the spectral, construction, verification and lattice pipelines.
 
-Exit codes: 0 success, 2 invalid input, 3 exceptional parameter pair,
-4 verification failure.  Exact field values are serialized as residue
-coefficient arrays together with the modulus so they can be reconstructed
-losslessly; a decimal prints 30 digits of the p-bit ``verify.embedding``
-of the value, which carries about 0.3 p of them (19 at 64 bits).
+Exit codes, each from one source: 0 success and 4 verification failure are
+the verdict ``all_passed`` of the orbit report (with ``report``'s
+``multiplier_equals_delta``; 4 also for a ``verify.VerificationError``);
+2 invalid input is a ``ValueError``; 3 is ``construct.ExceptionalPairError``,
+a cell whose Coxeter element is periodic (``report`` prints its degree pass
+first).  Exact field values are serialized as residue coefficient arrays
+together with the modulus so they can be reconstructed losslessly; a
+decimal prints 30 digits of the p-bit ``verify.embedding`` of the value,
+which carries about 0.3 p of them (19 at 64 bits).
 """
 
 from __future__ import annotations
@@ -31,13 +35,11 @@ from .arith import (
 )
 from .construct import (
     ExceptionalPairError,
-    RootOfUnityError,
     construct_biproj,
     construct_lines,
     construct_pk,
 )
 from .picard import (
-    LatticeError,
     OrbitData,
     canonical_pairings,
     congruence,
@@ -193,13 +195,14 @@ def _degree_cell(job):
 def _run_cells(jobs):
     """``_degree_cell`` of every job, in job order, on forked workers.
 
-    Worker i of w = min(cpu_count, len(jobs)) takes the interleaved share
-    ``jobs[i::w]``, so the cost that grows with k and n is spread evenly, and
-    sends back one pickled reply through its own pipe (see ``_sweep_worker``).
-    Worker i is placed on CPU i mod c of the c CPUs in this process's
-    affinity set, so that no two workers share a CPU while another is idle
-    (the scheduler left forked workers on the parent's CPU); placement is a
-    hint, skipped where ``os.sched_setaffinity`` does not exist or fails.
+    There are w = min(c, len(jobs)) workers for the c CPUs in this process's
+    affinity set (``os.cpu_count()`` where it cannot be read).  Worker i
+    takes the interleaved share ``jobs[i::w]``, so the cost that grows with
+    k and n is spread evenly, and sends back one pickled reply through its
+    own pipe (see ``_sweep_worker``).  Worker i is placed on the i-th CPU of
+    the affinity set, so that no two workers share a CPU (the scheduler left
+    forked workers on the parent's CPU); placement is a hint, skipped where
+    ``os.sched_setaffinity`` does not exist or fails.
     The parent runs no cell: it reads every pipe to the end and reaps every
     worker before it raises anything.  It re-raises the exception of the
     first failing job, as a serial loop would, and reports a worker that
@@ -208,8 +211,8 @@ def _run_cells(jobs):
     """
     if not hasattr(os, "fork"):
         return [_degree_cell(job) for job in jobs]
-    w = min(os.cpu_count() or 1, len(jobs))
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    w = min(len(cpus) or os.cpu_count() or 1, len(jobs))
     workers, replies = [], []
     try:
         for i in range(w):
@@ -217,8 +220,7 @@ def _run_cells(jobs):
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                cpu = cpus[i % len(cpus)] if cpus else None
-                _sweep_worker(jobs, i, w, write_fd, cpu)
+                _sweep_worker(jobs, i, w, write_fd, cpus[i] if cpus else None)
             os.close(write_fd)
             workers.append((pid, read_fd))
     finally:
@@ -336,37 +338,35 @@ def cmd_verify(args) -> int:
             "seed": args.seed,
             **asdict(rep),
         }
-        emit(payload, args.out)
-        return EXIT_OK if rep.all_passed else EXIT_VERIFY
-    lift = embedding(construction, args.precision)
-    rep = verify_orbit(construction, args.backend, args.precision)
-    params, endpoint = blown_point_params(construction)
-    mult = rep.multiplier_measured
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "family": rep.family,
-        "k": rep.k,
-        "n": rep.n,
-        "backend": rep.backend,
-        "seed": args.seed,
-        "conditions": [asdict(c) for c in rep.conditions],
-        "orbit_parameters": [ser_scalar(t, lift) for t in params],
-        "orbit_endpoint": ser_scalar(endpoint, lift),
-        "distinct": rep.distinct,
-        "curve_invariant": rep.curve_invariant,
-        "multiplier": (
-            None if mult is None
-            else ser_scalar(mult, lift) if is_exact(mult)
-            else decimal_str(mult)
-        ),
-        "translation_detected": rep.translation_detected,
-        "max_residual": max((c.residual for c in rep.conditions), default=0.0),
-        "notes": rep.notes,
-    }
+    else:
+        lift = embedding(construction, args.precision)
+        rep = verify_orbit(construction, args.backend, args.precision)
+        params, endpoint = blown_point_params(construction)
+        mult = rep.multiplier_measured
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "command": "verify",
+            "family": rep.family,
+            "k": rep.k,
+            "n": rep.n,
+            "backend": rep.backend,
+            "seed": args.seed,
+            "conditions": [asdict(c) for c in rep.conditions],
+            "orbit_parameters": [ser_scalar(t, lift) for t in params],
+            "orbit_endpoint": ser_scalar(endpoint, lift),
+            "distinct": rep.distinct,
+            "curve_invariant": rep.curve_invariant,
+            "multiplier": (
+                None if mult is None
+                else ser_scalar(mult, lift) if is_exact(mult)
+                else decimal_str(mult)
+            ),
+            "translation_detected": rep.translation_detected,
+            "max_residual": max((c.residual for c in rep.conditions), default=0.0),
+            "notes": rep.notes,
+        }
     emit(payload, args.out)
-    ok = rep.all_passed and rep.distinct and rep.curve_invariant
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if rep.all_passed else EXIT_VERIFY
 
 
 def _parse_orbit_data(args) -> OrbitData:
@@ -440,7 +440,7 @@ def cmd_report(args) -> int:
             "be a root of unity, so construction and verification are skipped"
         )
         emit(bundle, args.out)
-        return EXIT_EXCEPTIONAL
+    # refuses an exceptional cell (exit 3) after its bundle is printed
     construction = _build_construction(args)
     lift = embedding(construction, args.precision)
     bundle["construct"] = _construction_payload(construction, lift)
@@ -480,12 +480,7 @@ def cmd_report(args) -> int:
     cross["multiplier_equals_delta"] = mult is not None and close(mult, delta)
     bundle["cross_checks"] = cross
     emit(bundle, args.out)
-    ok = (
-        verify_rep.all_passed
-        and verify_rep.distinct
-        and verify_rep.curve_invariant
-        and cross.get("multiplier_equals_delta", True)
-    )
+    ok = verify_rep.all_passed and cross["multiplier_equals_delta"]
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -558,15 +553,9 @@ def main(argv=None) -> int:
     try:
         return globals()[f"cmd_{args.command}"](args)
     except ExceptionalPairError as exc:
-        sys.stderr.write(
-            f"exceptional pair: {exc}; the multiplier would be a root of "
-            "unity and the construction is refused\n"
-        )
+        sys.stderr.write(f"exceptional cell: {exc}; the construction is refused\n")
         return EXIT_EXCEPTIONAL
-    except RootOfUnityError as exc:
-        sys.stderr.write(f"root-of-unity multiplier: {exc}\n")
-        return EXIT_EXCEPTIONAL
-    except (LatticeError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
     except VerificationError as exc:

@@ -42,32 +42,33 @@ from .spectra import FAMILY_POLYS, _check_kn, coxeter_polynomial, salem_factor
 
 
 class ExceptionalPairError(Exception):
-    """(k, n) has a purely cyclotomic characteristic polynomial: the
-    multiplier would be a root of unity and the construction degenerates to a
+    """The cell (k, n), or (k, m, n) for lines, has a periodic Coxeter
+    element: the multiplier would be a root of unity and the construction a
     linear conjugate of the standard involution."""
 
-    def __init__(self, family, k, n):
-        self.family, self.k, self.n = family, k, n
+    def __init__(self, family, *cell):
+        self.family, self.cell = family, cell
         super().__init__(
-            f"({k},{n}) is exceptional for family {family}: "
+            f"({','.join(map(str, cell))}) is exceptional for family {family}: "
             "multiplier is a root of unity (no Salem factor)"
         )
 
     def __reduce__(self):
-        return type(self), (self.family, self.k, self.n)
+        return type(self), (self.family, *self.cell)
 
 
-class RootOfUnityError(Exception):
-    pass
+def _salem_field(poly, family, *cell) -> NumberField:
+    """Q over the Salem factor of ``poly``; the one refusal of a periodic cell."""
+    _, salem = salem_factor(poly)
+    if salem is None:
+        raise ExceptionalPairError(family, *cell)
+    return NumberField(salem)
 
 
 def delta_field(family: str, k: int, n: int) -> NumberField:
     """Number field Q(delta) over the Salem factor of the family's
     characteristic polynomial."""
-    _, salem = salem_factor(FAMILY_POLYS[family][0](k, n))
-    if salem is None:
-        raise ExceptionalPairError(family, k, n)
-    return NumberField(salem)
+    return _salem_field(FAMILY_POLYS[family][0](k, n), family, k, n)
 
 
 @dataclass
@@ -318,18 +319,15 @@ def construct_biproj(k: int, n: int) -> CoxeterConstruction:
 # concurrent-lines family on (P^k)^m
 
 
-def build_L_lines(k: int, m: int, n: int, alpha):
+def build_L_lines(k: int, m: int, alpha):
     """The m matrices L_j: row 0 = (0,..,0,s_j), constant subdiagonal
     v = -alpha (alpha^m - 1)/(alpha - 1), last column s_j - v, with
     s_j = (alpha^m-1)(alpha^{j+1}-1) / (alpha^j (alpha-1)(alpha^{m-j}-1)).
 
-    The matrices do not depend on n; n fixes the intended long-orbit length
-    n(k+1) and is validated here."""
-    _check_kn(k, n)
+    The matrices do not depend on n.  alpha generates a field whose modulus
+    is a Salem factor, not cyclotomic, so no alpha^j - 1 vanishes."""
     am = alpha ** m
     denom = alpha - 1
-    if not denom or not (am - 1):
-        raise RootOfUnityError("alpha must not be a root of unity")
     v = -alpha * (am - 1) * inverse(denom)
     return [
         _shaped_L(
@@ -350,19 +348,14 @@ def lines_alpha_field(k: int, m: int, n: int) -> NumberField:
     The diagram rank (m+1) + (k+1) + n(k+1) - 2 equals m + N with
     N = k + n(k+1) blown-up points, matching the Picard rank of (P^k)^m
     blown up along the full orbit."""
-    arm = n * (k + 1)
-    _, salem = salem_factor(coxeter_polynomial(m + 1, k + 1, arm))
-    if salem is None:
-        raise RootOfUnityError(
-            f"T({m + 1},{k + 1},{arm}) Coxeter element is periodic: "
-            "multiplier would be a root of unity"
-        )
-    return NumberField(salem)
+    return _salem_field(
+        coxeter_polynomial(m + 1, k + 1, n * (k + 1)), "lines", k, m, n
+    )
 
 
 def construct_lines(k: int, m: int, n: int) -> CoxeterConstruction:
     # refused before the Coxeter polynomial, which is periodic for some of
-    # these and would be reported as a root-of-unity multiplier
+    # these and would be reported as an exceptional cell
     _check_kn(k, n)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -376,6 +369,6 @@ def construct_lines(k: int, m: int, n: int) -> CoxeterConstruction:
         delta=alpha,
         t_plus=[],
         tau=fld.zero(),
-        L=build_L_lines(k, m, n, alpha),
+        L=build_L_lines(k, m, alpha),
         m=m,
     )

@@ -33,11 +33,7 @@ from .arith import (
 )
 
 
-class GeometryError(Exception):
-    pass
-
-
-class IndeterminacyError(GeometryError):
+class IndeterminacyError(Exception):
     """The map is undefined at the given point."""
 
 

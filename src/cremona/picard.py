@@ -27,10 +27,6 @@ from .polynomials import IntegerPolynomial
 from .spectra import leading_salem_root, salem_factor
 
 
-class LatticeError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class OrbitData:
     lengths: tuple
@@ -39,9 +35,9 @@ class OrbitData:
     def __post_init__(self):
         k1 = len(self.lengths)
         if any(n < 1 for n in self.lengths):
-            raise LatticeError("orbit lengths must be positive")
+            raise ValueError("orbit lengths must be positive")
         if sorted(self.sigma) != list(range(k1)):
-            raise LatticeError("sigma must be a permutation of the orbit indices")
+            raise ValueError("sigma must be a permutation of the orbit indices")
 
     @classmethod
     def coxeter(cls, k: int, n: int) -> "OrbitData":
@@ -82,11 +78,11 @@ class PicardLattice:
 
     def __init__(self, k: int, orbit: OrbitData, family: str = "pk"):
         if family not in FAMILIES:
-            raise LatticeError(f"unknown family {family!r}")
+            raise ValueError(f"unknown family {family!r}")
         if k < 2:
-            raise LatticeError("k must be >= 2")
+            raise ValueError("k must be >= 2")
         if len(orbit.lengths) != k + 1:
-            raise LatticeError("need k+1 orbit lengths")
+            raise ValueError("need k+1 orbit lengths")
         self.k = k
         self.orbit = orbit
         hyperplanes, self._block, _, _ = FAMILIES[family](k)
@@ -158,7 +154,7 @@ def pair(gram, a, b) -> int:
 def reflection(alpha: Sequence[int], gram):
     """Matrix of D -> D + <D, alpha> alpha; alpha must have norm -2."""
     if pair(gram, alpha, alpha) != -2:
-        raise LatticeError("reflection requires a root of square -2")
+        raise ValueError("reflection requires a root of square -2")
     n = len(alpha)
     # <e_j, alpha> as a row functional
     func = [sum(gram[j][i] * alpha[i] for i in range(n)) for j in range(n)]
@@ -319,7 +315,7 @@ def tpqr_gram(p: int, q: int, r: int):
     """Gram matrix (-2 on the diagonal, 1 across edges) of the T-shaped tree
     with arms of p-1, q-1, r-1 nodes joined at a branch node (listed last)."""
     if min(p, q, r) < 1:
-        raise LatticeError("arm parameters must be >= 1")
+        raise ValueError("arm parameters must be >= 1")
     arms = [p - 1, q - 1, r - 1]
     n = sum(arms) + 1
     g = [[0] * n for _ in range(n)]
@@ -364,7 +360,7 @@ def canonical_pairings(k: int, orbit: OrbitData):
     degs = lat.curve_degrees()
     kc_basis = -sum(c * d for c, d in zip(minus_k, degs))
     if kk_gram != kk_closed or kc_basis != kc_closed:
-        raise LatticeError(
+        raise ValueError(
             f"pairing mismatch: closed ({kk_closed},{kc_closed}) vs "
             f"recomputed ({kk_gram},{kc_basis})"
         )

@@ -84,9 +84,11 @@ class OrbitCheckReport:
 
     @property
     def all_passed(self) -> bool:
+        """The verdict: conditions, distinctness, curve, no translation."""
         return (
             all(c.passed for c in self.conditions)
             and not self.translation_detected
+            and bool(self.distinct and self.curve_invariant)
         )
 
 
@@ -431,12 +433,9 @@ def blown_point_params(construction):
 
 
 def verify_distinctness(construction) -> bool:
+    """N distinct blown-up points, by hash, and an orbit ending at t_0^+."""
     params, endpoint = blown_point_params(construction)
-    for i in range(len(params)):
-        for j in range(i + 1, len(params)):
-            if params[i] == params[j]:
-                return False
-    return endpoint == construction.t_plus[0]
+    return len(set(params)) == len(params) and endpoint == construction.t_plus[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +451,7 @@ class LinesOrbitReport:
     closes: bool
     on_union: bool
     cyclic: bool
+    residual: float = 1.0  # closure distance; 1.0 when the walk stops early
     line_sequence: list = field(default_factory=list)
     failure: Optional[str] = None
 
@@ -514,7 +514,7 @@ def verify_lines_orbit(
             report.failure = f"premature indeterminacy at step {step + 1}"
             break
     else:
-        report.closes = _compare(point, ends)[0]
+        report.closes, report.residual = _compare(point, ends)
     single = {e[0] for e in report.line_sequence if len(e) == 1}
     report.cyclic = single == set(range(k + 1))
     return report

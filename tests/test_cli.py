@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 import cremona
-from cremona import cli
-from cremona.arith import ArithmeticError_, InconsistentEmbeddingError, ZeroDivisorError
+from cremona import cli, verify
+from cremona.arith import InconsistentEmbeddingError, ZeroDivisorError
 from cremona.cli import (
     EXIT_EXCEPTIONAL,
     EXIT_INVALID,
@@ -25,13 +25,11 @@ from cremona.cli import (
 )
 from cremona.construct import (
     ExceptionalPairError,
-    RootOfUnityError,
     construct_biproj,
     construct_lines,
     construct_pk,
 )
-from cremona.geometry import GeometryError, IndeterminacyError
-from cremona.picard import LatticeError
+from cremona.geometry import IndeterminacyError
 from cremona.verify import VerificationError
 
 
@@ -256,6 +254,25 @@ def test_lines_n1_exceptional_exit_3(capsys):
     assert code == EXIT_EXCEPTIONAL
 
 
+def test_every_family_refuses_an_exceptional_cell_alike(capsys):
+    # a periodic Coxeter element is one refusal, one exception and one
+    # message, whichever family's cell it is
+    errs = []
+    for argv in (("-k", "2", "-n", "7"),
+                 ("--family", "lines", "-k", "2", "-m", "1", "-n", "1")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_EXCEPTIONAL, "")
+        assert err.count("root of unity") == 1
+        errs.append(err.partition("(")[0])
+    assert errs == ["exceptional cell: "] * 2
+
+
+def test_picard_invalid_input_exit_2(capsys):
+    code, out, err = run(capsys, "picard", "-k", "1")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "invalid input: k must be >= 2\n"
+
+
 @pytest.mark.parametrize("command", ["construct", "verify"])
 @pytest.mark.parametrize("k, m, message", [
     ("2", "0", "m must be >= 1, got 0"),
@@ -423,6 +440,23 @@ def test_report_exceptional_stops_early(capsys):
     assert "construct" not in payload
 
 
+def test_report_all_passed_is_the_exit_verdict(capsys, monkeypatch):
+    # a curve that fails its check fails the verdict report prints, which
+    # is the verdict its exit code gives
+    checked = verify.verify_curve_invariance
+
+    def cusp_moved(*args, **kwargs):
+        rep = checked(*args, **kwargs)
+        rep.cusp_fixed = False
+        return rep
+
+    monkeypatch.setattr(verify, "verify_curve_invariance", cusp_moved)
+    code, payload, _ = run_json(capsys, "report", "-k", "3", "-n", "10")
+    assert code == EXIT_VERIFY
+    assert payload["verify"]["curve_invariant"] is False
+    assert payload["verify"]["all_passed"] is False
+
+
 def test_determinism(capsys):
     _, out1, _ = run(capsys, "degree", "--family", "pk", "-k", "3", "-n", "6")
     _, out2, _ = run(capsys, "degree", "--family", "pk", "-k", "3", "-n", "6")
@@ -445,6 +479,15 @@ def test_sweep_merged_in_order(capsys):
     assert cells == [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)]
 
 
+def pool_width(monkeypatch, cpus):
+    """Give the sweep pool ``cpus`` workers: the affinity set it is sized
+    from holds that many CPUs, as does ``os.cpu_count`` where there is no
+    affinity set; a worker placed on a CPU that does not exist stays put."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
 def sweep_stdout(family, cells):
     """What ``degree --sweep`` prints: the serial payload of every cell."""
     payload = {
@@ -459,7 +502,7 @@ def sweep_stdout(family, cells):
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 @pytest.mark.parametrize("family", ["pk", "biproj"])
 def test_sweep_on_workers_prints_the_serial_payloads(capsys, monkeypatch, family, cpus):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    pool_width(monkeypatch, cpus)
     code, out, err = run(
         capsys, "degree", "--family", family, "--sweep", "2..3", "4..6",
         "--precision", "256",
@@ -473,17 +516,45 @@ def test_sweep_on_workers_prints_the_serial_payloads(capsys, monkeypatch, family
     reason="needs CPU affinity and at least two CPUs in the affinity set",
 )
 def test_sweep_places_each_worker_on_its_own_cpu(capsys, monkeypatch):
-    cpus = sorted(os.sched_getaffinity(0))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    affinity = os.sched_getaffinity
+    full = sorted(affinity(0))
+    cpus = full[:2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     monkeypatch.setattr(cli, "_degree_cell", lambda job: {
-        "cell": list(job[1:3]), "cpus": sorted(os.sched_getaffinity(0))})
+        "cell": list(job[1:3]), "cpus": sorted(affinity(0))})
     code, payload, _ = run_json(capsys, "degree", "--sweep", "2..3", "4..6")
     assert code == EXIT_OK
     cells = payload["cells"]
     assert [c["cell"] for c in cells] == [[k, n] for k in (2, 3) for n in (4, 5, 6)]
     # worker i runs cells i, i + 2, i + 4
     assert [c["cpus"] for c in cells] == [[cpus[i % 2]] for i in range(6)]
-    assert sorted(os.sched_getaffinity(0)) == cpus
+    assert sorted(affinity(0)) == full
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity")
+def test_sweep_pool_is_sized_from_the_affinity_set(capsys, monkeypatch):
+    # sized from cpu_count, a sweep under `taskset -c 0` forked two workers
+    # onto its one CPU
+    one = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {one})
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    code, out, err = run(
+        capsys, "degree", "--family", "pk", "--sweep", "2..3", "4..6",
+        "--precision", "256",
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out == sweep_stdout("pk", [(k, n) for k in (2, 3) for n in (4, 5, 6)])
+    assert len(forked) == 1
 
 
 def _refuse_affinity(pid, mask):
@@ -498,7 +569,7 @@ def test_sweep_placement_never_fails_a_sweep(capsys, monkeypatch, placement):
         monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
     else:
         pytest.skip("no CPU affinity on this platform")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool_width(monkeypatch, 2)
     code, out, err = run(
         capsys, "degree", "--family", "pk", "--sweep", "2..3", "4..6",
         "--precision", "256",
@@ -525,7 +596,7 @@ def test_sweep_without_fork_runs_in_process(capsys, monkeypatch):
     (("2..3", "0..2"), "n must be >= 1, got 0"),
 ])
 def test_sweep_worker_error_exit_2(capsys, monkeypatch, cpus, ranges, message):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    pool_width(monkeypatch, cpus)
     code, out, err = run(capsys, "degree", "--sweep", *ranges)
     assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message}\n")
 
@@ -540,7 +611,7 @@ def test_sweep_raises_the_first_failing_cell(capsys, monkeypatch):
             raise ValueError(f"cell ({job[1]},{job[2]})")
         return serial(job)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool_width(monkeypatch, 2)
     monkeypatch.setattr(cli, "_degree_cell", cell)
     code, _, err = run(capsys, "degree", "--sweep", "2..3", "4..6")
     assert (code, err) == (EXIT_INVALID, "invalid input: cell (2,5)\n")
@@ -554,7 +625,7 @@ def test_sweep_worker_that_dies_is_reported_and_reaped(monkeypatch):
             os._exit(3)
         return serial(job)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool_width(monkeypatch, 2)
     monkeypatch.setattr(cli, "_degree_cell", cell)
     with pytest.raises(RuntimeError, match="exit code 3 before sending its cells"):
         main(["degree", "--sweep", "2..3", "4..6"])
@@ -605,12 +676,8 @@ def test_residues_are_formatted_from_the_integers():
 
 EXCEPTIONS = [
     ExceptionalPairError("pk", 2, 7),
-    RootOfUnityError("alpha must not be a root of unity"),
-    LatticeError("k must be >= 2"),
     VerificationError("lines-family construction required"),
-    GeometryError("degenerate"),
     IndeterminacyError("output factor degenerated to zero"),
-    ArithmeticError_("no inverse"),
     ZeroDivisorError((Fraction(-1), Fraction(0), Fraction(1))),
     InconsistentEmbeddingError("root does not match"),
 ]

@@ -5,10 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cremona.arith import NumberField
 from cremona.construct import (
     ExceptionalPairError,
-    RootOfUnityError,
     _shaped_L,
     build_L_biproj,
     build_L_lines,
@@ -25,7 +23,6 @@ from cremona.construct import (
     tplus_pk,
 )
 from cremona.geometry import LinearMap, ProjectivePoint, apply_linear
-from cremona.polynomials import IntegerPolynomial
 
 
 def scaled_identity(m: LinearMap):
@@ -339,7 +336,7 @@ def test_build_L_lines_shape():
 def test_lines_m1_subdiagonal_is_minus_alpha():
     fld = lines_alpha_field(2, 1, 3)
     alpha = fld.gen()
-    (mat,) = build_L_lines(2, 1, 3, alpha)
+    (mat,) = build_L_lines(2, 1, alpha)
     assert mat.matrix[1][0] == -alpha
     assert mat.matrix[0][2] == fld.one()
 
@@ -368,7 +365,7 @@ def test_lines_alpha_field_is_the_lattice_route():
                 _, salem = salem_factor(berkowitz_charpoly(lattice))
                 if salem is None:
                     periodic += 1
-                    with pytest.raises(RootOfUnityError):
+                    with pytest.raises(ExceptionalPairError):
                         lines_alpha_field(k, m, n)
                 else:
                     assert lines_alpha_field(k, m, n).modulus == salem, (k, m, n)
@@ -376,17 +373,14 @@ def test_lines_alpha_field_is_the_lattice_route():
 
 
 def test_lines_root_of_unity_refused():
-    fld = NumberField(IntegerPolynomial([1, 1]))  # x + 1
-    with pytest.raises(RootOfUnityError):
-        build_L_lines(2, 2, 2, fld.gen())
-    with pytest.raises(RootOfUnityError):
-        construct_lines(2, 2, 1)  # periodic Coxeter element at n = 1
+    # periodic Coxeter element at n = 1: refused as pk's exceptional pairs are
+    with pytest.raises(ExceptionalPairError, match=r"^\(2,2,1\) is exceptional"):
+        construct_lines(2, 2, 1)
 
 
 def test_lines_n_validated():
-    fld = lines_alpha_field(2, 2, 2)
     with pytest.raises(ValueError):
-        build_L_lines(2, 2, 0, fld.gen())
+        construct_lines(2, 2, 0)
 
 
 # ---------------------------------------------------------------------------

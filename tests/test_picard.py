@@ -8,7 +8,6 @@ import sympy
 
 from cremona.construct import construct_biproj, construct_pk
 from cremona.picard import (
-    LatticeError,
     OrbitData,
     PicardLattice,
     berkowitz_charpoly,
@@ -35,9 +34,9 @@ LEHMER = IntegerPolynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
 
 def test_orbit_data_validation():
-    with pytest.raises(LatticeError):
+    with pytest.raises(ValueError):
         OrbitData(lengths=(1, 0, 8), sigma=(1, 2, 0))
-    with pytest.raises(LatticeError):
+    with pytest.raises(ValueError):
         OrbitData(lengths=(1, 1, 8), sigma=(0, 0, 2))
     od = OrbitData.coxeter(2, 8)
     assert od.lengths == (1, 1, 8)

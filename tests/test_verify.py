@@ -508,13 +508,30 @@ def test_lines_small_case_orbit_length_three():
     alpha = fld.gen()
     c = CoxeterConstruction(
         family="lines", k=2, n=1, field=fld, delta=alpha, t_plus=[],
-        tau=fld.zero(), L=build_L_lines(2, 2, 1, alpha), m=2,
+        tau=fld.zero(), L=build_L_lines(2, 2, alpha), m=2,
     )
     rep = verify_lines_orbit(c, backend="exact")
     assert rep.orbit_length == 3
     assert rep.on_union and rep.cyclic
     assert rep.line_sequence == [[0], [1], [2]]
     assert not rep.closes  # terminal point collides with a singleton orbit
+    assert rep.residual == 1.0  # the walk stopped early
+
+
+def test_lines_orbit_keeps_its_closure_distance():
+    # the closure distance the verdict was decided on: 0 for the orbit that
+    # closes; with alpha moved by 10^-6 in L the orbit misses its end point,
+    # by 1 exactly and by about 2e-6, above the tolerance 2^-32, in floats
+    c = construct_lines(2, 2, 2)
+    rep = verify_lines_orbit(c, "exact")
+    assert rep.failure is None and rep.closes and rep.residual == 0.0
+    moved = c.delta + c.field.one() * Fraction(1, 10 ** 6)
+    off = dataclasses.replace(c, L=build_L_lines(2, 2, moved))
+    exact = verify_lines_orbit(off, "exact")
+    assert exact.failure is None and not exact.closes and exact.residual == 1.0
+    rep = verify_lines_orbit(off, "float", 64)
+    assert rep.failure is None and not rep.closes
+    assert 2.0 ** -32 < rep.residual < 1e-5
 
 
 @pytest.mark.parametrize("k,m,n", [(2, 2, 2), (3, 2, 2), (4, 1, 10), (2, 2, 10),
