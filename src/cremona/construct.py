@@ -89,10 +89,12 @@ class CoxeterConstruction:
     s_params: list = field(default_factory=list)  # parameters of S(e_j)
     m: Optional[int] = None
     notes: list = field(default_factory=list)
-    # derived once, by verify: delta's numerical root per precision, and the
-    # construction's data per (backend, precision)
+    # derived once, by verify: delta's numerical root per precision, the
+    # construction's data per (backend, precision), and the orbit's
+    # parameters with its endpoint (``verify.blown_point_params``)
     roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     backends: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    orbit: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def modulus(self):

@@ -8,19 +8,27 @@ Q(delta); the float backend re-runs the same iteration after embedding delta
 as a certified numerical root of the modulus.  Every exact scalar, in the
 float backend of every family and in every decimal the CLI prints, becomes
 a p-bit float by one lift (``embedding``): embedded with the root at
-p + GUARD_BITS bits, then rounded to p bits, so it loses no bits to the
-cancellation of large coefficients, as an embedding at p bits would.
+p + GUARD_BITS bits, then rounded to p bits, so it loses far fewer bits to
+the cancellation of large coefficients than an embedding at p bits would
+(though some at field degree ~150 and above).
 
 Curve invariance is checked in the same frame, on the same L.  F is the
 conjugate by the center matrices T of S o J o T^{-1}, which fixes the
 cuspidal curve gamma, so F fixes the curve u(x) = T^{-1} gamma(x), whose
-points have a closed form with no division (``_preimage``); L J(u(t)) is
-compared with u(delta t + tau) by cross-multiplication, and no T or S is
-built.  On the exact backend only a sample that fails has the parameter of
-its image recovered, to report it; on the float backend every image's
-parameter is recovered and must be close to delta t + tau, and the
-multiplier is measured from those parameters.  A construction built by
-hand from explicit center matrices T_i and S_i has L_i = T_i^{-1} S_i.
+points have a closed form with no division (``_preimage``), and no T or S
+is built.  A construction built by hand from explicit center matrices T_i
+and S_i has L_i = T_i^{-1} S_i.
+
+On the exact pk and biproj backends F(u(t)) = u(delta t + tau) is proven
+once, as an identity of polynomials in t (``_on_curve``).  The long orbit
+is then u(c_i) with c_{i+1} = delta c_i + tau, so the orbit's parameters
+decide closure and indeterminacy with no walk, and no curve sample's image
+is formed.  Otherwise, and on the float backend, the orbit is walked and
+each sample's image L J(u(t)) is formed: exactly, it is compared with
+u(delta t + tau) by cross-multiplication, and only a failing sample has its
+parameter recovered, to report it; in floats every image's parameter is
+recovered and must be close to delta t + tau, and the multiplier is
+measured from those parameters.
 
 The lines family's L permute the lines through [1:...:1] and the coordinate
 points, so its orbit is walked in line coordinates, by the same map step.
@@ -30,12 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Callable, Optional
 
 from .arith import (
     DEFAULT_PRECISION_BITS,
     BigFloat,
     close,
+    dot,
     embed,
     is_exact,
     one_like,
@@ -75,7 +85,9 @@ class OrbitCheckReport:
     n: int
     backend: str
     conditions: list = field(default_factory=list)
-    orbit_points: list = field(default_factory=list)  # (step, [coords per factor])
+    # (step, [coords per factor]) of a walked orbit; empty when the curve
+    # identity decides the orbit with no walk (see ``verify_orbit``)
+    orbit_points: list = field(default_factory=list)
     distinct: Optional[bool] = None
     curve_invariant: Optional[bool] = None
     multiplier_measured: object = None
@@ -125,6 +137,9 @@ class Backend:
     centers: list  # per factor i, the parameters t^+ - i of the curve u
     delta: object
     tau: object
+    # whether F maps the curve u to itself by t -> delta t + tau, proven
+    # once by ``_on_curve``; None until asked
+    curve: Optional[bool] = None
 
 
 def _prepare(construction, backend: str, precision_bits: int) -> Backend:
@@ -213,6 +228,12 @@ def verify_orbit(
         first coordinate point;
     (c) no intermediate orbit point meets the indeterminacy locus.
 
+    On the exact backend, once ``_on_curve`` holds, point j is u(c_j), and
+    three exact tests decide (b) and (c) with no walk, so no
+    ``orbit_points`` are kept: point 0 is u(c_0) with c_0 = s_k; no c_j with
+    j <= n - 2 is a t_i^+, where alone u meets the indeterminacy locus; and
+    c_{n-1} = t_0^+, where u is e_0.  Otherwise the orbit is walked.
+
     For pk and biproj; the lines family has ``verify_lines_orbit``.
     """
     family = construction.family
@@ -235,16 +256,26 @@ def verify_orbit(
     report.conditions.append(
         ConditionResult("singleton orbits close", ok_a, worst_a)
     )
-    # (b)/(c): iterate the long orbit
-    def record(step, point):
-        if step:
-            report.orbit_points.append((step, [list(p.coords) for p in point]))
+    # (b)/(c): from the curve identity and the orbit's parameters, or else
+    # by the walk
+    params, endpoint = blown_point_params(construction)
+    if (_on_curve(b) and endpoint == b.centers[0][0]
+            and not set(params[k + 1:]) & set(b.centers[0])
+            and _matches([m.column(k) for m in mats],
+                         _curve_point(b, construction.s_params[k]))):
+        closed, res_b, fail_step = True, 0.0, None
+    else:
+        def record(step, point):
+            if step:
+                report.orbit_points.append(
+                    (step, [list(p.coords) for p in point]))
 
-    e0 = [ProjectivePoint.standard_basis(0, k, one=one) for _ in mats]
-    point, fail_step = _walk(mats, construction.n - 1, record)
+        point, fail_step = _walk(mats, construction.n - 1, record)
+        if fail_step is None:
+            record(construction.n - 1, point)
+            e0 = [ProjectivePoint.standard_basis(0, k, one=one) for _ in mats]
+            closed, res_b = _compare(point, e0)
     if fail_step is None:
-        record(construction.n - 1, point)
-        closed, res_b = _compare(point, e0)
         report.conditions.append(
             ConditionResult("long orbit closes at e0", closed, res_b)
         )
@@ -313,6 +344,16 @@ def _preimage(params, x) -> list:
     return [(shift - t) * o for t, o in zip(params, others)]
 
 
+def _reciprocal(params, x) -> list:
+    """J(u) / P(x)^{k-1} for u = ``_preimage(params, x)`` and
+    P = prod (x - t_i): v_j = (x - t_j) prod_{i != j} (x + E - t_i), as
+    x - t_j occurs k times in prod_{i != j} u_i and every other x - t_i
+    k - 1 times."""
+    shift = x + sum(params[1:], params[0])
+    others = products_of_others([shift - t for t in params])
+    return [(x - t) * o for t, o in zip(params, others)]
+
+
 def _curve_point(b: Backend, x) -> list:
     """The point at parameter x of the curve that F = (L_0 x ..) o J_m
     fixes: factor i is ``_preimage`` on the parameters t^+ - i at x - i, and
@@ -350,6 +391,91 @@ def _curve_param(b: Backend, image):
     return x if _matches(image, _curve_point(b, x)) else None
 
 
+class _Poly:
+    """A polynomial in the curve parameter t, as its list of coefficients,
+    constant term first: the ring that ``_preimage``, ``products_of_others``
+    and ``linear_product`` build the sides of the curve identity in.  Each
+    coefficient of a product is one ``dot``."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        self.c = list(coeffs)
+
+    def __add__(self, other):
+        a, b = self.c, other.c if isinstance(other, _Poly) else [other]
+        if len(a) < len(b):
+            a, b = b, a
+        return _Poly([x + y for x, y in zip(a, b)] + a[len(b):])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _Poly([x * other for x in self.c])
+        a, b = self.c, other.c
+        out = []
+        for i in range(len(a) + len(b) - 1):
+            js = range(max(0, i - len(b) + 1), min(i, len(a) - 1) + 1)
+            out.append(dot([a[j] for j in js], [b[i - j] for j in js]))
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return any(self.c)
+
+
+def _proportional(lhs, rhs) -> bool:
+    """Whether two vectors of polynomials are a nonzero constant multiple of
+    each other: their coefficients, as two points, are equal."""
+    a, b = ([c for p in side for c in p.c] for side in (lhs, rhs))
+    return (len(a) == len(b) and any(a) and any(b)
+            and ProjectivePoint(a).eq(ProjectivePoint(b)))
+
+
+def _on_curve(b: Backend) -> bool:
+    """Whether F = (L_0 x .. x L_{m-1}) o J_m maps the curve u
+    (``_curve_point``) to itself by t -> delta t + tau, proven exactly once
+    per backend and kept on it.  J(u_0(t)) = P(t)^{k-1} v(t)
+    (``_reciprocal``), so the identity is L_{m-1} v(t) = c u_{m-1}(delta t +
+    tau) and, for i < m - 1, L_i (u_{i+1} v)(t) = c_i P(t) u_i(delta t +
+    tau), as polynomials in t, each c a nonzero constant.  Floats prove no
+    identity; ``verify_orbit``'s proof also needs k >= 2, distinct t_j and a
+    nonzero parameter sum in every factor, so that u(x) never vanishes,
+    meets the indeterminacy locus only at x in {t_j} and is e_0 in every
+    factor only at t_0."""
+    if b.curve is None:
+        params = b.centers[0]
+        b.curve = (
+            is_exact(b.delta)
+            and len(params) >= 3
+            and len(set(params)) == len(params)
+            and all(sum(c[1:], c[0]) for c in b.centers)
+            and _curve_identity(b, params)
+        )
+    return b.curve
+
+
+def _curve_identity(b: Backend, params) -> bool:
+    """The identity of ``_on_curve``, each side built as polynomials in t."""
+    one = one_like(b.delta)
+    t = _Poly([one * 0, one])
+    moved = _curve_point(b, _Poly([b.tau, b.delta]))
+    v = _reciprocal(params, t)
+    p = prod((t - tj for tj in params), start=_Poly([one]))
+    sides = [(b.L[-1], v, moved[-1].coords)]
+    for i, m in enumerate(b.L[:-1]):
+        y = _preimage(b.centers[i + 1], t - (i + 1))
+        sides.append((m, [a * w for a, w in zip(y, v)],
+                      [p * w for w in moved[i].coords]))
+    return all(_proportional(linear_product(m, ProjectivePoint(x)).coords, y)
+               for m, x, y in sides)
+
+
 def _sample_params(construction, samples: int, lift):
     """Deterministic rational parameters away from the indeterminacy set,
     through the backend's ``lift``."""
@@ -377,7 +503,10 @@ def verify_curve_invariance(
     F = (L_0 x .. x L_{m-1}) o J_m, the map the orbit walk steps, and u its
     invariant curve ``_curve_point``.
 
-    Each image is compared with u(delta t + tau) by cross-multiplication.
+    When ``_on_curve`` has proven the identity, each sample records
+    delta t + tau as its image's parameter, and no image is formed.
+    Otherwise each image is compared with u(delta t + tau) by
+    cross-multiplication.
     On the exact backend a match proves that the image's parameter is
     delta t + tau, which is recorded, so no field element is inverted, and
     only a failing sample has its parameter recovered (``_curve_param``,
@@ -392,10 +521,12 @@ def verify_curve_invariance(
     b = _prepare(construction, backend, precision_bits)
     report = CurveReport(family=construction.family, k=construction.k,
                          backend=b.label)
+    proven = _on_curve(b)
     for t in _sample_params(construction, samples, b.lift):
-        image = _image(b.L, _curve_point(b, t))
+        image = None if proven else _image(b.L, _curve_point(b, t))
         expected = b.delta * t + b.tau
-        if is_exact(expected) and _matches(image, _curve_point(b, expected)):
+        if proven or is_exact(expected) and _matches(
+                image, _curve_point(b, expected)):
             got, ok = expected, True
         else:
             got = _curve_param(b, image)
@@ -421,15 +552,19 @@ def verify_curve_invariance(
 
 def blown_point_params(construction):
     """Parameters of all N = k + n blown-up points: the k+1 indeterminacy
-    parameters plus the interior of the long orbit."""
-    delta = construction.delta
-    tau = construction.tau
-    params = list(construction.t_plus)
-    c = construction.s_params[construction.k]
-    for _ in range(construction.n - 1):
-        params.append(c)
-        c = delta * c + tau
-    return params, c  # c is the orbit endpoint, should equal t_plus[0]
+    parameters plus the interior of the long orbit, and the orbit's
+    endpoint, which should equal t_plus[0].  Computed once per construction
+    and kept on it."""
+    if construction.orbit is None:
+        delta = construction.delta
+        tau = construction.tau
+        params = list(construction.t_plus)
+        c = construction.s_params[construction.k]
+        for _ in range(construction.n - 1):
+            params.append(c)
+            c = delta * c + tau
+        construction.orbit = params, c
+    return construction.orbit
 
 
 def verify_distinctness(construction) -> bool:

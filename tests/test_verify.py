@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -9,6 +10,7 @@ from cremona import verify
 from cremona.arith import NumberField
 from cremona.construct import (
     CoxeterConstruction,
+    ExceptionalPairError,
     build_L_lines,
     center_matrix,
     construct_biproj,
@@ -16,7 +18,7 @@ from cremona.construct import (
     construct_pk,
     curve_fixing_map,
 )
-from cremona.geometry import LinearMap, ProjectivePoint
+from cremona.geometry import LinearMap, ProjectivePoint, apply_J, linear_product
 from cremona.polynomials import IntegerPolynomial
 from cremona.verify import (
     VerificationError,
@@ -86,10 +88,26 @@ def test_perturbed_matrix_fails_closure(build, k, n, backend, bits):
     assert rep.curve_invariant is False
 
 
-def _max_residue_bits(report) -> int:
+def _walked_points(c) -> list:
+    """(step, [coords per factor]) for points 1 .. n-1 of the exact walk
+    that ``verify_orbit`` falls back to, on the L it prepares: a passing
+    exact cell is decided by the curve identity and walks no point."""
+    points = []
+
+    def record(step, point):
+        if step:
+            points.append((step, [list(p.coords) for p in point]))
+
+    end, dead = verify._walk(verify._prepare(c, "exact", 256).L, c.n - 1, record)
+    assert dead is None
+    record(c.n - 1, end)
+    return points
+
+
+def _max_residue_bits(points) -> int:
     return max(
         max(r.numerator.bit_length(), r.denominator.bit_length())
-        for _, coords_list in report.orbit_points
+        for _, coords_list in points
         for coords in coords_list
         for c in coords
         for r in c.residue
@@ -101,21 +119,22 @@ def _max_residue_bits(report) -> int:
 def test_exact_orbit_heights_stay_bounded(build, k, n):
     # rescaling by the rational content alone let the heights reach 901,563
     # bits at pk (2, 20) and 41,679 bits at biproj (3, 8)
-    rep = verify_orbit(build(k, n), backend="exact")
+    c = build(k, n)
+    rep = verify_orbit(c, backend="exact")
     assert rep.all_passed and rep.distinct and rep.curve_invariant
-    assert _max_residue_bits(rep) <= 64
+    assert _max_residue_bits(_walked_points(c)) <= 64
 
 
 def test_normalized_orbit_is_the_unscaled_orbit():
     c = construct_pk(2, 8)
-    rep = verify_orbit(c, backend="exact")
+    points = _walked_points(c)
     L = c.L[0].matrix
     x = [row[c.k] for row in L]
-    for step, (coords,) in rep.orbit_points:
+    for step, (coords,) in points:
         jx = [x[(i + 1) % 3] * x[(i + 2) % 3] for i in range(3)]
         x = [sum((L[i][j] * jx[j] for j in range(3)), 0) for i in range(3)]
         assert ProjectivePoint(coords).eq(ProjectivePoint(x)), step
-    assert len(rep.orbit_points) == c.n - 1
+    assert len(points) == c.n - 1
 
 
 def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
@@ -139,11 +158,16 @@ def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
         per_step.append((len(inversions) - before, len(point), mats))
         return out
 
+    def verify_and_walk(c, backend):
+        rep = verify_orbit(c, backend=backend)
+        _walked_points(c)
+        return rep
+
     monkeypatch.setattr(arith, "nf_invert", counting_invert)
     monkeypatch.setattr(verify, "_step_points", counting_step)
     cases = [
-        (construct_pk(2, 20), verify_orbit, 19),
-        (construct_biproj(3, 8), verify_orbit, 7),
+        (construct_pk(2, 20), verify_and_walk, 19),
+        (construct_biproj(3, 8), verify_and_walk, 7),
         (construct_lines(2, 2, 2), verify_lines_orbit, 6),
     ]
     for c, check, steps in cases:
@@ -169,6 +193,129 @@ def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
     apply_J(p)
     apply_J_multi([p, p])
     assert not inversions
+
+
+# ---------------------------------------------------------------------------
+# the curve identity
+
+
+@pytest.mark.parametrize("build, k, n", [
+    (construct_pk, 2, 8), (construct_pk, 4, 5), (construct_pk, 12, 30),
+    (construct_biproj, 3, 8),
+])
+def test_reciprocal_is_J_of_the_curve_over_a_power_of_P(build, k, n):
+    # J(u(x)) = P(x)^{k-1} v(x) exactly, in every factor, at rational points
+    # and at points of Q(delta), with apply_J as the oracle
+    c = build(k, n)
+    one, d = c.field.one(), c.delta
+    for i, params in enumerate(verify._prepare(c, "exact", 256).centers):
+        for x in (Fraction(3, 7) * one, Fraction(-5, 2) * one, d + 2,
+                  d * d - Fraction(1, 3)):
+            x = x - i
+            u = ProjectivePoint(verify._preimage(params, x))
+            p = prod(x - t for t in params)
+            v = verify._reciprocal(params, x)
+            assert list(apply_J(u).coords) == [p ** (k - 1) * w for w in v]
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 8), (4, 9)])
+def test_biproj_factor_0_ratio_is_a_constant_times_P(k, n):
+    # L_0 (u_1 v)(t) = c_0 P(t) u_0(delta t + tau) as polynomials in t
+    b = verify._prepare(construct_biproj(k, n), "exact", 256)
+    one = b.delta.field.one()
+    t = verify._Poly([one * 0, one])
+    params = b.centers[0]
+    v = verify._reciprocal(params, t)
+    y = verify._preimage(b.centers[1], t - 1)
+    lhs = linear_product(b.L[0], ProjectivePoint([a * w for a, w in zip(y, v)]))
+    moved = verify._preimage(params, verify._Poly([b.tau, b.delta]))
+    p = prod((t - tj for tj in params), start=verify._Poly([one]))
+    assert verify._proportional(lhs.coords, [p * w for w in moved])
+    assert verify._on_curve(b)
+
+
+@pytest.mark.parametrize("build, k, ns", [
+    *((construct_pk, k, range(1, 21)) for k in range(2, 6)),
+    *((construct_biproj, k, range(1, 13)) for k in range(2, 5)),
+])
+def test_identity_route_agrees_with_the_walk(build, k, ns):
+    # a passing exact cell is decided from the curve identity and the
+    # orbit's parameters, with no walk; its verdict is the walk's and the
+    # curve samples', run directly by denying the identity to a copy
+    for n in ns:
+        try:
+            c = build(k, n)
+        except ExceptionalPairError:
+            continue
+        walked = dataclasses.replace(c)
+        verify._prepare(walked, "exact", 256).curve = False
+        rep, ref = verify_orbit(c), verify_orbit(walked)
+        assert verify._prepare(c, "exact", 256).curve, (k, n)
+        assert not rep.orbit_points
+        assert len(ref.orbit_points) == n - 1
+        assert rep.conditions == ref.conditions, (k, n)
+        assert rep.curve_invariant == ref.curve_invariant
+        assert rep.multiplier_measured == ref.multiplier_measured
+        assert rep.distinct == ref.distinct
+        assert rep.translation_detected == ref.translation_detected
+
+
+@pytest.mark.parametrize("build, k, n", [
+    (construct_pk, 2, 8), (construct_pk, 3, 6), (construct_biproj, 2, 5),
+])
+def test_moved_L_entry_fails_the_identity_and_the_walk(build, k, n):
+    # each nonzero entry of each L moved by 1/3: the identity fails, the
+    # orbit is walked, and it does not close at e0
+    c = build(k, n)
+    for f, mat in enumerate(c.L):
+        for r, row in enumerate(mat.matrix):
+            for j in (j for j, x in enumerate(row) if x):
+                rows = [list(q) for q in mat.matrix]
+                rows[r][j] = rows[r][j] + Fraction(1, 3)
+                L = [*c.L[:f], LinearMap(rows), *c.L[f + 1:]]
+                broken = dataclasses.replace(c, L=L)
+                rep = verify_orbit(broken)
+                assert verify._prepare(broken, "exact", 256).curve is False
+                assert rep.orbit_points, (f, r, j)
+                closure = next(cond for cond in rep.conditions
+                               if cond.name == "long orbit closes at e0")
+                assert not closure.passed, (f, r, j)
+
+
+def test_exact_curve_samples_come_from_the_identity(monkeypatch):
+    # once the identity is proven no sample's image is formed: each sample
+    # records delta t + tau, and the cusp is the one image
+    images = []
+    real_image = verify._image
+
+    def counting_image(mats, point):
+        images.append(point)
+        return real_image(mats, point)
+
+    monkeypatch.setattr(verify, "_image", counting_image)
+    c = construct_pk(2, 8)
+    rep = verify_curve_invariance(c, samples=20)
+    assert rep.all_passed and len(rep.samples) == 20
+    assert len(images) == 1
+    assert all(got == c.delta * t + c.tau for t, got, _, _ in rep.samples)
+
+
+def test_orbit_parameters_are_computed_once(monkeypatch):
+    # verify_orbit, its distinctness check and the CLI's orbit parameters
+    # read one orbit, kept on the construction
+    from cremona import cli
+
+    seen = []
+    real = verify.blown_point_params
+
+    def recording(construction):
+        seen.append(real(construction))
+        return seen[-1]
+
+    monkeypatch.setattr(verify, "blown_point_params", recording)
+    monkeypatch.setattr(cli, "blown_point_params", recording)
+    assert cli.main(["verify", "--family", "biproj", "-k", "3", "-n", "8"]) == 0
+    assert len(seen) == 3 and all(orbit is seen[0] for orbit in seen)
 
 
 def test_curve_invariance_pk_20_samples():
