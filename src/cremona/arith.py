@@ -210,15 +210,20 @@ class NumberFieldElement:
             )
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
+    def _over_common_den(self, o):
+        """(self's numerator, o's numerator, their common denominator)."""
         a, b, den = self.num, o.num, self.den
         if o.den != den:
             a = [c * o.den for c in a]
             b = [c * den for c in b]
             den *= o.den
+        return a, b, den
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        a, b, den = self._over_common_den(o)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -232,10 +237,16 @@ class NumberFieldElement:
         return NumberFieldElement(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
+        """self - other in one pass, with no negated copy of other."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        a, b, den = self._over_common_den(o)
+        out = list(a)
+        out += [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return self.field._element(out, den)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -20,7 +20,10 @@ is built.  A construction built by hand from explicit center matrices T_i
 and S_i has L_i = T_i^{-1} S_i.
 
 On the exact pk and biproj backends F(u(t)) = u(delta t + tau) is proven
-once, as an identity of polynomials in t (``_on_curve``).  The long orbit
+once, as an identity of polynomials in t of degree k + 1, by comparing the
+two sides at k + 2 places (``_on_curve``): at k + 1 values of t the left
+side is a multiple of one column of L, and its leading coefficient is L's
+row sums, so no polynomial in t is formed.  The long orbit
 is then u(c_i) with c_{i+1} = delta c_i + tau, so the orbit's parameters
 decide closure and indeterminacy with no walk, and no curve sample's image
 is formed.  Otherwise, and on the float backend, the orbit is walked and
@@ -45,7 +48,6 @@ from .arith import (
     DEFAULT_PRECISION_BITS,
     BigFloat,
     close,
-    dot,
     embed,
     is_exact,
     one_like,
@@ -344,16 +346,6 @@ def _preimage(params, x) -> list:
     return [(shift - t) * o for t, o in zip(params, others)]
 
 
-def _reciprocal(params, x) -> list:
-    """J(u) / P(x)^{k-1} for u = ``_preimage(params, x)`` and
-    P = prod (x - t_i): v_j = (x - t_j) prod_{i != j} (x + E - t_i), as
-    x - t_j occurs k times in prod_{i != j} u_i and every other x - t_i
-    k - 1 times."""
-    shift = x + sum(params[1:], params[0])
-    others = products_of_others([shift - t for t in params])
-    return [(x - t) * o for t, o in zip(params, others)]
-
-
 def _curve_point(b: Backend, x) -> list:
     """The point at parameter x of the curve that F = (L_0 x ..) o J_m
     fixes: factor i is ``_preimage`` on the parameters t^+ - i at x - i, and
@@ -391,59 +383,15 @@ def _curve_param(b: Backend, image):
     return x if _matches(image, _curve_point(b, x)) else None
 
 
-class _Poly:
-    """A polynomial in the curve parameter t, as its list of coefficients,
-    constant term first: the ring that ``_preimage``, ``products_of_others``
-    and ``linear_product`` build the sides of the curve identity in.  Each
-    coefficient of a product is one ``dot``."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        self.c = list(coeffs)
-
-    def __add__(self, other):
-        a, b = self.c, other.c if isinstance(other, _Poly) else [other]
-        if len(a) < len(b):
-            a, b = b, a
-        return _Poly([x + y for x, y in zip(a, b)] + a[len(b):])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        if not isinstance(other, _Poly):
-            return _Poly([x * other for x in self.c])
-        a, b = self.c, other.c
-        out = []
-        for i in range(len(a) + len(b) - 1):
-            js = range(max(0, i - len(b) + 1), min(i, len(a) - 1) + 1)
-            out.append(dot([a[j] for j in js], [b[i - j] for j in js]))
-        return _Poly(out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(self.c)
-
-
-def _proportional(lhs, rhs) -> bool:
-    """Whether two vectors of polynomials are a nonzero constant multiple of
-    each other: their coefficients, as two points, are equal."""
-    a, b = ([c for p in side for c in p.c] for side in (lhs, rhs))
-    return (len(a) == len(b) and any(a) and any(b)
-            and ProjectivePoint(a).eq(ProjectivePoint(b)))
+def _proportional(a, b) -> bool:
+    """Whether two vectors are a nonzero constant multiple of each other."""
+    return any(a) and any(b) and ProjectivePoint(a).eq(ProjectivePoint(b))
 
 
 def _on_curve(b: Backend) -> bool:
     """Whether F = (L_0 x .. x L_{m-1}) o J_m maps the curve u
     (``_curve_point``) to itself by t -> delta t + tau, proven exactly once
-    per backend and kept on it.  J(u_0(t)) = P(t)^{k-1} v(t)
-    (``_reciprocal``), so the identity is L_{m-1} v(t) = c u_{m-1}(delta t +
-    tau) and, for i < m - 1, L_i (u_{i+1} v)(t) = c_i P(t) u_i(delta t +
-    tau), as polynomials in t, each c a nonzero constant.  Floats prove no
+    per backend and kept on it (``_curve_identity``).  Floats prove no
     identity; ``verify_orbit``'s proof also needs k >= 2, distinct t_j and a
     nonzero parameter sum in every factor, so that u(x) never vanishes,
     meets the indeterminacy locus only at x in {t_j} and is e_0 in every
@@ -460,20 +408,48 @@ def _on_curve(b: Backend) -> bool:
     return b.curve
 
 
+def _places(params):
+    """(x_j, w_j) for each j: the finite places x_j = t_j - E of the curve
+    identity, E the sum of the t_j, and w_j = prod_{l != j} (t_j - t_l)."""
+    total = sum(params[1:], params[0])
+    return [(tj - total, prod(tj - tl for tl in params[:j] + params[j + 1:]))
+            for j, tj in enumerate(params)]
+
+
 def _curve_identity(b: Backend, params) -> bool:
-    """The identity of ``_on_curve``, each side built as polynomials in t."""
-    one = one_like(b.delta)
-    t = _Poly([one * 0, one])
-    moved = _curve_point(b, _Poly([b.tau, b.delta]))
-    v = _reciprocal(params, t)
-    p = prod((t - tj for tj in params), start=_Poly([one]))
-    sides = [(b.L[-1], v, moved[-1].coords)]
-    for i, m in enumerate(b.L[:-1]):
-        y = _preimage(b.centers[i + 1], t - (i + 1))
-        sides.append((m, [a * w for a, w in zip(y, v)],
-                      [p * w for w in moved[i].coords]))
-    return all(_proportional(linear_product(m, ProjectivePoint(x)).coords, y)
-               for m, x, y in sides)
+    """The identity of ``_on_curve``, proven by its values at k + 2 places.
+
+    With P(t) = prod (t - t_j) and E = sum t_j, J(u_0(t)) = P(t)^{k-1} y(t)
+    for y_j(t) = (t + a - t_j) prod_{l != j} (t + E - t_l) and a = 0, and
+    u_{i+1}(t) J(u_0(t)), coordinatewise, is P(t)^k y(t) with
+    a = E - (k+1)(i+1), as t - t_j occurs k times in prod_{l != j} u_l and
+    every other t - t_l k - 1 times.  So factor i of F(u(t)) is L_i y(t) up
+    to a power of P, and the identity is L_i y(t) = c_i u_i(delta t + tau),
+    c_i a nonzero constant, both sides of degree k + 1 in t.  At x_j
+    (``_places``) every y_l with l != j vanishes and
+    y(x_j) = (a - E) w_j e_j, so the left side is (a - E) w_j times column j
+    of L_i; the coefficients of t^{k+1} are the row sums of L_i and
+    delta^{k+1} (1, .., 1).  The k + 1 places x_j are distinct, so the
+    values there and the leading coefficient determine a polynomial of
+    degree <= k + 1, and the two sides are proportional exactly when their
+    k + 2 values are.  The factor a - E is moved onto the right side's
+    leading coefficient, which comes first: the comparison cross-multiplies
+    each side by the other's entry at the left side's first nonzero slot,
+    there a row sum and (a - E) delta^{k+1}, a short element."""
+    k = len(params) - 1
+    places = _places(params)
+    images = [_curve_point(b, b.delta * x + b.tau) for x, _ in places]
+    lead = b.delta ** (k + 1)
+    scales = [-(k + 1) * (i + 1) for i in range(len(b.L) - 1)]
+    scales.append(-sum(params[1:], params[0]))
+    for i, (m, scale) in enumerate(zip(b.L, scales)):
+        lhs = [sum(row[1:], row[0]) for row in m.matrix]
+        lhs += [w * row[j] for j, (_, w) in enumerate(places) for row in m.matrix]
+        rhs = [scale * lead] * (k + 1)
+        rhs += [x for image in images for x in image[i].coords]
+        if not _proportional(lhs, rhs):
+            return False
+    return True
 
 
 def _sample_params(construction, samples: int, lift):

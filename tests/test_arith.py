@@ -255,6 +255,24 @@ def test_elements_are_stored_in_lowest_terms(a, b):
         assert len(e.num) <= FIELD.degree and (not e.num or e.num[-1] != 0)
 
 
+operands = st.one_of(
+    elements,
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**12),
+)
+
+
+@given(elements, operands)
+@settings(max_examples=100, deadline=None)
+def test_subtraction_is_adding_the_negation(a, b):
+    # __sub__ subtracts in one pass; its result is a + (-b), stored the same
+    # way, with an int, a Fraction or an element on the right and, through
+    # __rsub__, on the left
+    assert (a - b).num == (a + (-b)).num and (a - b).den == (a + (-b)).den
+    assert b - a == -(a - b) and (a - a).is_zero()
+    assert (a - b) + b == a
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["lehmer", "pk-3-12"])
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)

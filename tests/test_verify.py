@@ -7,7 +7,7 @@ from math import prod
 import pytest
 
 from cremona import verify
-from cremona.arith import NumberField
+from cremona.arith import NumberField, one_like
 from cremona.construct import (
     CoxeterConstruction,
     ExceptionalPairError,
@@ -18,7 +18,14 @@ from cremona.construct import (
     construct_pk,
     curve_fixing_map,
 )
-from cremona.geometry import LinearMap, ProjectivePoint, apply_J, linear_product
+from cremona.geometry import (
+    LinearMap,
+    ProjectivePoint,
+    apply_J,
+    apply_J_multi,
+    linear_product,
+    products_of_others,
+)
 from cremona.polynomials import IntegerPolynomial
 from cremona.verify import (
     VerificationError,
@@ -199,6 +206,88 @@ def test_one_inversion_per_factor_per_orbit_step(monkeypatch):
 # the curve identity
 
 
+class _Poly:
+    """A polynomial in the curve parameter t, as its list of coefficients,
+    constant term first: the ring the coefficient form of the curve
+    identity is built in, by ``verify._preimage``, ``products_of_others``
+    and ``linear_product``."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        self.c = list(coeffs)
+
+    def __add__(self, other):
+        a, b = self.c, other.c if isinstance(other, _Poly) else [other]
+        if len(a) < len(b):
+            a, b = b, a
+        return _Poly([x + y for x, y in zip(a, b)] + a[len(b):])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _Poly([x * other for x in self.c])
+        a, b = self.c, other.c
+        out = []
+        for i in range(len(a) + len(b) - 1):
+            js = range(max(0, i - len(b) + 1), min(i, len(a) - 1) + 1)
+            out.append(sum(a[j] * b[i - j] for j in js))
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return any(self.c)
+
+    def __call__(self, x):
+        return sum(c * x ** e for e, c in enumerate(self.c))
+
+
+def _reciprocal(params, x, a=0) -> list:
+    """J(u) / P(x)^{k-1} for u = ``verify._preimage(params, x)`` and
+    P = prod (x - t_i): v_j = (x - t_j) prod_{i != j} (x + E - t_i); with
+    a, the y of ``verify._curve_identity``, whose factor x - t_j is
+    x + a - t_j."""
+    shift = x + sum(params[1:], params[0])
+    others = products_of_others([shift - t for t in params])
+    return [(x + a - t) * o for t, o in zip(params, others)]
+
+
+def _poly_proportional(lhs, rhs) -> bool:
+    """Whether two vectors of polynomials are a nonzero constant multiple of
+    each other: their coefficients, as two points, are equal."""
+    return verify._proportional([c for p in lhs for c in p.c],
+                                [c for p in rhs for c in p.c])
+
+
+def _coefficient_identity(b) -> bool:
+    """The curve identity L_{m-1} v(t) = c u_{m-1}(delta t + tau) and, for
+    i < m - 1, L_i (u_{i+1} v)(t) = c_i P(t) u_i(delta t + tau), each side
+    built as polynomials in t: the oracle for ``verify._curve_identity``."""
+    params = b.centers[0]
+    one = one_like(b.delta)
+    t = _Poly([one * 0, one])
+    moved = verify._curve_point(b, _Poly([b.tau, b.delta]))
+    v = _reciprocal(params, t)
+    p = prod((t - tj for tj in params), start=_Poly([one]))
+    sides = [(b.L[-1], v, moved[-1].coords)]
+    for i, m in enumerate(b.L[:-1]):
+        y = verify._preimage(b.centers[i + 1], t - (i + 1))
+        sides.append((m, [a * w for a, w in zip(y, v)],
+                      [p * w for w in moved[i].coords]))
+    return all(_poly_proportional(linear_product(m, ProjectivePoint(x)).coords, y)
+               for m, x, y in sides)
+
+
+def _identity_verdicts(b):
+    """(the place form's verdict, the coefficient form's)."""
+    return verify._curve_identity(b, b.centers[0]), _coefficient_identity(b)
+
+
 @pytest.mark.parametrize("build, k, n", [
     (construct_pk, 2, 8), (construct_pk, 4, 5), (construct_pk, 12, 30),
     (construct_biproj, 3, 8),
@@ -214,7 +303,7 @@ def test_reciprocal_is_J_of_the_curve_over_a_power_of_P(build, k, n):
             x = x - i
             u = ProjectivePoint(verify._preimage(params, x))
             p = prod(x - t for t in params)
-            v = verify._reciprocal(params, x)
+            v = _reciprocal(params, x)
             assert list(apply_J(u).coords) == [p ** (k - 1) * w for w in v]
 
 
@@ -223,15 +312,74 @@ def test_biproj_factor_0_ratio_is_a_constant_times_P(k, n):
     # L_0 (u_1 v)(t) = c_0 P(t) u_0(delta t + tau) as polynomials in t
     b = verify._prepare(construct_biproj(k, n), "exact", 256)
     one = b.delta.field.one()
-    t = verify._Poly([one * 0, one])
+    t = _Poly([one * 0, one])
     params = b.centers[0]
-    v = verify._reciprocal(params, t)
+    v = _reciprocal(params, t)
     y = verify._preimage(b.centers[1], t - 1)
     lhs = linear_product(b.L[0], ProjectivePoint([a * w for a, w in zip(y, v)]))
-    moved = verify._preimage(params, verify._Poly([b.tau, b.delta]))
-    p = prod((t - tj for tj in params), start=verify._Poly([one]))
-    assert verify._proportional(lhs.coords, [p * w for w in moved])
+    moved = verify._preimage(params, _Poly([b.tau, b.delta]))
+    p = prod((t - tj for tj in params), start=_Poly([one]))
+    assert _poly_proportional(lhs.coords, [p * w for w in moved])
     assert verify._on_curve(b)
+
+
+def _exponents_and_scales(b):
+    """Per factor i, (e_i, a_i - E): J_m(u(x)) is P(x)^{e_i} y(x) in factor
+    i, and y(x_j) = (a_i - E) w_j e_j at the places x_j."""
+    k, m = len(b.centers[0]) - 1, len(b.L)
+    total = sum(b.centers[0])
+    return [(k, -(k + 1) * (i + 1)) for i in range(m - 1)] + [(k - 1, -total)]
+
+
+@pytest.mark.parametrize("build, k, n", [
+    (construct_pk, 2, 8), (construct_pk, 4, 5), (construct_biproj, 3, 8),
+])
+def test_values_at_the_places_are_J_of_the_curve(build, k, n):
+    # at x_j = t_j - E, J_m(u(x_j)) is P(x_j)^e (a - E) w_j e_j in every
+    # factor, with apply_J_multi as the oracle: only column j of L_i takes
+    # part in L_i y(x_j)
+    b = verify._prepare(build(k, n), "exact", 256)
+    params = b.centers[0]
+    for j, (x, w) in enumerate(verify._places(params)):
+        assert w == prod(params[j] - t for t in params if t != params[j])
+        p = prod(x - t for t in params)
+        images = apply_J_multi(verify._curve_point(b, x))
+        for image, (e, scale) in zip(images, _exponents_and_scales(b)):
+            value = p ** e * scale * w
+            assert list(image.coords) == [
+                value if l == j else value * 0 for l in range(k + 1)]
+
+
+@pytest.mark.parametrize("build, k, n", [
+    (construct_pk, 2, 8), (construct_pk, 4, 5), (construct_biproj, 3, 8),
+])
+def test_the_leading_place_is_needed(build, k, n):
+    # tau moved by 1/3 and each L_i rebuilt column by column to agree with
+    # u_i(delta t + tau) at the k + 1 finite places: only the coefficient
+    # of t^{k+1} tells the two sides apart
+    b = verify._prepare(build(k, n), "exact", 256)
+    params = b.centers[0]
+    moved = dataclasses.replace(b, tau=b.tau + Fraction(1, 3), curve=None)
+    places = verify._places(params)
+    images = [verify._curve_point(moved, moved.delta * x + moved.tau)
+              for x, _ in places]
+    L = []
+    for i, (_, scale) in enumerate(_exponents_and_scales(b)):
+        columns = [[c / (scale * w) for c in image[i].coords]
+                   for image, (_, w) in zip(images, places)]
+        L.append(LinearMap([list(row) for row in zip(*columns)]))
+    moved.L = L
+    one = one_like(b.delta)
+    t = _Poly([one * 0, one])
+    target = verify._curve_point(moved, _Poly([moved.tau, moved.delta]))
+    total = sum(params)
+    for i, (m, (_, scale)) in enumerate(zip(L, _exponents_and_scales(b))):
+        y = _reciprocal(params, t, scale + total)
+        lhs = linear_product(m, ProjectivePoint(y)).coords
+        for x, _ in places:
+            assert [p(x) for p in lhs] == [q(x) for q in target[i].coords]
+    assert _identity_verdicts(moved) == (False, False)
+    assert verify._on_curve(moved) is False
 
 
 @pytest.mark.parametrize("build, k, ns", [
@@ -241,7 +389,8 @@ def test_biproj_factor_0_ratio_is_a_constant_times_P(k, n):
 def test_identity_route_agrees_with_the_walk(build, k, ns):
     # a passing exact cell is decided from the curve identity and the
     # orbit's parameters, with no walk; its verdict is the walk's and the
-    # curve samples', run directly by denying the identity to a copy
+    # curve samples', run directly by denying the identity to a copy, and
+    # the identity's verdict at k + 2 places is the coefficient form's
     for n in ns:
         try:
             c = build(k, n)
@@ -251,6 +400,8 @@ def test_identity_route_agrees_with_the_walk(build, k, ns):
         verify._prepare(walked, "exact", 256).curve = False
         rep, ref = verify_orbit(c), verify_orbit(walked)
         assert verify._prepare(c, "exact", 256).curve, (k, n)
+        place, coefficients = _identity_verdicts(verify._prepare(c, "exact", 256))
+        assert place == coefficients, (k, n)
         assert not rep.orbit_points
         assert len(ref.orbit_points) == n - 1
         assert rep.conditions == ref.conditions, (k, n)
@@ -264,8 +415,9 @@ def test_identity_route_agrees_with_the_walk(build, k, ns):
     (construct_pk, 2, 8), (construct_pk, 3, 6), (construct_biproj, 2, 5),
 ])
 def test_moved_L_entry_fails_the_identity_and_the_walk(build, k, n):
-    # each nonzero entry of each L moved by 1/3: the identity fails, the
-    # orbit is walked, and it does not close at e0
+    # each nonzero entry of each L moved by 1/3: the identity fails, in its
+    # place form and its coefficient form, the orbit is walked, and it does
+    # not close at e0
     c = build(k, n)
     for f, mat in enumerate(c.L):
         for r, row in enumerate(mat.matrix):
@@ -276,6 +428,9 @@ def test_moved_L_entry_fails_the_identity_and_the_walk(build, k, n):
                 broken = dataclasses.replace(c, L=L)
                 rep = verify_orbit(broken)
                 assert verify._prepare(broken, "exact", 256).curve is False
+                place, coefficients = _identity_verdicts(
+                    verify._prepare(broken, "exact", 256))
+                assert place == coefficients, (f, r, j)
                 assert rep.orbit_points, (f, r, j)
                 closure = next(cond for cond in rep.conditions
                                if cond.name == "long orbit closes at e0")
