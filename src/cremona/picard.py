@@ -375,18 +375,29 @@ class TraceReport:
     salem_divides: bool
 
 
-def class_traces(construction, lat: PicardLattice):
-    """u-parameter traces of the basis classes of ``lat``, u = t - 1.
+def class_traces(construction, lat: PicardLattice, positions) -> dict:
+    """u-parameter traces of the basis classes of ``lat`` at ``positions``,
+    u = t - 1, as {position: trace}.
 
     A hyperplane meets the curve at parameters summing to 0, so tr(H) =
     -(k+1) in u coordinates; E_{i,j} carries the parameter of its center,
-    the (j-1)-st forward image of the i-th exceptional point.
+    the (j-1)-st forward image of the i-th exceptional point, so its trace
+    is delta^(j-1) (s_i - 1), with the powers of delta formed by running
+    products up to the largest j asked for.
     """
     k = construction.k
-    delta = construction.delta
-    traces = [construction.field.element([-(k + 1)])]
-    for _, i, j in lat.exceptional:
-        traces.append(delta ** (j - 1) * (construction.s_params[i] - 1))
+    top = max((lat.labels[p][2] for p in positions if p >= lat.header), default=1)
+    powers = [construction.field.one()]
+    for _ in range(top - 1):
+        powers.append(powers[-1] * construction.delta)
+    traces = {}
+    for p in positions:
+        if p < lat.header:
+            traces[p] = construction.field.element([-(k + 1)])
+        else:
+            _, i, j = lat.labels[p]
+            shift = construction.s_params[i] - 1
+            traces[p] = powers[j - 1] * shift if j > 1 else shift
     return traces
 
 
@@ -396,28 +407,33 @@ def trace_compatibility(construction, *, action=None, charpoly=None) -> TraceRep
 
     The trace functional is linear over the basis traces; degree zero means
     D.C = 0, which makes the trace independent of translation normalization.
-    ``action`` is the (matrix, lattice) pair ``coxeter_action`` gives for the
-    construction's (1, ..., 1, n) orbit and ``charpoly`` its characteristic
-    polynomial; each is computed here when the caller has not.
+    Only the classes with a nonzero coefficient in some D or F* D have their
+    traces formed.  ``action`` is the (matrix, lattice) pair
+    ``coxeter_action`` gives for the construction's (1, ..., 1, n) orbit and
+    ``charpoly`` its characteristic polynomial; each is computed here when
+    the caller has not.
     """
     k, n = construction.k, construction.n
     delta = construction.delta
     if action is None:
         action = coxeter_action(k, OrbitData.coxeter(k, n))
     m, lat = action
-    traces = class_traces(construction, lat)
     degs = lat.curve_degrees()
+    pairs = [(desc, vec, mat_vec(m, vec)) for desc, vec in default_trace_classes(lat)]
+    traces = class_traces(construction, lat, {
+        i for _, vec, image in pairs for v in (vec, image)
+        for i, c in enumerate(v) if c})
+    zero = construction.field.zero()
+
+    def trace(v):
+        return sum((traces[i] * c for i, c in enumerate(v) if c), zero)
+
     checked = []
-    for desc, vec in default_trace_classes(lat):
+    for desc, vec, image in pairs:
         if sum(c * d for c, d in zip(vec, degs)) != 0:
             checked.append((desc + " (not degree zero)", False))
-            continue
-        tr_d = sum((traces[i] * c for i, c in enumerate(vec)), construction.field.zero())
-        image = mat_vec(m, vec)
-        tr_fd = sum(
-            (traces[i] * c for i, c in enumerate(image)), construction.field.zero()
-        )
-        checked.append((desc, tr_fd == delta * tr_d))
+        else:
+            checked.append((desc, trace(image) == delta * trace(vec)))
     # the modulus is monic, so it divides cp exactly when it divides -cp
     if charpoly is None:
         charpoly = berkowitz_charpoly(m)

@@ -23,15 +23,19 @@ On the exact pk and biproj backends F(u(t)) = u(delta t + tau) is proven
 once, as an identity of polynomials in t of degree k + 1, by comparing the
 two sides at k + 2 places (``_on_curve``): at k + 1 values of t the left
 side is a multiple of one column of L, and its leading coefficient is L's
-row sums, so no polynomial in t is formed.  The long orbit
-is then u(c_i) with c_{i+1} = delta c_i + tau, so the orbit's parameters
-decide closure and indeterminacy with no walk, and no curve sample's image
-is formed.  Otherwise, and on the float backend, the orbit is walked and
-each sample's image L J(u(t)) is formed: exactly, it is compared with
-u(delta t + tau) by cross-multiplication, and only a failing sample has its
-parameter recovered, to report it; in floats every image's parameter is
-recovered and must be close to delta t + tau, and the multiplier is
-measured from those parameters.
+row sums, so no polynomial in t is formed.  The long orbit is then u(c_i)
+with c_{i+1} = delta c_i + tau, so the orbit's parameters decide closure
+and indeterminacy with no walk.  The identity has also shown that point 0,
+the last columns of L, is u(delta x_k + tau) at its place x_k, and that L
+fixes the cusp (1, .., 1) at its leading place, so point 0 is one equality
+of parameters, and no image is formed, of a curve sample or of the cusp.
+Otherwise, and on the float backend, the orbit is walked and each sample's
+image L J(u(t)) is formed: exactly, it is compared with u(delta t + tau) by
+cross-multiplication, and only a failing sample has its parameter
+recovered, to report it; in floats every image's parameter is recovered and
+must be close to delta t + tau, and the multiplier is measured from those
+parameters.  A curve point's factors share their linear factors x - t_j^+,
+so its all-but-one products are built once for all factors.
 
 The lines family's L permute the lines through [1:...:1] and the coordinate
 points, so its orbit is walked in line coordinates, by the same map step.
@@ -234,7 +238,10 @@ def verify_orbit(
     three exact tests decide (b) and (c) with no walk, so no
     ``orbit_points`` are kept: point 0 is u(c_0) with c_0 = s_k; no c_j with
     j <= n - 2 is a t_i^+, where alone u meets the indeterminacy locus; and
-    c_{n-1} = t_0^+, where u is e_0.  Otherwise the orbit is walked.
+    c_{n-1} = t_0^+, where u is e_0.  The identity at its place
+    x_k = t_k^+ - E has shown that point 0, column k of every L_i, is
+    u(delta x_k + tau), and u is one to one, so the first test is
+    delta x_k + tau = s_k.  Otherwise the orbit is walked.
 
     For pk and biproj; the lines family has ``verify_lines_orbit``.
     """
@@ -261,10 +268,11 @@ def verify_orbit(
     # (b)/(c): from the curve identity and the orbit's parameters, or else
     # by the walk
     params, endpoint = blown_point_params(construction)
-    if (_on_curve(b) and endpoint == b.centers[0][0]
-            and not set(params[k + 1:]) & set(b.centers[0])
-            and _matches([m.column(k) for m in mats],
-                         _curve_point(b, construction.s_params[k]))):
+    t = b.centers[0]  # t^+
+    if (_on_curve(b) and endpoint == t[0]
+            and not set(params[k + 1:]) & set(t)
+            and b.delta * (t[k] - sum(t[1:], t[0])) + b.tau
+            == construction.s_params[k]):
         closed, res_b, fail_step = True, 0.0, None
     else:
         def record(step, point):
@@ -331,7 +339,7 @@ class CurveReport:
         )
 
 
-def _preimage(params, x) -> list:
+def _preimage(params, x, others=None) -> list:
     """T^{-1} gamma(x) up to scale for T the center matrix of ``params``
     (``construct.center_matrix``): coordinate j is
 
@@ -340,20 +348,26 @@ def _preimage(params, x) -> list:
     and T^{-1} gamma(x) = (-1)^k u exactly.  The column scalings
     a_j = 1 / (E prod_{i != j} (t_i - t_j)) cancel the denominators of the
     coefficients of gamma(x) in the basis gamma(t_j), so u needs no
-    inversion; the products over i != j are ``products_of_others``."""
+    inversion; the products over i != j are ``products_of_others``, or
+    ``others`` when the caller has them."""
     shift = x + sum(params[1:], params[0])
-    others = products_of_others([x - t for t in params])
+    if others is None:
+        others = products_of_others([x - t for t in params])
     return [(shift - t) * o for t, o in zip(params, others)]
 
 
 def _curve_point(b: Backend, x) -> list:
     """The point at parameter x of the curve that F = (L_0 x ..) o J_m
     fixes: factor i is ``_preimage`` on the parameters t^+ - i at x - i, and
-    the cusp x = oo is (1, .., 1) in every factor."""
+    the cusp x = oo is (1, .., 1) in every factor.  Factor i's linear
+    factors (x - i) - (t_l - i) are factor 0's, so their all-but-one
+    products are formed once, for every factor."""
     if x is OO:
         ones = ProjectivePoint([one_like(b.delta)] * len(b.centers[0]))
         return [ones] * len(b.centers)
-    return [ProjectivePoint(_preimage(c, x - i)) for i, c in enumerate(b.centers)]
+    others = products_of_others([x - t for t in b.centers[0]])
+    return [ProjectivePoint(_preimage(c, x - i, others))
+            for i, c in enumerate(b.centers)]
 
 
 def _matches(image, target) -> bool:
@@ -480,7 +494,9 @@ def verify_curve_invariance(
     invariant curve ``_curve_point``.
 
     When ``_on_curve`` has proven the identity, each sample records
-    delta t + tau as its image's parameter, and no image is formed.
+    delta t + tau as its image's parameter, the cusp is fixed, as the
+    identity's leading place shows L's row sums proportional to
+    (1, .., 1), and no image is formed.
     Otherwise each image is compared with u(delta t + tau) by
     cross-multiplication.
     On the exact backend a match proves that the image's parameter is
@@ -509,7 +525,7 @@ def verify_curve_invariance(
             ok = got is not None and got is not OO and close(got, expected)
         report.samples.append((t, got, expected, ok))
     cusp = _curve_point(b, OO)
-    report.cusp_fixed = _matches(_image(b.L, cusp), cusp)
+    report.cusp_fixed = proven or _matches(_image(b.L, cusp), cusp)
     # measured multiplier: slope through the first two good samples
     good = [
         (t, g) for (t, g, _, ok) in report.samples if ok and g is not None

@@ -12,6 +12,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cremona
 from cremona import cli, verify
@@ -468,6 +470,59 @@ def test_schema_roundtrip(capsys):
         capsys, "degree", "--family", "biproj", "-k", "2", "-n", "5"
     )
     assert json.loads(json.dumps(payload, sort_keys=True)) == payload
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-(2**300), max_value=2**300)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+    | st.text() | st.text(alphabet="a\u00e9\u03b4\u2202\U0001f600\"\\\n\x00")
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.lists(st.integers()) | st.lists(st.text()),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_is_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_refuses_what_json_refuses():
+    for value in ({1, 2}, {"a": [1, {2}]}, {(1, 2): 3}, object()):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+
+_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                          "reference.json")
+with open(_REFERENCE) as _fh:
+    _REFERENCE_COMMANDS = list(json.load(_fh))
+
+
+@pytest.mark.parametrize("command", _REFERENCE_COMMANDS + [
+    "degree -k 3 -n 12", "construct -k 3 -n 12",
+    "construct --family lines -k 3 -m 2 -n 2", "verify -k 3 -n 12",
+    "picard -k 3 -n 10", "report -k 3 -n 10",
+])
+def test_every_payload_is_written_as_json_dumps(capsys, monkeypatch, command):
+    payloads = []
+    real = cli.emit
+
+    def recording(payload, out_path):
+        payloads.append(payload)
+        real(payload, out_path)
+
+    monkeypatch.setattr(cli, "emit", recording)
+    _, out, _ = run(capsys, *command.split())
+    assert len(payloads) == 1
+    assert out == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
 
 
 def test_sweep_merged_in_order(capsys):

@@ -437,9 +437,96 @@ def test_moved_L_entry_fails_the_identity_and_the_walk(build, k, n):
                 assert not closure.passed, (f, r, j)
 
 
+_AGREEMENT_GRID = [
+    *((construct_pk, k, n) for k in range(2, 6) for n in range(1, 21)),
+    *((construct_biproj, k, n) for k in range(2, 5) for n in range(1, 13)),
+]
+
+
+def test_point_0_and_the_cusp_follow_from_the_identity():
+    # wherever the identity holds, its place x_k = t_k - E gives point 0 as
+    # u(delta x_k + tau), and that parameter is s_k; its leading place gives
+    # every L_i's row sums proportional to (1, .., 1).  Each agrees with the
+    # image check it replaces: column k of L against u(s_k), and L J(1) = 1
+    cells = 0
+    for build, k, n in _AGREEMENT_GRID:
+        try:
+            c = build(k, n)
+        except ExceptionalPairError:
+            continue
+        b = verify._prepare(c, "exact", 256)
+        if not verify._on_curve(b):
+            continue
+        cells += 1
+        t = b.centers[0]
+        assert b.delta * (t[k] - sum(t)) + b.tau == c.s_params[k], (k, n)
+        assert verify._matches([m.column(k) for m in b.L],
+                               verify._curve_point(b, c.s_params[k]))
+        cusp = verify._curve_point(b, verify.OO)
+        assert verify._matches(verify._image(b.L, cusp), cusp)
+        for m in b.L:
+            sums = [sum(row) for row in m.matrix]
+            assert sums[0] and all(x == sums[0] for x in sums), (k, n)
+    assert cells == 86
+
+
+@pytest.mark.parametrize("build, k, n", [
+    (construct_pk, 2, 8), (construct_pk, 3, 6), (construct_biproj, 2, 5),
+])
+def test_moved_last_column_or_row_sum_is_checked_by_images(build, k, n):
+    # an entry of L's last column (point 0) or of its first column (a row
+    # sum, the cusp's datum) moved by 1/3: the identity fails, so neither
+    # is read from it, and the report is the one the images give: the
+    # orbit is walked and the cusp's image is compared with (1, .., 1)
+    c = build(k, n)
+    for f, mat in enumerate(c.L):
+        for r in range(k + 1):
+            for j in (k, 0):
+                rows = [list(q) for q in mat.matrix]
+                rows[r][j] = rows[r][j] + Fraction(1, 3)
+                L = [*c.L[:f], LinearMap(rows), *c.L[f + 1:]]
+                broken = dataclasses.replace(c, L=L)
+                b = verify._prepare(broken, "exact", 256)
+                rep = verify_orbit(broken)
+                assert b.curve is False, (f, r, j)
+                assert rep.orbit_points, (f, r, j)
+                cusp = verify._curve_point(b, verify.OO)
+                fixed = verify._matches(verify._image(b.L, cusp), cusp)
+                inv = verify_curve_invariance(broken, samples=3)
+                assert inv.cusp_fixed is fixed, (f, r, j)
+                if j == 0:
+                    assert not fixed and not rep.curve_invariant, (f, r, j)
+                if j == k:
+                    closure = next(cond for cond in rep.conditions
+                                   if cond.name == "long orbit closes at e0")
+                    assert not closure.passed, (f, r, j)
+
+
+@pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
+                                          (construct_biproj, 3, 8)])
+def test_curve_point_forms_its_products_once(monkeypatch, build, k, n):
+    # every factor of a curve point is ``_preimage`` on its own parameters,
+    # from one set of all-but-one products
+    b = verify._prepare(build(k, n), "exact", 256)
+    calls = []
+    real = verify.products_of_others
+
+    def counting(xs):
+        calls.append(xs)
+        return real(xs)
+
+    for x in (Fraction(3, 7) * b.delta, b.delta + Fraction(-5, 2)):
+        expected = [verify._preimage(c, x - i) for i, c in enumerate(b.centers)]
+        monkeypatch.setattr(verify, "products_of_others", counting)
+        point = verify._curve_point(b, x)
+        monkeypatch.setattr(verify, "products_of_others", real)
+        assert [list(p.coords) for p in point] == expected
+    assert len(calls) == 2
+
+
 def test_exact_curve_samples_come_from_the_identity(monkeypatch):
-    # once the identity is proven no sample's image is formed: each sample
-    # records delta t + tau, and the cusp is the one image
+    # once the identity is proven no image is formed: each sample records
+    # delta t + tau, and the identity's leading place fixes the cusp
     images = []
     real_image = verify._image
 
@@ -450,8 +537,8 @@ def test_exact_curve_samples_come_from_the_identity(monkeypatch):
     monkeypatch.setattr(verify, "_image", counting_image)
     c = construct_pk(2, 8)
     rep = verify_curve_invariance(c, samples=20)
-    assert rep.all_passed and len(rep.samples) == 20
-    assert len(images) == 1
+    assert rep.all_passed and len(rep.samples) == 20 and rep.cusp_fixed
+    assert not images
     assert all(got == c.delta * t + c.tau for t, got, _, _ in rep.samples)
 
 
