@@ -29,13 +29,13 @@ and indeterminacy with no walk.  The identity has also shown that point 0,
 the last columns of L, is u(delta x_k + tau) at its place x_k, and that L
 fixes the cusp (1, .., 1) at its leading place, so point 0 is one equality
 of parameters, and no image is formed, of a curve sample or of the cusp.
-Otherwise, and on the float backend, the orbit is walked and each sample's
-image L J(u(t)) is formed: exactly, it is compared with u(delta t + tau) by
-cross-multiplication, and only a failing sample has its parameter
-recovered, to report it; in floats every image's parameter is recovered and
-must be close to delta t + tau, and the multiplier is measured from those
-parameters.  A curve point's factors share their linear factors x - t_j^+,
-so its all-but-one products are built once for all factors.
+Otherwise, on either backend, the orbit is walked, and each sample's image
+L J(u(t)) is formed and its parameter recovered (``_curve_param``), which
+must equal delta t + tau: exactly, or within the float tolerance.  The
+multiplier is measured from those parameters.  So the backends part in one
+place only, whether ``_on_curve`` proves the identity.  A curve point's
+factors share their linear factors x - t_j^+, so its all-but-one products
+are built once for all factors.
 
 The lines family's L permute the lines through [1:...:1] and the coordinate
 points, so its orbit is walked in line coordinates, by the same map step.
@@ -376,24 +376,31 @@ def _matches(image, target) -> bool:
 
 def _curve_param(b: Backend, image):
     """The parameter x with image = ``_curve_point(b, x)`` up to scale in
-    every factor: OO at the cusp, None when the image is off the curve.
+    every factor: OO at the cusp, None when the image is off the curve; on
+    both backends, the one test of a sample ``_on_curve`` has not proven.
 
     Factor 0 of the curve is u_j = P(x) (1 + E / (x - t_j)), with
     P = prod (x - t_i) and E = sum t_i, so an image w proportional to it has
-    w_j = mu (1 + E / (x - t_j)) for some mu, and
+    w_j (x - t_j) = mu (x - t_j + E) for some mu, and
 
         (w_0 - w_j) x + (t_0 - t_j) mu = w_0 t_0 - w_j t_j.
 
-    The equations for j = 1, 2 give x; their determinant is 0 exactly when
-    w_0 = w_1 = w_2, at the cusp.  Every factor of the image is then
-    compared with the curve's point at x."""
+    The equations for j = 1 and the first j >= 2 with a nonzero determinant
+    give x: for j = 2 it is 0 only at the cusp and at u(t_j) ~ e_j, j >= 3.
+    This needs distinct t_j and E != 0, which every construction has, as
+    ``construct.center_matrix`` divides by them.  Every factor of the image
+    is then compared with the curve's point at x."""
     w, t = image[0].coords, b.centers[0]
-    a1, a2 = w[0] - w[1], w[0] - w[2]
-    d1, d2 = t[0] - t[1], t[0] - t[2]
+    a1, d1 = w[0] - w[1], t[0] - t[1]
     r0 = w[0] * t[0]
-    r1, r2 = r0 - w[1] * t[1], r0 - w[2] * t[2]
-    det = a1 * d2 - a2 * d1
-    x = (r1 * d2 - r2 * d1) / det if det else OO
+    r1 = r0 - w[1] * t[1]
+    x = OO
+    for wj, tj in zip(w[2:], t[2:]):
+        a2, d2 = w[0] - wj, t[0] - tj
+        det = a1 * d2 - a2 * d1
+        if det:
+            x = (r1 * d2 - (r0 - wj * tj) * d1) / det
+            break
     return x if _matches(image, _curve_point(b, x)) else None
 
 
@@ -478,8 +485,6 @@ def _sample_params(construction, samples: int, lift):
         if any(t == e for e in construction.t_plus):
             continue
         out.append(lift(t))
-        if cand > 1000:
-            raise VerificationError("could not find enough sample parameters")
     return out
 
 
@@ -497,17 +502,13 @@ def verify_curve_invariance(
     delta t + tau as its image's parameter, the cusp is fixed, as the
     identity's leading place shows L's row sums proportional to
     (1, .., 1), and no image is formed.
-    Otherwise each image is compared with u(delta t + tau) by
-    cross-multiplication.
-    On the exact backend a match proves that the image's parameter is
-    delta t + tau, which is recorded, so no field element is inverted, and
-    only a failing sample has its parameter recovered (``_curve_param``,
-    one division).  A float
-    comparison holds only relative to the largest coordinate, so on the
-    float backend every image's parameter is recovered (on the curve in
-    every factor) and recorded, and the sample passes only when that
-    parameter is close to delta t + tau.  The cusp (1, .., 1) must be fixed
-    in every factor.  The multiplier is measured as the slope of the affine
+    Otherwise, on either backend, each image's parameter is recovered
+    (``_curve_param``, on the curve in every factor) and recorded, and the
+    sample passes only when that parameter is delta t + tau, exactly or,
+    in floats, within the tolerance of ``close``: a float image matches a
+    curve point only relative to its largest coordinate, so the parameter,
+    not the point, is compared.  The cusp (1, .., 1) must be fixed in every
+    factor.  The multiplier is measured as the slope of the affine
     parameter map, and a measured slope of 1 flags a translation (conjugate
     to the plain involution) instead of passing."""
     b = _prepare(construction, backend, precision_bits)
@@ -515,13 +516,11 @@ def verify_curve_invariance(
                          backend=b.label)
     proven = _on_curve(b)
     for t in _sample_params(construction, samples, b.lift):
-        image = None if proven else _image(b.L, _curve_point(b, t))
         expected = b.delta * t + b.tau
-        if proven or is_exact(expected) and _matches(
-                image, _curve_point(b, expected)):
+        if proven:
             got, ok = expected, True
         else:
-            got = _curve_param(b, image)
+            got = _curve_param(b, _image(b.L, _curve_point(b, t)))
             ok = got is not None and got is not OO and close(got, expected)
         report.samples.append((t, got, expected, ok))
     cusp = _curve_point(b, OO)

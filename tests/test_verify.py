@@ -417,7 +417,8 @@ def test_identity_route_agrees_with_the_walk(build, k, ns):
 def test_moved_L_entry_fails_the_identity_and_the_walk(build, k, n):
     # each nonzero entry of each L moved by 1/3: the identity fails, in its
     # place form and its coefficient form, the orbit is walked, and it does
-    # not close at e0
+    # not close at e0; each curve sample is decided as cross-multiplication
+    # decides it
     c = build(k, n)
     for f, mat in enumerate(c.L):
         for r, row in enumerate(mat.matrix):
@@ -435,6 +436,53 @@ def test_moved_L_entry_fails_the_identity_and_the_walk(build, k, n):
                 closure = next(cond for cond in rep.conditions
                                if cond.name == "long orbit closes at e0")
                 assert not closure.passed, (f, r, j)
+                _samples_follow_cross_multiplication(broken)
+
+
+def _samples_follow_cross_multiplication(c):
+    """c's exact curve report, each sample checked against cross-multiplication
+    as the oracle: it passes exactly when its image is u(delta t + tau), and
+    then records delta t + tau."""
+    b = verify._prepare(c, "exact", 256)
+    rep = verify_curve_invariance(c)
+    assert len(rep.samples) == 20
+    for t, got, expected, ok in rep.samples:
+        assert expected == b.delta * t + b.tau
+        image = verify._image(b.L, verify._curve_point(b, t))
+        assert ok == verify._matches(image, verify._curve_point(b, expected)), t
+        assert got == expected or not ok, t
+    return rep
+
+
+def _hand_built(delta, t_plus):
+    """The curve-fixing map of multiplier delta and centers t^+, built from
+    its explicit center matrices."""
+    T, S, tau, s_params = curve_fixing_map(len(t_plus) - 1, delta, t_plus)
+    return CoxeterConstruction(
+        family="pk", k=len(t_plus) - 1, n=1, field=None, delta=delta,
+        t_plus=t_plus, tau=tau, L=[], T_matrices=[T], S_matrices=[S],
+        s_params=s_params,
+    )
+
+
+@pytest.mark.parametrize("delta, t_plus", [
+    *((d, [Fraction(1, 2), Fraction(3), Fraction(-2)])
+      for d in (Fraction(1), Fraction(2), Fraction(5, 3))),
+    # sample t = 2 maps to t_3^+, where u is e_3, and the equations
+    # j = 1, 2 of ``_curve_param`` do not determine the parameter
+    (Fraction(2), [Fraction(1, 2), Fraction(-3), Fraction(-3, 2), Fraction(-5, 2)]),
+])
+def test_unproven_samples_follow_cross_multiplication(delta, t_plus):
+    # a curve-fixing map built by hand, denied the identity on a copy: each
+    # sample's parameter is recovered from its image, every sample passes,
+    # and the report is the proven one's
+    c = _hand_built(delta, t_plus)
+    unproven = dataclasses.replace(c)
+    verify._prepare(unproven, "exact", 256).curve = False
+    rep = _samples_follow_cross_multiplication(unproven)
+    assert verify._on_curve(verify._prepare(c, "exact", 256))
+    assert all(ok for *_, ok in rep.samples)
+    assert rep == verify_curve_invariance(c)
 
 
 _AGREEMENT_GRID = [
@@ -573,6 +621,13 @@ def test_curve_invariance_pk_20_samples():
         assert sampled[t2] == c.delta + 1
 
 
+def test_a_thousand_curve_samples():
+    # at most k + 1 candidate parameters are skipped, so any number of
+    # samples is found
+    rep = verify_curve_invariance(construct_pk(2, 8), samples=1000)
+    assert rep.all_passed and len(rep.samples) == 1000
+
+
 def test_curve_invariance_fixed_point():
     # t = 1 is the fixed point of t -> delta t + tau at pk (2, 8)
     from cremona.verify import _curve_param, _curve_point, _image, _prepare
@@ -652,10 +707,10 @@ def test_closed_form_preimage_of_the_construction(build, k, n):
 @pytest.mark.parametrize("build, k, n", [(construct_pk, 4, 8),
                                           (construct_biproj, 3, 8)])
 def test_curve_invariance_inverts_nothing(monkeypatch, build, k, n):
-    # the curve's points have a closed form and the image is compared by
-    # cross-multiplication: the only inversion left, counted from before
-    # the backend is prepared, is the slope's division by a rational, and
-    # no center matrix is built or inverted
+    # these cells are proven by the curve identity, whose curve points have
+    # a closed form, so no sample's image is formed: the only inversion
+    # left, counted from before the backend is prepared, is the slope's
+    # division by a rational, and no center matrix is built or inverted
     from cremona import arith, construct
 
     c = build(k, n)
@@ -822,21 +877,7 @@ def test_recover_param_refuses_second_factor_off_the_curve():
 def test_translation_guard():
     # multiplier 1 means the parameter action is a translation; the verifier
     # must flag it instead of passing
-    t_plus = [Fraction(1, 2), Fraction(3), Fraction(-2)]
-    T, S, tau, s_params = curve_fixing_map(2, Fraction(1), t_plus)
-    stub = CoxeterConstruction(
-        family="pk",
-        k=2,
-        n=1,
-        field=None,
-        delta=Fraction(1),
-        t_plus=t_plus,
-        tau=tau,
-        L=[],
-        T_matrices=[T],
-        S_matrices=[S],
-        s_params=s_params,
-    )
+    stub = _hand_built(Fraction(1), [Fraction(1, 2), Fraction(3), Fraction(-2)])
     rep = verify_curve_invariance(stub, samples=4, backend="exact")
     assert rep.translation_detected
     assert not rep.all_passed
