@@ -5,7 +5,8 @@ d.  An element is stored as FLINT/Antic's ``nf_elem`` stores it: integer
 numerator coefficients of degree < d over one positive common denominator,
 in lowest terms, so that equal elements have equal representations.
 Multiplication is an integer convolution followed by reduction modulo S,
-which needs no division because S is monic; addition cross-multiplies the
+which needs no division because S is monic, except by a rational, which
+scales the numerator and denominator alone; addition cross-multiplies the
 denominators, and ``dot`` sums a row of products over one denominator with
 one reduction.  Inversion is p-adic: the numerator is inverted modulo
 (S, p) for a 62-bit prime p and rationally reconstructed, the inverse being
@@ -21,16 +22,16 @@ exact point to a unit leading coordinate, so the coefficients of an orbit
 point depend on the point alone and do not grow with the number of steps.
 
 The float side is ``BigFloat``, mpmath's raw ``(sign, mantissa, exponent,
-bit count)`` tuple with an explicit bit precision.  Its arithmetic calls
-mpmath's raw kernels (``mpmath.libmp``) directly at the larger precision of
-the operands, rounding to nearest, so results are bit for bit those of
-mpmath under ``workprec`` without entering a precision context per
-operation, and one object is built per result; ``dot`` of a float row
-accumulates raw tuples with no object per product.  ``nf_embed`` evaluates
-an element at the root in the manner of Arb's ``arb_dot``: the root's powers
-are rounded once into a fixed-point table per (modulus, root, precision),
-the element's integer numerators are summed against it exactly, and the sum
-is rounded once.
+bit count)`` tuple with an explicit bit precision.  Its arithmetic calls the
+raw kernels of ``_libmpf``, a port of mpmath's ``libmpf`` for round to
+nearest, at the larger precision of the operands, so results are bit for
+bit those of mpmath under ``workprec``, with no precision context per
+operation and no import of mpmath, and one object is built per result;
+``dot`` of a float row accumulates raw tuples with no object per product.
+``nf_embed`` evaluates an element at the root in the manner of Arb's
+``arb_dot``: the root's powers are rounded once into a fixed-point table per
+(modulus, root, precision), the element's integer numerators are summed
+against it exactly, and the sum is rounded once.
 
 The scalar protocol at the end of the module (``is_exact``, ``one_like``,
 ``inverse``, ``embed``, ``gap``/``close`` and the vector rescalings
@@ -43,13 +44,13 @@ one float tolerance.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
-import mpmath
-from mpmath.libmp import (
+from ._libmpf import (
     fone,
     fzero,
     from_float,
@@ -69,10 +70,10 @@ from mpmath.libmp import (
     mpf_pos,
     mpf_pow_int,
     mpf_sub,
-    round_nearest,
+    prec_to_dps,
     to_float,
+    to_str,
 )
-
 from .polynomials import IntegerPolynomial, _convolve
 
 DEFAULT_PRECISION_BITS = 256
@@ -252,12 +253,32 @@ class NumberFieldElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if not self.num or not o.num:
-            return self.field.zero()
+        if len(o.num) <= 1:
+            return self._scale(o.num[0] if o.num else 0, o.den)
+        if len(self.num) <= 1:
+            return o._scale(self.num[0] if self.num else 0, self.den)
         return self.field._element(_convolve(self.num, o.num), self.den * o.den)
+
+    def _scale(self, top: int, bottom: int):
+        """self * top / bottom for coprime top and bottom > 0: the numerator
+        times top over the denominator times bottom, in lowest terms, with
+        no convolution and no reduction modulo S."""
+        if not top or not self.num:
+            return self.field.zero()
+        # num and den are coprime, and so are top and bottom: only top and
+        # den, and bottom and the numerator's content, share factors
+        g, h = gcd(top, self.den), gcd(bottom, *self.num)
+        top //= g
+        return NumberFieldElement(
+            self.field,
+            tuple(c // h * top for c in self.num),
+            self.den // g * (bottom // h),
+        )
 
     __rmul__ = __mul__
 
@@ -505,11 +526,12 @@ def nf_invert(a: NumberFieldElement) -> NumberFieldElement:
         m *= m
 
 
-# mpmath's raw kernels act on (sign, mantissa, exponent, bit count) tuples
-# and take the precision and rounding mode as arguments, so no context is
-# entered; every BigFloat result is rounded to nearest.
-_RND = round_nearest
-_make_mpf = mpmath.mp.make_mpf
+def _make_mpf(raw: tuple):
+    """A raw tuple as an mpmath ``mpf``.  mpmath is imported here, on first
+    use: no computation of the package needs it."""
+    from mpmath import mp
+
+    return mp.make_mpf(raw)
 
 
 def _raw(x, prec: int) -> tuple:
@@ -517,12 +539,11 @@ def _raw(x, prec: int) -> tuple:
     Fraction's numerator is rounded first and then the quotient, as
     ``mpf(numerator) / denominator`` does at that precision."""
     if isinstance(x, int):
-        return from_int(x, prec, _RND)
+        return from_int(x, prec)
     if isinstance(x, float):
-        return from_float(x, prec, _RND)
+        return from_float(x, prec)
     if isinstance(x, Fraction):
-        return mpf_div(from_int(x.numerator, prec, _RND), from_int(x.denominator),
-                       prec, _RND)
+        return mpf_div(from_int(x.numerator, prec), from_int(x.denominator), prec)
     raise TypeError(f"cannot make a BigFloat from {type(x).__name__}")
 
 
@@ -543,16 +564,16 @@ def _float_dot(row, vec) -> "BigFloat":
             prec = v.precision_bits
         if prec > total_prec:
             total_prec = prec
-        total = mpf_add(total, mpf_mul(r.raw, v.raw, prec, _RND), total_prec, _RND)
+        total = mpf_add(total, mpf_mul(r.raw, v.raw, prec), total_prec)
     return _bigfloat(total, total_prec)
 
 
-def _rsub(a, b, prec, rnd):
-    return mpf_sub(b, a, prec, rnd)
+def _rsub(a, b, prec):
+    return mpf_sub(b, a, prec)
 
 
-def _rdiv(a, b, prec, rnd):
-    return mpf_div(b, a, prec, rnd)
+def _rdiv(a, b, prec):
+    return mpf_div(b, a, prec)
 
 
 class BigFloat:
@@ -560,11 +581,11 @@ class BigFloat:
 
     ``raw`` is mpmath's raw mpf tuple (sign, mantissa, exponent, bit count),
     held as it is rather than in an ``mpf``; ``value`` wraps it in one for
-    mpmath's own functions.  (The slot is not named ``_mpf_``: mpmath would
-    take a BigFloat with that attribute for an ``mpf`` and compute with it
-    at its context precision, where a BigFloat passed to mpmath by mistake
-    raises ``TypeError``.)
-    Arithmetic calls mpmath's raw kernels at the larger precision of the
+    mpmath's own functions, and is the one place that imports mpmath.  (The
+    slot is not named ``_mpf_``: mpmath would take a BigFloat with that
+    attribute for an ``mpf`` and compute with it at its context precision,
+    where a BigFloat passed to mpmath by mistake raises ``TypeError``.)
+    Arithmetic calls the ported raw kernels at the larger precision of the
     operands, rounding to nearest, so each result is bit for bit the same
     mpmath expression evaluated under ``workprec`` at that precision.  An
     int, float or Fraction operand, in arithmetic and in comparisons alike,
@@ -579,13 +600,15 @@ class BigFloat:
         self.precision_bits = precision_bits
         if isinstance(value, BigFloat):
             self.raw = value.raw
-        elif isinstance(value, mpmath.mpf):
+        elif "mpmath" in sys.modules and isinstance(
+            value, sys.modules["mpmath"].mpf
+        ):  # an mpf exists only once mpmath is loaded
             self.raw = value._mpf_
         else:
             self.raw = _raw(value, precision_bits)
 
     @property
-    def value(self) -> mpmath.mpf:
+    def value(self):
         """The raw tuple as an mpmath ``mpf``."""
         return _make_mpf(self.raw)
 
@@ -599,7 +622,7 @@ class BigFloat:
             ov = _raw(other, prec)
         else:
             return NotImplemented
-        return _bigfloat(op(self.raw, ov, prec, _RND), prec)
+        return _bigfloat(op(self.raw, ov, prec), prec)
 
     def __add__(self, other):
         return self._binop(other, mpf_add)
@@ -625,26 +648,26 @@ class BigFloat:
 
     def __neg__(self):
         prec = self.precision_bits
-        return _bigfloat(mpf_neg(self.raw, prec, _RND), prec)
+        return _bigfloat(mpf_neg(self.raw, prec), prec)
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
             return NotImplemented
         prec = self.precision_bits
-        return _bigfloat(mpf_pow_int(self.raw, exp, prec, _RND), prec)
+        return _bigfloat(mpf_pow_int(self.raw, exp, prec), prec)
 
     def __abs__(self):
         prec = self.precision_bits
-        return _bigfloat(mpf_abs(self.raw, prec, _RND), prec)
+        return _bigfloat(mpf_abs(self.raw, prec), prec)
 
     def __float__(self):
-        return to_float(self.raw, rnd=_RND)
+        return to_float(self.raw)
 
     def __bool__(self):
         return bool(self.raw[1])
 
     def __repr__(self):
-        return f"BigFloat({self.value}, bits={self.precision_bits})"
+        return f"BigFloat({to_str(self.raw, 15)}, bits={self.precision_bits})"
 
     def _compare(self, other, relation):
         if isinstance(other, BigFloat):
@@ -682,19 +705,27 @@ def _pow2(exp: int) -> tuple:
 
 def _check_root(modulus: IntegerPolynomial, raw: tuple, prec: int) -> None:
     """Raise ``InconsistentEmbeddingError`` unless the raw mpf ``raw`` is
-    finite and solves the modulus at ``prec`` bits."""
-    value = _make_mpf(raw)
-    with mpmath.workprec(prec):
-        mod_val = modulus(value)
-        # scale-aware tolerance: Horner on a degree-d poly loses O(d) bits
-        scale = max(1, max(abs(c) for c in modulus.coeffs)) * max(
-            1, abs(value)
-        ) ** max(1, modulus.degree)
-        tol = mpmath.mpf(2) ** (-(prec - 16))
-        if not (mpmath.isfinite(value) and abs(mod_val) <= scale * tol):
-            raise InconsistentEmbeddingError(
-                f"claimed root is off by {mod_val} at {prec} bits"
-            )
+    finite and solves the modulus at ``prec`` bits: |S(r)| by Horner at
+    ``prec`` bits is at most max(1, max |s_i|) max(1, |r|)^max(1, d)
+    2^-(prec-16), every step rounded as mpmath's evaluation of the same
+    expression at that precision rounds it."""
+    mod_val = fzero
+    for c in reversed(modulus.coeffs):
+        mod_val = mpf_add(mpf_mul(mod_val, raw, prec), from_int(c), prec)
+    # scale-aware tolerance: Horner on a degree-d poly loses O(d) bits
+    size = mpf_abs(raw, prec)
+    if mpf_gt(size, fone):
+        size = mpf_pow_int(size, max(1, modulus.degree), prec)
+    else:
+        size = fone
+    height = max(1, max(abs(c) for c in modulus.coeffs))
+    tol = mpf_mul(mpf_mul(from_int(height), size, prec), _pow2(16 - prec), prec)
+    finite = raw[1] or not raw[2]
+    if not (finite and mpf_le(mpf_abs(mod_val, prec), tol)):
+        raise InconsistentEmbeddingError(
+            f"claimed root is off by {to_str(mod_val, prec_to_dps(prec))} "
+            f"at {prec} bits"
+        )
 
 
 @lru_cache(maxsize=64)
@@ -750,8 +781,8 @@ def nf_embed(a: NumberFieldElement, root: BigFloat) -> BigFloat:
     w, table = _power_table(a.modulus, root.raw, prec)
     total = from_man_exp(sum(map(mul, a.num, table)), -w)
     if a.den == 1:
-        return _bigfloat(mpf_pos(total, prec, _RND), prec)
-    return _bigfloat(mpf_div(total, from_int(a.den), prec, _RND), prec)
+        return _bigfloat(mpf_pos(total, prec), prec)
+    return _bigfloat(mpf_div(total, from_int(a.den), prec), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +823,7 @@ def embed(x, root: BigFloat, precision_bits: int) -> BigFloat:
     if isinstance(x, NumberFieldElement):
         x = nf_embed(x, root)
     if isinstance(x, BigFloat):
-        return _bigfloat(mpf_pos(x.raw, precision_bits, _RND),
-                         precision_bits)
+        return _bigfloat(mpf_pos(x.raw, precision_bits), precision_bits)
     return BigFloat(x, precision_bits)
 
 
@@ -816,11 +846,11 @@ def gap(a, b):
     av, bv = _raw_at(a, prec), _raw_at(b, prec)
     top = fone
     for v in (av, bv):
-        v = mpf_abs(v, prec, _RND)
+        v = mpf_abs(v, prec)
         if mpf_gt(v, top):
             top = v
-    diff = mpf_abs(mpf_sub(av, bv, prec, _RND))
-    return _bigfloat(mpf_div(diff, top, prec, _RND), prec)
+    diff = mpf_abs(mpf_sub(av, bv, prec))
+    return _bigfloat(mpf_div(diff, top, prec), prec)
 
 
 def close(a, b) -> bool:
@@ -836,12 +866,12 @@ def _unit(coords, prec: int) -> list:
     """Float entries divided by the first entry of largest modulus (rounded
     to ``prec``), at ``prec``."""
     vals = [_raw_at(c, prec) for c in coords]
-    top, top_abs = vals[0], mpf_abs(vals[0], prec, _RND)
+    top, top_abs = vals[0], mpf_abs(vals[0], prec)
     for v in vals[1:]:
-        v_abs = mpf_abs(v, prec, _RND)
+        v_abs = mpf_abs(v, prec)
         if mpf_gt(v_abs, top_abs):
             top, top_abs = v, v_abs
-    return [_bigfloat(mpf_div(v, top, prec, _RND), prec) for v in vals]
+    return [_bigfloat(mpf_div(v, top, prec), prec) for v in vals]
 
 
 def normalize(coords) -> tuple:

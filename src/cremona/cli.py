@@ -24,14 +24,13 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import gcd, inf
 
-import mpmath
-
 from .arith import (
     DEFAULT_PRECISION_BITS,
     BigFloat,
     NumberFieldElement,
     close,
     is_exact,
+    to_str,
 )
 from .construct import (
     ExceptionalPairError,
@@ -88,7 +87,7 @@ def frac_str(f) -> str:
 def decimal_str(value: BigFloat) -> str:
     """Fixed-width decimal rendering; deterministic for a given value (the
     digits come from the value's own mantissa, not the working precision)."""
-    return mpmath.nstr(value.value, DECIMAL_DIGITS, strip_zeros=False)
+    return to_str(value.raw, DECIMAL_DIGITS, strip_zeros=False)
 
 
 def ser_exact(x):

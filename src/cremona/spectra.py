@@ -37,8 +37,6 @@ from itertools import accumulate
 from math import ceil, isfinite, isqrt, perm
 from typing import Optional
 
-import mpmath
-
 from .arith import DEFAULT_PRECISION_BITS, BigFloat
 from .polynomials import IntegerPolynomial
 
@@ -533,11 +531,8 @@ def leading_salem_root(
             squarefree, lo, (hi - lo) / (1 << halvings),
             _newton(squarefree.coeffs, guess, precision_bits), 1 << halvings)
         lo, hi = cell or _sign_bisect(squarefree, lo, hi, halvings)
-    with mpmath.workprec(precision_bits + 16):
-        midf = (
-            mpmath.mpf(lo.numerator) / lo.denominator
-            + mpmath.mpf(hi.numerator) / hi.denominator
-        ) / 2
+    guard = precision_bits + 16
+    midf = (BigFloat(lo, guard) + BigFloat(hi, guard)) / 2
     return IsolatedRoot(lo, hi, BigFloat(midf, precision_bits))
 
 

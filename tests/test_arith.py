@@ -10,8 +10,9 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
-from cremona import arith
+from cremona import _libmpf, arith
 from cremona.arith import (
     BigFloat,
     InconsistentEmbeddingError,
@@ -273,6 +274,45 @@ def test_subtraction_is_adding_the_negation(a, b):
     assert (a - b) + b == a
 
 
+def _general_product(a, b):
+    """a * b for elements by convolution and reduction, the path of two
+    irrational elements."""
+    if not a or not b:
+        return FIELD.zero()
+    return FIELD._element(arith._convolve(a.num, b.num), a.den * b.den)
+
+
+@given(elements, operands)
+@settings(max_examples=200, deadline=None)
+def test_scalar_product_is_the_general_product(a, b):
+    # an int, a Fraction or a rational element scales a's numerator and
+    # denominator; the result is stored as the general product is
+    element = b if isinstance(b, arith.NumberFieldElement) else FIELD.element([b])
+    expected = _general_product(a, element)
+    for got in (a * b, b * a, a * element, element * a):
+        assert (got.num, got.den) == (expected.num, expected.den)
+
+
+def test_scalar_products_make_no_convolution(monkeypatch):
+    x = FIELD.element([Fraction(3, 4), -6, 0, Fraction(9, 2)])
+    scalars = (3, -4, 0, Fraction(2, 9), Fraction(-8, 3))
+    expected = [_general_product(x, FIELD.element([q])) for q in scalars]
+    calls = []
+    real = arith._convolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(arith, "_convolve", counting)
+    for q, product in zip(scalars, expected):
+        for scalar in (q, FIELD.element([q])):
+            assert x * scalar == product and scalar * x == product
+    assert calls == []
+    x * x
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["lehmer", "pk-3-12"])
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
@@ -511,6 +551,259 @@ def test_float_walk_builds_no_mpf(monkeypatch):
     _, dead = verify._walk(mats, construction.n - 1, lambda i, point: None)
     assert dead is None
     assert wrapped == []
+
+
+# ---------------------------------------------------------------------------
+# the kernel against mpmath.libmp: each ported function returns mpmath's raw
+# tuple bit for bit, rounding to nearest, at 53 to 2048 bits
+
+RND = libmp.round_nearest
+SPECIALS = (_libmpf.fzero, _libmpf.fnan, _libmpf.finf, _libmpf.fninf)
+kernel_precs = st.integers(53, 2048)
+
+
+def _mantissas(max_bits=2100):
+    """Integers of up to max_bits bits, runs of ones among them, so that
+    rounding carries into a new bit."""
+    return st.integers(0, max_bits).flatmap(
+        lambda bits: st.integers(0, (1 << bits) - 1) | st.just((1 << bits) - 1))
+
+
+@st.composite
+def raws(draw, exps=st.integers(-4200, 4200), specials=False):
+    """Canonical raw tuples of either sign, zero among them."""
+    if specials and draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(SPECIALS))
+    man = draw(_mantissas()) * draw(st.sampled_from((1, -1)))
+    return libmp.from_man_exp(man, draw(exps))
+
+
+@st.composite
+def raw_pairs(draw, specials=False):
+    """(s, t) with t's exponent drawn relative to s's: equal, near, or more
+    than 100 bits apart, where addition perturbs instead of adding."""
+    s = draw(raws(specials=specials))
+    offset = draw(st.integers(-3000, 3000) | st.integers(-150, 150)
+                  | st.sampled_from((0, 101, -101, 2100, -2100)))
+    t = draw(raws(exps=st.just(s[2] + offset), specials=specials))
+    return s, t
+
+
+def _agree(ours, theirs):
+    """ours() == theirs(), or both raise ZeroDivisionError."""
+    try:
+        expected = theirs()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            ours()
+        return
+    assert ours() == expected
+
+
+@given(st.sampled_from((1, 0)), _mantissas(), st.integers(-4200, 4200), kernel_precs)
+@settings(max_examples=300, deadline=None)
+def test_kernel_normalize_is_mpmaths(sign, man, exp, prec):
+    bc = man.bit_length()
+    assert (_libmpf.normalize(sign, man, exp, bc, prec)
+            == libmp.normalize(sign, man, exp, bc, prec, RND))
+    odd = man | 1
+    assert (_libmpf.normalize1(sign, odd, exp, odd.bit_length(), prec)
+            == libmp.normalize1(sign, odd, exp, odd.bit_length(), prec, RND))
+
+
+@given(_mantissas(), st.sampled_from((1, -1)), st.integers(-4200, 4200),
+       kernel_precs | st.just(0), st.floats() | st.sampled_from((-0.0, 5e-324)),
+       raws(specials=True))
+@settings(max_examples=300, deadline=None)
+def test_kernel_conversions_are_mpmaths(man, sign, exp, prec, x, raw):
+    n = sign * man
+    assert _libmpf.from_int(n, prec) == libmp.from_int(n, prec, RND)
+    assert _libmpf.from_man_exp(n, exp, prec) == libmp.from_man_exp(n, exp, prec, RND)
+    float_prec = prec or 53
+    assert _libmpf.from_float(x, float_prec) == libmp.from_float(x, float_prec, RND)
+    ours, theirs = _libmpf.to_float(raw), libmp.to_float(raw, rnd=RND)
+    assert ours == theirs or (ours != ours and theirs != theirs)
+
+
+@given(raw_pairs(specials=True), kernel_precs | st.just(0))
+@settings(max_examples=500, deadline=None)
+def test_kernel_add_and_sub_are_mpmaths(pair, prec):
+    s, t = pair
+    assert _libmpf.mpf_add(s, t, prec) == libmp.mpf_add(s, t, prec, RND)
+    assert _libmpf.mpf_sub(s, t, prec) == libmp.mpf_sub(s, t, prec, RND)
+    assert _libmpf.mpf_sub(t, s, prec) == libmp.mpf_sub(t, s, prec, RND)
+
+
+def test_kernel_add_perturbs_below_the_precision():
+    # a term more than 100 bits below the other's last bit only perturbs
+    # it, 4 bits below the precision: at a tie the perturbation's sign
+    # decides the rounding, as the full sum would
+    tie = libmp.from_man_exp((1 << 60) + 1, 0)
+    for tiny in (libmp.from_man_exp(3, -200), libmp.from_man_exp(-3, -200)):
+        for prec in (53, 59, 60, 61, 128):
+            for s, t in ((tie, tiny), (tiny, tie)):
+                assert (_libmpf.mpf_add(s, t, prec)
+                        == libmp.mpf_add(s, t, prec, RND))
+                assert (_libmpf.mpf_sub(s, t, prec)
+                        == libmp.mpf_sub(s, t, prec, RND))
+
+
+@given(raw_pairs(specials=True), kernel_precs, st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_kernel_mul_and_div_are_mpmaths(pair, prec, exact):
+    s, t = pair
+    assert _libmpf.mpf_mul(s, t, prec) == libmp.mpf_mul(s, t, prec, RND)
+    assert _libmpf.mpf_mul(s, t) == libmp.mpf_mul(s, t)
+    if exact:  # a quotient with no remainder
+        s = libmp.mpf_mul(s, t)
+    _agree(lambda: _libmpf.mpf_div(s, t, prec),
+           lambda: libmp.mpf_div(s, t, prec, RND))
+
+
+@given(raws(exps=st.integers(-300, 300), specials=True),
+       st.integers(-60, 60) | st.integers(-1000, 1000), kernel_precs)
+@settings(max_examples=400, deadline=None)
+def test_kernel_pow_int_is_mpmaths(s, n, prec):
+    # bc n >= 1000 takes binary powering with truncated partial products,
+    # and a negative power the reciprocal of the positive one
+    _agree(lambda: _libmpf.mpf_pow_int(s, n, prec),
+           lambda: libmp.mpf_pow_int(s, n, prec, RND))
+
+
+def test_kernel_pow_int_takes_each_path():
+    wide = libmp.from_man_exp((1 << 700) - 3, -650)
+    # at 53 bits, the cube of the first would round otherwise with one guard
+    # bit less in its partial products, and the reciprocal of the second's
+    # ninth power otherwise with the power formed at prec + 4 bits
+    truncated = libmp.from_man_exp(int(
+        "284ed54a792802b3a1a5f83273635a312517d7f21dd07d2f"
+        "9f6e5f260f9c15ae36894d69453960a9ce6ce5e8afbeefdf", 16), -382)
+    reciprocal = libmp.from_man_exp(223803562854357453, -59)
+    for s, n in [(wide, 2), (wide, 3), (wide, 40), (wide, -7), (wide, 1),
+                 (wide, 0), (libmp.from_int(3), 600), (libmp.from_int(-3), 601),
+                 (truncated, 3), (reciprocal, -9)]:
+        for prec in (53, 64, 256, 2048):
+            assert (_libmpf.mpf_pow_int(s, n, prec)
+                    == libmp.mpf_pow_int(s, n, prec, RND))
+
+
+@given(st.sampled_from((1, 0)), st.integers(0, 2 ** 2048), st.integers(1, 200),
+       st.integers(-4200, 4200), kernel_precs)
+@settings(max_examples=200, deadline=None)
+def test_kernel_normalize_rounds_ties_to_even(sign, head, k, exp, prec):
+    # prec bits of head, then one half-unit bit: an exact tie
+    head = head % (1 << prec) | (1 << prec - 1)
+    man = (head << k) | (1 << k - 1)
+    for m in (man, man | 1):
+        assert (_libmpf.normalize(sign, m, exp, m.bit_length(), prec)
+                == libmp.normalize(sign, m, exp, m.bit_length(), prec, RND))
+
+
+@given(raws(specials=True), kernel_precs | st.just(0))
+@settings(max_examples=300, deadline=None)
+def test_kernel_sign_functions_are_mpmaths(s, prec):
+    assert _libmpf.mpf_neg(s, prec) == libmp.mpf_neg(s, prec, RND)
+    assert _libmpf.mpf_abs(s, prec) == libmp.mpf_abs(s, prec, RND)
+    assert _libmpf.mpf_pos(s, prec) == libmp.mpf_pos(s, prec, RND)
+
+
+@st.composite
+def compared_pairs(draw):
+    """Pairs that often share their leading bit, where only a subtraction
+    orders them, and some special values."""
+    s, t = draw(raw_pairs(specials=True))
+    if s[1] and draw(st.booleans()):
+        sign, man, exp, bc = s
+        other = man ^ draw(st.integers(0, (1 << bc - 1) - 1))
+        shift = draw(st.integers(0, 5))
+        t = libmp.from_man_exp((-1) ** sign * (other << shift), exp - shift)
+    return s, t
+
+
+@given(compared_pairs())
+@settings(max_examples=500, deadline=None)
+def test_kernel_comparisons_and_hash_are_mpmaths(pair):
+    s, t = pair
+    for name in ("mpf_cmp", "mpf_eq", "mpf_lt", "mpf_le", "mpf_gt", "mpf_ge"):
+        ours, theirs = getattr(_libmpf, name), getattr(libmp, name)
+        assert ours(s, t) == theirs(s, t) and ours(t, s) == theirs(t, s), name
+    assert _libmpf.mpf_hash(s) == libmp.mpf_hash(s)
+
+
+def test_kernel_hash_is_pythons():
+    # -1 hashes to -2 in Python, and so do the values congruent to it
+    for n in (-1, 1, -(2 ** 61 - 2), 2 ** 61, -(2 ** 122), 0):
+        for exp in (0, -61, 61, -5):
+            s = libmp.from_man_exp(n, exp)
+            assert _libmpf.mpf_hash(s) == libmp.mpf_hash(s) == hash(
+                Fraction(n) * Fraction(2) ** exp)
+    for s in SPECIALS:
+        assert _libmpf.mpf_hash(s) == libmp.mpf_hash(s)
+
+
+@given(raws(exps=st.integers(-3400, 3400), specials=True), st.integers(1, 60),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_kernel_to_str_is_mpmaths(s, dps, strip_zeros):
+    if s[1]:
+        assert _libmpf.to_digits_exp(s, dps) == libmp.to_digits_exp(s, dps)
+    assert (_libmpf.to_str(s, dps, strip_zeros=strip_zeros)
+            == libmp.to_str(s, dps, strip_zeros=strip_zeros))
+
+
+@given(st.sampled_from((1, -1)), _mantissas(5000), st.integers(-3400, 3400)
+       | st.integers(-10 ** 7, 10 ** 7), st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_kernel_to_str_beyond_ten_to_the_1050(sign, man, shift, dps):
+    # beyond 2^3500 the digits are those of |s| / 10^b, b found from ln 2
+    # and ln 10 and the power rounded toward or away from zero
+    bc = (man | 1).bit_length()
+    s = libmp.from_man_exp(sign * (man | 1), shift - bc + 3501 * (1 if shift >= 0 else -1))
+    assert _libmpf.to_digits_exp(s, dps) == libmp.to_digits_exp(s, dps)
+    assert _libmpf.to_str(s, dps, strip_zeros=False) == libmp.to_str(
+        s, dps, strip_zeros=False)
+
+
+def test_kernel_constants_and_powers_of_ten_are_mpmaths():
+    from mpmath.libmp import libelefun
+
+    for prec in range(5, 300):
+        assert _libmpf._ln_floor(2, prec) == libelefun.mpf_ln2(prec)
+        assert _libmpf._ln_floor(10, prec) == libelefun.mpf_ln10(prec)
+    for n in (0, 1, 2, 3, 333, 334, 1000, 4321, -1, -2, -333, -334, -4321):
+        for prec in (53, 64, 1000, 2048):
+            assert _libmpf._ten_power(n, prec) == libmp.mpf_pow_int(
+                libmp.ften, n, prec, libmp.round_down)
+            assert _libmpf._ten_power(abs(n), prec, up=True) == libmp.mpf_pow_int(
+                libmp.ften, abs(n), prec, libmp.round_up)
+
+
+def _runs_of_nines():
+    """Values whose leading 30 to 33 digits are 9s, which round up into a
+    new leading digit: 10^e (1 - 2^-j)."""
+    for e in (-40, -1, 0, 5, 29, 30, 31):
+        for j in (96, 100, 104, 110, 120):
+            yield Fraction(10) ** e * (1 - Fraction(1, 2 ** j))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 1024])
+def test_decimal_str_is_mpmath_nstr(prec):
+    from cremona.cli import decimal_str
+
+    values = [*_runs_of_nines(), Fraction(-389, 10 ** 41), Fraction(798, 10 ** 51),
+              Fraction(-1, 3), Fraction(2, 3) * 10 ** 40, 0, 1, -7,
+              Fraction(123456789, 10 ** 35)]
+    for q in values:
+        for x in (BigFloat(q, prec), BigFloat(-q, prec)):
+            assert decimal_str(x) == mpmath.nstr(x.value, 30, strip_zeros=False)
+
+
+@given(bigfloats())
+@settings(max_examples=300, deadline=None)
+def test_decimal_str_is_mpmath_nstr_on_bigfloats(x):
+    from cremona.cli import decimal_str
+
+    assert decimal_str(x) == mpmath.nstr(x.value, 30, strip_zeros=False)
 
 
 # ---------------------------------------------------------------------------

@@ -704,6 +704,47 @@ def test_cli_starts_without_a_process_pool():
     assert proc.stdout == "[]\n"
 
 
+# every subcommand, both backends and all three families, a sweep among them
+NO_MPMATH_COMMANDS = (
+    "degree -k 3 -n 10",
+    "degree --family biproj -k 2 -n 10",
+    "degree --sweep 2..3 9..11",
+    "construct -k 3 -n 10",
+    "construct --family lines -k 3 -m 2 -n 2",
+    "verify -k 3 -n 10",
+    "verify -k 3 -n 10 --backend float",
+    "verify --family biproj -k 2 -n 10",
+    "verify --family biproj -k 2 -n 10 --backend float --precision 128",
+    "verify --family lines -k 2 -m 2 -n 2",
+    "verify --family lines -k 2 -m 2 -n 3 --backend float",
+    "picard -k 3 -n 10",
+    "report -k 3 -n 10",
+    "report --family biproj -k 2 -n 10 --backend float",
+)
+
+
+def test_cli_runs_every_subcommand_without_mpmath():
+    # BigFloat runs on its own kernel; mpmath is loaded only to read a
+    # BigFloat's value as an mpf, which no command does
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = (
+        "import contextlib, io, sys\n"
+        "from cremona import cli\n"
+        f"for argv in {NO_MPMATH_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv.split())\n"
+        "    assert code == 0, (argv, code)\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout == "False\n"
+
+
 
 def test_parser_is_built_once_per_process(capsys):
     assert cli.build_parser() is cli.build_parser()
